@@ -4,6 +4,7 @@
 //! optimizer passes, bandit updates, forecaster fits, checkpoint planning,
 //! and workload templatization).
 
+use adas_obs::Obs;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use std::collections::HashSet;
@@ -126,7 +127,7 @@ fn bench_forecasters(c: &mut Criterion) {
 fn bench_checkpoint_planning(c: &mut Criterion) {
     let catalog = Catalog::standard();
     let cost_model = CostModel::default();
-    let sim = Simulator::new(ClusterConfig::default()).unwrap();
+    let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
     let mk = |v: i64| {
         let mut plan = LogicalPlan::join(
             LogicalPlan::scan("events").filter(Predicate::single(2, CmpOp::Le, v)),
@@ -158,14 +159,22 @@ fn bench_checkpoint_planning(c: &mut Criterion) {
     let dag = StageDag::compile(&mk(400), &catalog, &cost_model).unwrap();
     let forecast = predictor.forecast(&dag);
     c.bench_function("checkpoint/plan_cuts", |b| {
-        b.iter(|| plan_checkpoints(black_box(&dag), &forecast, &PhoebeConfig::default()))
+        b.iter(|| {
+            plan_checkpoints(
+                black_box(&dag),
+                &forecast,
+                &PhoebeConfig::default(),
+                &Obs::disabled(),
+            )
+        })
     });
     c.bench_function("exec/simulate_dag", |b| {
         b.iter(|| sim.run(black_box(&dag), &SimOptions::default()).unwrap())
     });
 
     // Disabled-path fault injection: must track exec/simulate_dag within 5%.
-    let runner = ChaosRunner::new(ClusterConfig::default(), f64::INFINITY).unwrap();
+    let runner =
+        ChaosRunner::with_obs(ClusterConfig::default(), f64::INFINITY, Obs::disabled()).unwrap();
     let injector = FaultInjector::new(42, FaultConfig::disabled());
     let schedule = injector.schedule_for(0, ClusterConfig::default().machines);
     let no_checkpoints: HashSet<adas_engine::physical::StageId> = HashSet::new();

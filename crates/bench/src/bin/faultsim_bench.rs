@@ -8,6 +8,7 @@
 //! The contract this baseline tracks: the disabled path must cost < 5%
 //! versus running the simulator directly.
 
+use adas_obs::Obs;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -74,8 +75,9 @@ fn main() {
         .collect();
 
     let cluster = ClusterConfig::default();
-    let sim = Simulator::new(cluster).expect("valid cluster");
-    let runner = ChaosRunner::new(cluster, f64::INFINITY).expect("valid cluster");
+    let sim = Simulator::with_obs(cluster, Obs::disabled()).expect("valid cluster");
+    let runner =
+        ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
     let disabled = FaultInjector::new(42, FaultConfig::disabled());
     let standard = FaultInjector::new(42, FaultConfig::standard());
     let no_checkpoints: HashSet<StageId> = HashSet::new();

@@ -63,7 +63,7 @@ fn main() {
         .collect();
 
     let cluster = ClusterConfig::default();
-    let disabled_sim = Simulator::new(cluster).expect("valid cluster");
+    let disabled_sim = Simulator::with_obs(cluster, Obs::disabled()).expect("valid cluster");
 
     const ROUNDS: usize = 31;
     // Replay the whole job set this many times per timed round so each

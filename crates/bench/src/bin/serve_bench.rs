@@ -19,6 +19,7 @@
 //!   candidate staged vs. the same gateway without one. The routing layer
 //!   (arrival ticket + candidate snapshot read) must cost < 5%.
 
+use adas_obs::Obs;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,7 +74,7 @@ fn unique_features(seed: u64) -> Vec<Vec<f64>> {
 }
 
 fn gateway_with(config: GatewayConfig) -> (Gateway, ModelHandle) {
-    let gateway = Gateway::new(config);
+    let gateway = Gateway::with_obs(config, Obs::disabled());
     let handle = gateway.register("bench/synthetic", |f: &[f64]| f[0]);
     gateway
         .publish(handle, Arc::new(FnModel(|f: &[f64]| infer(f))), 0.0)
@@ -125,7 +126,7 @@ struct ServeBench {
 }
 
 fn main() {
-    let features = unique_features(0x5E27_E_BE7C);
+    let features = unique_features(0x5_E27E_BE7C);
     // Recurring arrival order: a full pass over the unique set, repeated.
     // The first pass warms the cache; later passes hit it.
     let order: Vec<usize> = (0..REPEATS).flat_map(|_| 0..UNIQUE).collect();

@@ -16,6 +16,7 @@
 //! cold ratio is reported alongside for attribution. Results land in
 //! `BENCH_sql.json` at the repo root.
 
+use adas_obs::Obs;
 use std::time::Instant;
 
 use adas_engine::cardinality::DefaultEstimator;
@@ -151,8 +152,9 @@ fn main() {
         .collect();
     let cards = DefaultEstimator::new(&workload.catalog);
     let cost_model = CostModel::default();
-    let optimizer = Optimizer::new(cost_model, 8);
-    let cluster = Simulator::new(ClusterConfig::default()).expect("cluster builds");
+    let optimizer = Optimizer::with_obs(cost_model, 8, Obs::disabled());
+    let cluster =
+        Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).expect("cluster builds");
     let options = SimOptions::default();
 
     let mut frontend_secs = f64::INFINITY;

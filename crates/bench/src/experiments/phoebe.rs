@@ -11,6 +11,7 @@ use adas_checkpoint::{evaluate, plan_checkpoints, PhoebeConfig, StagePredictor};
 use adas_engine::cost::CostModel;
 use adas_engine::exec::{ClusterConfig, ExecReport, SimOptions, Simulator};
 use adas_engine::physical::StageDag;
+use adas_obs::Obs;
 use adas_workload::catalog::Catalog;
 use adas_workload::plan::{CmpOp, LogicalPlan, Predicate};
 
@@ -43,7 +44,7 @@ pub fn run() -> Vec<Row> {
         machines: 32,
         ..Default::default()
     };
-    let sim = Simulator::new(cluster).expect("valid cluster");
+    let sim = Simulator::with_obs(cluster, Obs::disabled()).expect("valid cluster");
 
     // History: smaller jobs with varying literals.
     let history: Vec<(StageDag, ExecReport)> = [(8usize, 100i64), (10, 250), (12, 400), (8, 550)]
@@ -68,8 +69,9 @@ pub fn run() -> Vec<Row> {
         hotspot_threshold: 0.05,
         ..Default::default()
     };
-    let plan = plan_checkpoints(&dag, &forecast, &config);
-    let report = evaluate(&dag, &plan, cluster, 0.85).expect("simulation succeeds");
+    let plan = plan_checkpoints(&dag, &forecast, &config, &Obs::disabled());
+    let report =
+        evaluate(&dag, &plan, cluster, 0.85, &Obs::disabled()).expect("simulation succeeds");
 
     vec![
         Row::measured_only("C5", "evaluation DAG stages", dag.len() as f64, "stages"),

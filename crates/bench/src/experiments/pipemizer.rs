@@ -7,6 +7,7 @@
 //! cluster.
 
 use crate::Row;
+use adas_obs::Obs;
 use adas_pipeline::{optimize_pipelines, schedule, PipelineGraph, Policy};
 use adas_workload::catalog::Catalog;
 use adas_workload::job::{Job, Trace};
@@ -67,8 +68,10 @@ pub fn run() -> Vec<Row> {
     // trace under critical-path.
     let slots = 8;
     let speed = 5e6;
-    let fifo = schedule(&trace, &catalog, slots, speed, Policy::Fifo).expect("schedules");
-    let cp = schedule(&trace, &catalog, slots, speed, Policy::CriticalPath).expect("schedules");
+    let obs = Obs::disabled();
+    let fifo = schedule(&trace, &catalog, slots, speed, Policy::Fifo, &obs).expect("schedules");
+    let cp =
+        schedule(&trace, &catalog, slots, speed, Policy::CriticalPath, &obs).expect("schedules");
     let optimized_trace = Trace::new(optimized_jobs);
     let optimized_cp = schedule(
         &optimized_trace,
@@ -76,6 +79,7 @@ pub fn run() -> Vec<Row> {
         slots,
         speed,
         Policy::CriticalPath,
+        &obs,
     )
     .expect("schedules");
 

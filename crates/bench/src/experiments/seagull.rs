@@ -5,6 +5,7 @@
 //! patterns — the flagship "simplicity rules" example.
 
 use crate::Row;
+use adas_obs::Obs;
 use adas_service::seagull::{generate_fleet, schedule_fleet, BackupForecaster};
 
 /// Runs the experiment.
@@ -12,13 +13,14 @@ pub fn run() -> Vec<Row> {
     // 500 servers, 4 weeks of history; mixture dominated by stable patterns
     // as the paper observes for PostgreSQL/MySQL fleets.
     let fleet = generate_fleet(500, 28, 0.6, 0.3, 77);
-    let ml = schedule_fleet(&fleet, BackupForecaster::MlModel, 2, 0.25);
-    let heuristic = schedule_fleet(&fleet, BackupForecaster::PreviousDay, 2, 0.25);
+    let obs = Obs::disabled();
+    let ml = schedule_fleet(&fleet, BackupForecaster::MlModel, 2, 0.25, &obs);
+    let heuristic = schedule_fleet(&fleet, BackupForecaster::PreviousDay, 2, 0.25, &obs);
 
     // The heuristic on stable-pattern servers only (the paper's 96% claim
     // is scoped to "servers that follow a stable daily or a weekly pattern").
     let stable = generate_fleet(500, 28, 0.67, 0.33, 78);
-    let heuristic_stable = schedule_fleet(&stable, BackupForecaster::PreviousDay, 2, 0.25);
+    let heuristic_stable = schedule_fleet(&stable, BackupForecaster::PreviousDay, 2, 0.25, &obs);
 
     vec![
         Row::with_paper(

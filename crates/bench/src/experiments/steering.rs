@@ -12,6 +12,7 @@ use adas_engine::cardinality::{DefaultEstimator, TrueCardinality};
 use adas_engine::cost::CostModel;
 use adas_engine::rules::{Optimizer, RuleSet};
 use adas_learned::steering::{SteeringConfig, SteeringController};
+use adas_obs::Obs;
 use adas_workload::gen::{GeneratorConfig, WorkloadGenerator};
 use adas_workload::plan::LogicalPlan;
 use adas_workload::signature::template_signature;
@@ -56,7 +57,7 @@ pub fn run_with(epochs: usize, config: SteeringConfig) -> Vec<Row> {
             .expect("plans validate")
     };
 
-    let mut controller = SteeringController::new(RuleSet::all(), config);
+    let mut controller = SteeringController::with_obs(RuleSet::all(), config, Obs::disabled());
     for epoch in 0..epochs {
         for (&sig, plans) in &by_template {
             let plan = plans[epoch % plans.len()];

@@ -98,18 +98,11 @@ fn frontier(dag: &StageDag, forecast: &StageForecast, t: f64) -> Vec<StageId> {
 /// the most completed work from restarts, while the progress window and the
 /// per-byte write charge bound the overhead (the trade-off Phoebe's LP
 /// balances).
+///
+/// The selection is recorded into `obs`: a `plan_checkpoints` span, one
+/// `cut_selected` event per chosen cut time, and gauges for the persisted
+/// stage count and predicted bytes.
 pub fn plan_checkpoints(
-    dag: &StageDag,
-    forecast: &StageForecast,
-    config: &PhoebeConfig,
-) -> CheckpointPlan {
-    plan_checkpoints_with_obs(dag, forecast, config, &Obs::disabled())
-}
-
-/// Like [`plan_checkpoints`], recording the selection into `obs`: a
-/// `plan_checkpoints` span, one `cut_selected` event per chosen cut time,
-/// and gauges for the persisted stage count and predicted bytes.
-pub fn plan_checkpoints_with_obs(
     dag: &StageDag,
     forecast: &StageForecast,
     config: &PhoebeConfig,
@@ -272,19 +265,11 @@ fn charge_ckpt_io(dag: &StageDag, plan: &CheckpointPlan, work_per_byte: f64) -> 
 
 /// Runs the full with/without comparison on the cluster simulator, with a
 /// failure injected after `failure_at` of the stages completed.
+///
+/// The comparison runs on a [`Simulator`] recording into `obs` (so exec
+/// spans land in the trace), which also receives the headline Phoebe
+/// gauges: hotspot reduction, slowdown and restart speedup.
 pub fn evaluate(
-    dag: &StageDag,
-    plan: &CheckpointPlan,
-    cluster: ClusterConfig,
-    failure_at: f64,
-) -> Result<PhoebeReport> {
-    evaluate_with_obs(dag, plan, cluster, failure_at, &Obs::disabled())
-}
-
-/// Like [`evaluate`], running the comparison on an obs-instrumented
-/// [`Simulator`] (so exec spans land in the trace) and recording the
-/// headline Phoebe gauges: hotspot reduction, slowdown and restart speedup.
-pub fn evaluate_with_obs(
     dag: &StageDag,
     plan: &CheckpointPlan,
     cluster: ClusterConfig,
@@ -379,7 +364,7 @@ mod tests {
     fn setup() -> (StageDag, StageForecast) {
         let catalog = Catalog::standard();
         let cm = CostModel::default();
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let history: Vec<(StageDag, ExecReport)> = [100, 250, 400, 600]
             .iter()
             .map(|&v| {
@@ -403,7 +388,7 @@ mod tests {
             hotspot_threshold: 2.0,
             ..Default::default()
         };
-        let plan = plan_checkpoints(&dag, &forecast, &config);
+        let plan = plan_checkpoints(&dag, &forecast, &config, &Obs::disabled());
         assert!(!plan.stages.is_empty());
         assert!(plan.predicted_bytes > 0.0);
         assert_eq!(plan.cut_times.len(), 1);
@@ -428,6 +413,7 @@ mod tests {
                 hotspot_threshold: 2.0,
                 ..Default::default()
             },
+            &Obs::disabled(),
         );
         let two = plan_checkpoints(
             &dag,
@@ -437,6 +423,7 @@ mod tests {
                 hotspot_threshold: 2.0,
                 ..Default::default()
             },
+            &Obs::disabled(),
         );
         assert!(two.stages.len() >= one.stages.len());
     }
@@ -451,6 +438,7 @@ mod tests {
                 max_cuts: 0,
                 ..Default::default()
             },
+            &Obs::disabled(),
         );
         assert_eq!(plan, CheckpointPlan::empty());
     }
@@ -458,8 +446,9 @@ mod tests {
     #[test]
     fn evaluation_shows_phoebe_effects() {
         let (dag, forecast) = setup();
-        let plan = plan_checkpoints(&dag, &forecast, &PhoebeConfig::default());
-        let report = evaluate(&dag, &plan, ClusterConfig::default(), 0.8).unwrap();
+        let plan = plan_checkpoints(&dag, &forecast, &PhoebeConfig::default(), &Obs::disabled());
+        let report =
+            evaluate(&dag, &plan, ClusterConfig::default(), 0.8, &Obs::disabled()).unwrap();
         // Hotspot shrinks, restart speeds up, latency overhead is bounded.
         assert!(report.hotspot_reduction > 0.3, "hotspot {:?}", report);
         assert!(report.restart_speedup > 0.0, "restart {:?}", report);
@@ -474,6 +463,7 @@ mod tests {
             &CheckpointPlan::empty(),
             ClusterConfig::default(),
             0.8,
+            &Obs::disabled(),
         )
         .unwrap();
         assert_eq!(report.hotspot_reduction, 0.0);

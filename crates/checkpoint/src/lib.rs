@@ -30,8 +30,5 @@
 pub mod cut;
 pub mod predict;
 
-pub use cut::{
-    evaluate, evaluate_with_obs, plan_checkpoints, plan_checkpoints_with_obs, CheckpointPlan,
-    PhoebeConfig, PhoebeReport,
-};
+pub use cut::{evaluate, plan_checkpoints, CheckpointPlan, PhoebeConfig, PhoebeReport};
 pub use predict::{ServedStagePredictor, StageForecast, StagePredictor};

@@ -232,12 +232,13 @@ mod tests {
     use super::*;
     use adas_engine::cost::CostModel;
     use adas_engine::exec::{ClusterConfig, SimOptions, Simulator};
+    use adas_obs::Obs;
     use adas_workload::catalog::Catalog;
     use adas_workload::plan::{CmpOp, LogicalPlan, Predicate};
 
     fn training_material() -> Vec<(StageDag, ExecReport)> {
         let catalog = Catalog::standard();
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let cm = CostModel::default();
         let mut out = Vec::new();
         for v in [50, 150, 300, 500, 700] {
@@ -293,7 +294,8 @@ mod tests {
         let material = training_material();
         let refs: Vec<(&StageDag, &ExecReport)> = material.iter().map(|(d, r)| (d, r)).collect();
         let predictor = StagePredictor::train(&refs).unwrap();
-        let gateway = adas_serve::Gateway::new(adas_serve::GatewayConfig::standard());
+        let gateway =
+            adas_serve::Gateway::with_obs(adas_serve::GatewayConfig::standard(), Obs::disabled());
         let served = predictor.publish(&gateway);
         for (dag, _) in &material {
             let a = predictor.forecast(dag);
@@ -317,7 +319,7 @@ mod tests {
         let predictor = StagePredictor::train(&refs).unwrap();
         let mut config = adas_serve::GatewayConfig::standard();
         config.cache_capacity = 0;
-        let gateway = adas_serve::Gateway::new(config);
+        let gateway = adas_serve::Gateway::with_obs(config, Obs::disabled());
         let served = predictor.publish(&gateway);
         let duration = gateway.resolve(DURATION_MODEL).unwrap();
         // Permanent timeouts: every duration prediction degrades to the

@@ -162,13 +162,8 @@ pub struct FeedbackLoop {
 }
 
 impl FeedbackLoop {
-    /// Creates a loop with the given configuration.
-    pub fn new(config: LoopConfig) -> Self {
-        Self::with_obs(config, Obs::disabled())
-    }
-
-    /// Creates a loop whose [`FeedbackLoop::observe_recorded`] logs monitor
-    /// verdicts into `obs`.
+    /// Creates a loop with the given configuration whose
+    /// [`FeedbackLoop::observe_recorded`] logs monitor verdicts into `obs`.
     pub fn with_obs(config: LoopConfig, obs: Obs) -> Self {
         Self {
             config,
@@ -302,10 +297,13 @@ mod tests {
 
     #[test]
     fn loop_warms_then_judges() {
-        let mut fl = FeedbackLoop::new(LoopConfig {
-            window: 5,
-            ..Default::default()
-        });
+        let mut fl = FeedbackLoop::with_obs(
+            LoopConfig {
+                window: 5,
+                ..Default::default()
+            },
+            Obs::disabled(),
+        );
         for _ in 0..4 {
             assert_eq!(fl.observe(1.0, 1.05, 0.05), MonitorVerdict::Warming);
         }
@@ -320,7 +318,7 @@ mod tests {
             retrain_factor: 1.5,
             rollback_factor: 3.0,
         };
-        let mut fl = FeedbackLoop::new(config);
+        let mut fl = FeedbackLoop::with_obs(config, Obs::disabled());
         // Deployment error 0.1; live error 0.2 → retrain zone.
         for _ in 0..4 {
             fl.observe(0.0, 0.2, 0.1);
@@ -341,10 +339,13 @@ mod tests {
         let mut reg = ModelRegistry::new();
         reg.deploy(1.0f64, 0.02); // model = constant predictor value
         reg.deploy(5.0f64, 0.02); // bad model deployed with optimistic error
-        let mut fl = FeedbackLoop::new(LoopConfig {
-            window: 10,
-            ..Default::default()
-        });
+        let mut fl = FeedbackLoop::with_obs(
+            LoopConfig {
+                window: 10,
+                ..Default::default()
+            },
+            Obs::disabled(),
+        );
         let mut rolled_back = false;
         for _ in 0..20 {
             let current = reg.current().unwrap();

@@ -48,10 +48,17 @@ impl ClusterConfig {
                 "machines and slots_per_machine must be >= 1".into(),
             ));
         }
-        if self.work_per_second <= 0.0 {
-            return Err(EngineError::InvalidCluster(
-                "work_per_second must be > 0".into(),
-            ));
+        if !(self.work_per_second > 0.0 && self.work_per_second.is_finite()) {
+            return Err(EngineError::InvalidCluster(format!(
+                "work_per_second must be finite and > 0, got {}",
+                self.work_per_second
+            )));
+        }
+        if !(self.task_overhead >= 0.0 && self.task_overhead.is_finite()) {
+            return Err(EngineError::InvalidCluster(format!(
+                "task_overhead must be finite and >= 0, got {}",
+                self.task_overhead
+            )));
         }
         Ok(())
     }
@@ -129,13 +136,9 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator after validating the cluster configuration.
-    /// Observability is disabled; see [`Simulator::with_obs`].
-    pub fn new(config: ClusterConfig) -> Result<Self> {
-        Self::with_obs(config, Obs::disabled())
-    }
-
-    /// Creates a simulator that records spans and metrics into `obs`.
+    /// Creates a simulator after validating the cluster configuration; it
+    /// records spans and metrics into `obs` (pass [`Obs::disabled`] to
+    /// record nothing).
     pub fn with_obs(config: ClusterConfig, obs: Obs) -> Result<Self> {
         config.validate()?;
         Ok(Self {
@@ -154,14 +157,9 @@ impl Simulator {
     /// not precomputed and either feeds no one (a sink) or feeds a required
     /// stage. Stages fully shielded by precomputed outputs are skipped —
     /// this is what makes checkpoint-based recovery cheaper than a full
-    /// re-run.
-    fn required_stages(dag: &StageDag, options: &SimOptions) -> Vec<bool> {
-        Self::required_stages_with(dag, options, &dag.consumers())
-    }
-
-    /// [`Simulator::required_stages`] with the consumer lists precomputed,
-    /// so the kernel path computes `dag.consumers()` exactly once per run.
-    fn required_stages_with(
+    /// re-run. Takes the consumer lists so a run computes
+    /// `dag.consumers()` only once.
+    fn required_stages(
         dag: &StageDag,
         options: &SimOptions,
         consumers: &[Vec<StageId>],
@@ -246,16 +244,15 @@ impl Simulator {
     /// The schedule is produced by a [`ClusterSim`] component on the
     /// `simkern` discrete-event kernel: stage-task completions are events,
     /// the kernel clock is the only notion of time, and earliest-free-slot
-    /// selection is a heap pop instead of the old O(total_slots) scan. The
-    /// result is pinned byte-identical to [`Simulator::schedule_legacy`]
-    /// by `tests/simkern_equivalence.rs`.
+    /// selection is a heap pop. Reports and traces are pinned by the golden
+    /// digests in `tests/golden_paths.rs`.
     fn schedule(
         &self,
         dag: &StageDag,
         options: &SimOptions,
     ) -> Result<(ExecReport, Vec<Vec<usize>>)> {
         let consumers = dag.consumers();
-        let required = Self::required_stages_with(dag, options, &consumers);
+        let required = Self::required_stages(dag, options, &consumers);
         let cluster = ClusterSim::new(&self.config, dag, required, &consumers);
         let mut sim = Simulation::new(0);
         let cluster = Rc::new(RefCell::new(cluster));
@@ -283,87 +280,6 @@ impl Simulator {
             },
             stage_machines,
         ))
-    }
-
-    /// The pre-kernel scheduler, kept verbatim as the reference the
-    /// equivalence suite and `des_bench` compare against: a blocking loop
-    /// over stages with an O(total_slots) earliest-free scan per task.
-    /// Production paths go through the kernel-backed [`Simulator::run`];
-    /// this one exists to *prove* the port changed nothing.
-    pub fn schedule_legacy(
-        &self,
-        dag: &StageDag,
-        options: &SimOptions,
-    ) -> Result<(ExecReport, Vec<Vec<usize>>)> {
-        let n = dag.len();
-        let required = Self::required_stages(dag, options);
-        let total_slots = self.config.machines * self.config.slots_per_machine;
-        // slot_free[i]: next free time of slot i; slot i lives on machine i / slots_per_machine.
-        let mut slot_free = vec![0.0f64; total_slots];
-        let mut stage_start = vec![0.0f64; n];
-        let mut stage_finish = vec![0.0f64; n];
-        // Machines that hold each stage's temp output.
-        let mut stage_machines: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut total_cpu = 0.0f64;
-
-        for stage in dag.stages() {
-            let idx = stage.id.0;
-            if !required[idx] {
-                stage_start[idx] = 0.0;
-                stage_finish[idx] = 0.0;
-                continue;
-            }
-            let ready = stage
-                .inputs
-                .iter()
-                .map(|s| stage_finish[s.0])
-                .fold(0.0f64, f64::max);
-            let task_work = stage.work / stage.tasks as f64;
-            let task_duration = task_work / self.config.work_per_second + self.config.task_overhead;
-            let mut finish = ready;
-            let mut start = f64::INFINITY;
-            for _ in 0..stage.tasks {
-                // Earliest-free slot (ties broken by index → deterministic).
-                let (slot, _) = slot_free
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .expect("at least one slot");
-                let task_start = slot_free[slot].max(ready);
-                let task_finish = task_start + task_duration;
-                slot_free[slot] = task_finish;
-                total_cpu += task_duration;
-                finish = finish.max(task_finish);
-                start = start.min(task_start);
-                stage_machines[idx].push(slot / self.config.slots_per_machine);
-            }
-            stage_start[idx] = if start.is_finite() { start } else { ready };
-            stage_finish[idx] = finish;
-        }
-
-        let latency = stage_finish.iter().copied().fold(0.0, f64::max);
-        let machine_temp_peak =
-            self.temp_peaks(dag, options, &stage_finish, &stage_machines, latency);
-        Ok((
-            ExecReport {
-                latency,
-                total_cpu_seconds: total_cpu,
-                stage_start,
-                stage_finish,
-                machine_temp_peak,
-                executed: required,
-            },
-            stage_machines,
-        ))
-    }
-
-    /// Like [`Simulator::run`] but through [`Simulator::schedule_legacy`]:
-    /// the pre-kernel blocking loop, with identical trace recording. The
-    /// equivalence suite pins `run` == `run_legacy` bytes.
-    pub fn run_legacy(&self, dag: &StageDag, options: &SimOptions) -> Result<ExecReport> {
-        let report = self.schedule_legacy(dag, options)?.0;
-        self.record_run(&report);
-        Ok(report)
     }
 
     /// Like [`Simulator::run`], additionally returning the machines each
@@ -594,17 +510,14 @@ impl SimStages {
 
 /// The cluster executor as a `simkern` component.
 ///
-/// Placement preserves the legacy list-scheduling discipline exactly: the
-/// dispatch cursor walks stages in topological order, and a stage is
-/// placed the moment the cursor reaches it with every input complete.
-/// Task arithmetic is identical — `task_start = max(slot_free, ready)`
-/// with `ready` the max input finish — so reports are byte-identical to
-/// the legacy loop. What changed is the *mechanism*: stage completions
-/// are kernel events (the clock advances through the schedule rather
-/// than a blocking loop "owning" time), and the earliest-free slot is a
+/// Placement is list scheduling: the dispatch cursor walks stages in
+/// topological order, and a stage is placed the moment the cursor reaches
+/// it with every input complete. Each task starts at
+/// `max(slot_free, ready)`, with `ready` the max input finish. Stage
+/// completions are kernel events (the clock advances through the
+/// schedule), and the earliest-free slot is a
 /// `BinaryHeap<Reverse<(OrderedTick, slot)>>` pop with an explicit index
-/// tie-break instead of an O(total_slots) `min_by` scan that silently
-/// tolerated NaN free-times.
+/// tie-break.
 ///
 /// One wrinkle: list scheduling can queue a stage's tasks on slots that
 /// free *before* the current clock (the cursor held it back behind an
@@ -692,8 +605,7 @@ impl ClusterSim {
         while self.cursor < self.stages.len() {
             let idx = self.cursor;
             if !self.required[idx] {
-                // Precomputed or shielded: completes instantly at time 0,
-                // exactly like the legacy loop's `continue` arm.
+                // Precomputed or shielded: completes instantly at time 0.
                 self.stage_start[idx] = 0.0;
                 self.stage_finish[idx] = 0.0;
                 self.cursor += 1;
@@ -793,61 +705,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_schedule_matches_legacy_bit_for_bit() {
-        let dag = dag_for(&big_plan());
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
-        for checkpoint_all in [false, true] {
-            let options = SimOptions {
-                checkpointed: if checkpoint_all {
-                    dag.stages().iter().map(|s| s.id).collect()
-                } else {
-                    HashSet::new()
-                },
-                precomputed: HashSet::new(),
-            };
-            let (kernel, kernel_placement) = sim.schedule(&dag, &options).unwrap();
-            let (legacy, legacy_placement) = sim.schedule_legacy(&dag, &options).unwrap();
-            assert_eq!(kernel, legacy);
-            assert_eq!(kernel_placement, legacy_placement);
-            // Bit-level, not just PartialEq (which would call 0.0 == -0.0):
-            // compare the raw bit patterns of every time.
-            let bits = |r: &ExecReport| -> Vec<u64> {
-                r.stage_start
-                    .iter()
-                    .chain(&r.stage_finish)
-                    .chain(&r.machine_temp_peak)
-                    .chain([r.latency, r.total_cpu_seconds].iter())
-                    .map(|f| f.to_bits())
-                    .collect()
-            };
-            assert_eq!(bits(&kernel), bits(&legacy));
-        }
-    }
-
-    #[test]
-    fn kernel_matches_legacy_with_precomputed_stages() {
-        let dag = dag_for(&big_plan());
-        let sim = Simulator::new(ClusterConfig {
-            machines: 2,
-            slots_per_machine: 1,
-            ..Default::default()
-        })
-        .unwrap();
-        let mut precomputed = HashSet::new();
-        precomputed.insert(StageId(0));
-        let options = SimOptions {
-            checkpointed: HashSet::new(),
-            precomputed,
-        };
-        let (kernel, _) = sim.schedule(&dag, &options).unwrap();
-        let (legacy, _) = sim.schedule_legacy(&dag, &options).unwrap();
-        assert_eq!(kernel, legacy);
-    }
-
-    #[test]
     fn simulation_is_deterministic_and_ordered() {
         let dag = dag_for(&big_plan());
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let a = sim.run(&dag, &SimOptions::default()).unwrap();
         let b = sim.run(&dag, &SimOptions::default()).unwrap();
         assert_eq!(a, b);
@@ -869,17 +729,23 @@ mod tests {
             plan = LogicalPlan::union(plan, LogicalPlan::scan("events").aggregate(vec![1]));
         }
         let dag = dag_for(&plan);
-        let small = Simulator::new(ClusterConfig {
-            machines: 1,
-            ..Default::default()
-        })
+        let small = Simulator::with_obs(
+            ClusterConfig {
+                machines: 1,
+                ..Default::default()
+            },
+            Obs::disabled(),
+        )
         .unwrap()
         .run(&dag, &SimOptions::default())
         .unwrap();
-        let large = Simulator::new(ClusterConfig {
-            machines: 32,
-            ..Default::default()
-        })
+        let large = Simulator::with_obs(
+            ClusterConfig {
+                machines: 32,
+                ..Default::default()
+            },
+            Obs::disabled(),
+        )
         .unwrap()
         .run(&dag, &SimOptions::default())
         .unwrap();
@@ -891,7 +757,7 @@ mod tests {
     #[test]
     fn checkpointing_lowers_hotspot_temp() {
         let dag = dag_for(&big_plan());
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let plain = sim.run(&dag, &SimOptions::default()).unwrap();
         // Checkpoint the biggest-output stage.
         let biggest = dag
@@ -920,7 +786,7 @@ mod tests {
     #[test]
     fn failure_recovery_faster_with_checkpoints() {
         let dag = dag_for(&big_plan());
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         // No checkpoints: recovery re-runs everything.
         let (orig, recovery_none) = sim.run_with_failure(&dag, &HashSet::new(), 0.8).unwrap();
         assert!((recovery_none.latency - orig.latency).abs() < 1e-9);
@@ -933,7 +799,7 @@ mod tests {
     #[test]
     fn precomputed_stages_finish_at_zero() {
         let dag = dag_for(&big_plan());
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let mut precomputed = HashSet::new();
         precomputed.insert(StageId(0));
         let r = sim
@@ -950,27 +816,48 @@ mod tests {
 
     #[test]
     fn invalid_cluster_rejected() {
-        assert!(Simulator::new(ClusterConfig {
-            machines: 0,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(Simulator::new(ClusterConfig {
-            slots_per_machine: 0,
-            ..Default::default()
-        })
-        .is_err());
-        assert!(Simulator::new(ClusterConfig {
-            work_per_second: 0.0,
-            ..Default::default()
-        })
-        .is_err());
+        let invalid = [
+            ClusterConfig {
+                machines: 0,
+                ..Default::default()
+            },
+            ClusterConfig {
+                slots_per_machine: 0,
+                ..Default::default()
+            },
+            ClusterConfig {
+                work_per_second: 0.0,
+                ..Default::default()
+            },
+            ClusterConfig {
+                work_per_second: f64::NAN,
+                ..Default::default()
+            },
+            ClusterConfig {
+                work_per_second: f64::INFINITY,
+                ..Default::default()
+            },
+            ClusterConfig {
+                task_overhead: f64::NAN,
+                ..Default::default()
+            },
+            ClusterConfig {
+                task_overhead: -5.0,
+                ..Default::default()
+            },
+        ];
+        for config in invalid {
+            assert!(
+                Simulator::with_obs(config, Obs::disabled()).is_err(),
+                "{config:?} must be rejected"
+            );
+        }
     }
 
     #[test]
     fn temp_peak_reflects_outputs() {
         let dag = dag_for(&LogicalPlan::scan("events"));
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let r = sim.run(&dag, &SimOptions::default()).unwrap();
         let total_temp: f64 = r.machine_temp_peak.iter().sum();
         // The scan's full output is held in temp somewhere.
@@ -1001,7 +888,7 @@ mod machine_failure_tests {
     #[test]
     fn machine_failure_recovery_bounded_by_full_rerun() {
         let dag = dag();
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let (orig, recovery) = sim
             .run_with_machine_failure(&dag, &HashSet::new(), 0, 0.9)
             .unwrap();
@@ -1014,7 +901,7 @@ mod machine_failure_tests {
     #[test]
     fn checkpointed_outputs_survive_machine_loss() {
         let dag = dag();
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let all: HashSet<StageId> = dag.stages().iter().map(|s| s.id).collect();
         let (_, ckpt_recovery) = sim.run_with_machine_failure(&dag, &all, 0, 0.9).unwrap();
         let (_, bare_recovery) = sim
@@ -1032,7 +919,7 @@ mod machine_failure_tests {
     #[test]
     fn out_of_range_machine_rejected() {
         let dag = dag();
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         assert!(sim
             .run_with_machine_failure(&dag, &HashSet::new(), 999, 0.5)
             .is_err());
@@ -1041,7 +928,7 @@ mod machine_failure_tests {
     #[test]
     fn early_failure_loses_more_than_late_failure() {
         let dag = dag();
-        let sim = Simulator::new(ClusterConfig::default()).unwrap();
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
         let (_, early) = sim
             .run_with_machine_failure(&dag, &HashSet::new(), 0, 0.1)
             .unwrap();

@@ -105,6 +105,7 @@ mod tests {
     use super::*;
     use crate::exec::{ClusterConfig, SimOptions, Simulator};
     use crate::physical::StageDag;
+    use adas_obs::Obs;
     use adas_workload::plan::{CmpOp, Predicate};
 
     fn plan(v: i64) -> LogicalPlan {
@@ -141,7 +142,7 @@ mod tests {
     #[test]
     fn execution_report_latency_captured() {
         let catalog = Catalog::standard();
-        let sim = Simulator::new(ClusterConfig::default()).expect("valid");
+        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).expect("valid");
         let p = plan(250);
         let dag = StageDag::compile(&p, &catalog, &CostModel::default()).expect("compiles");
         let report = sim.run(&dag, &SimOptions::default()).expect("simulates");

@@ -344,13 +344,8 @@ impl Default for Optimizer {
 }
 
 impl Optimizer {
-    /// Creates an optimizer with an explicit cost model and pass budget.
-    /// Observability is disabled; see [`Optimizer::with_obs`].
-    pub fn new(cost_model: CostModel, max_passes: usize) -> Self {
-        Self::with_obs(cost_model, max_passes, Obs::disabled())
-    }
-
-    /// Creates an optimizer that records rule firings into `obs`.
+    /// Creates an optimizer with an explicit cost model and pass budget
+    /// that records rule firings into `obs`.
     pub fn with_obs(cost_model: CostModel, max_passes: usize, obs: Obs) -> Self {
         Self {
             cost_model,

@@ -1,6 +1,6 @@
 //! Driving a [`FaultSchedule`] through the cluster simulator.
 //!
-//! [`ChaosRunner`] replays a job's [`StageDag`](adas_engine::physical::StageDag)
+//! [`ChaosRunner`] replays a job's [`StageDag`]
 //! under a schedule of crashes and machine losses, restarting after each
 //! fault with exactly the outputs that genuinely survive: checkpointed
 //! stages always, temp outputs only when their machine is intact. The
@@ -100,17 +100,13 @@ pub struct ChaosRunner {
 impl ChaosRunner {
     /// Creates a runner over a cluster. `temp_capacity_bytes` is the local
     /// temp capacity a [`FaultEvent::TempExhaustion`] tests against
-    /// (`f64::INFINITY` means exhaustion never fires). Observability is
-    /// disabled; see [`ChaosRunner::with_obs`].
-    pub fn new(cluster: ClusterConfig, temp_capacity_bytes: f64) -> Result<Self> {
-        Self::with_obs(cluster, temp_capacity_bytes, Obs::disabled())
-    }
-
-    /// Creates a runner whose fault injections and final-run execution spans
-    /// land in the same trace: the runner emits `fault_injected` events and
-    /// restart counters into `obs`, and hands the same handle to the inner
-    /// [`Simulator`] so the consequences (per-stage spans, restart counters)
-    /// are correlated with their causes.
+    /// (`f64::INFINITY` means exhaustion never fires).
+    ///
+    /// The runner's fault injections and final-run execution spans land in
+    /// the same trace: it emits `fault_injected` events and restart
+    /// counters into `obs`, and hands the same handle to the inner
+    /// [`Simulator`] so the consequences (per-stage spans, restart
+    /// counters) are correlated with their causes.
     pub fn with_obs(cluster: ClusterConfig, temp_capacity_bytes: f64, obs: Obs) -> Result<Self> {
         Ok(Self {
             sim: Simulator::with_obs(cluster, obs.clone())?,
@@ -135,8 +131,7 @@ impl ChaosRunner {
     /// Resolves what a scheduled fault does to the attempt described by
     /// `report`/`placement`: the surviving stage outputs and the concrete
     /// [`FaultCause`], or `None` when the fault cannot fire (temp
-    /// exhaustion below capacity). Shared verbatim by the kernel-backed
-    /// [`ChaosRunner::run_job`] and [`ChaosRunner::run_job_legacy`].
+    /// exhaustion below capacity).
     #[allow(clippy::too_many_arguments)]
     fn resolve_fault(
         &self,
@@ -222,8 +217,6 @@ impl ChaosRunner {
     /// The fault schedule is replayed as `simkern` events: each strike is
     /// an event whose fire time is the accumulated wall-clock at which it
     /// lands, so the kernel clock *is* the `total_latency` accumulator.
-    /// Reports, outcomes and recorded traces are bit-for-bit those of
-    /// [`ChaosRunner::run_job_legacy`].
     pub fn run_job(
         &self,
         dag: &StageDag,
@@ -237,8 +230,8 @@ impl ChaosRunner {
             // directly skips the per-job simulation setup (dag/checkpoint
             // clones, event queue) that the disabled-path budget would
             // otherwise pay for. Bit-identical to the event-driven path
-            // below — with an empty schedule `Attempt(0)` goes straight to
-            // the final run — and therefore to `run_job_legacy` too.
+            // below: with an empty schedule `Attempt(0)` goes straight to
+            // the final run.
             let options = SimOptions {
                 checkpointed: checkpointed.clone(),
                 precomputed: HashSet::new(),
@@ -289,109 +282,6 @@ impl ChaosRunner {
             recomputed_checkpointed: state.recomputed_checkpointed,
             total_latency: state.total_latency,
             attempt_failures: state.attempt_failures,
-        })
-    }
-
-    /// The pre-simkern drill: a blocking loop that re-runs the simulator
-    /// per scheduled fault and accumulates `total_latency` by hand. Kept as
-    /// the reference implementation the equivalence suite pins
-    /// [`ChaosRunner::run_job`] bit-for-bit against.
-    pub fn run_job_legacy(
-        &self,
-        dag: &StageDag,
-        checkpointed: &HashSet<StageId>,
-        schedule: &FaultSchedule,
-    ) -> Result<ChaosOutcome> {
-        let mut precomputed: HashSet<StageId> = HashSet::new();
-        // Checkpointed stages whose output is known to be persisted; if a
-        // later attempt executes one of these, that's a recomputation bug.
-        let mut persisted: HashSet<StageId> = HashSet::new();
-        let mut attempts = 0usize;
-        let mut injected = 0usize;
-        let mut recomputed_checkpointed = 0usize;
-        let mut total_latency = 0.0f64;
-        let mut attempt_failures: Vec<AttemptFailure> = Vec::new();
-        let job_span = self.obs.span_enter("faultsim.chaos", "run_job", 0.0);
-
-        for event in &schedule.events {
-            let options = SimOptions {
-                checkpointed: checkpointed.clone(),
-                precomputed: precomputed.clone(),
-            };
-            let (report, placement) = self.sim.run_with_placement(dag, &options)?;
-            recomputed_checkpointed += persisted.iter().filter(|id| report.executed[id.0]).count();
-
-            let at = event.strike_fraction().clamp(0.0, 1.0);
-            let survivors = self.resolve_fault(
-                dag,
-                checkpointed,
-                &precomputed,
-                &report,
-                &placement,
-                *event,
-                at,
-            );
-
-            if let Some((survivors, cause)) = survivors {
-                injected += 1;
-                attempts += 1;
-                total_latency += report.latency * at;
-                attempt_failures.push(AttemptFailure {
-                    attempt: attempts,
-                    cause,
-                    at,
-                    surviving_stages: survivors.len(),
-                });
-                // One lock for the injection triple; the enclosing loop runs
-                // the simulator (which records through the same handle), so
-                // the batch stays scoped to this block.
-                let mut batch = self.obs.batch();
-                batch.event(
-                    "faultsim.chaos",
-                    "fault_injected",
-                    total_latency,
-                    &[
-                        ("kind", cause.kind()),
-                        ("attempt", &attempts.to_string()),
-                        ("at", &format!("{at:.6}")),
-                        ("surviving_stages", &survivors.len().to_string()),
-                    ],
-                );
-                batch.counter_add(
-                    "faultsim.chaos",
-                    "faults_injected",
-                    &[("kind", cause.kind())],
-                    1,
-                );
-                batch.counter_add("faultsim.chaos", "restarts", &[], 1);
-                drop(batch);
-                persisted.extend(survivors.iter().filter(|id| checkpointed.contains(*id)));
-                precomputed.extend(survivors);
-            }
-        }
-
-        let options = SimOptions {
-            checkpointed: checkpointed.clone(),
-            precomputed,
-        };
-        // The final (successful) run goes through `Simulator::run` so its
-        // per-stage spans land in the same trace as the fault events above.
-        let final_report = self.sim.run(dag, &options)?;
-        recomputed_checkpointed += persisted
-            .iter()
-            .filter(|id| final_report.executed[id.0])
-            .count();
-        total_latency += final_report.latency;
-        attempts += 1;
-        self.obs.span_exit(job_span, total_latency);
-
-        Ok(ChaosOutcome {
-            final_report,
-            attempts,
-            injected,
-            recomputed_checkpointed,
-            total_latency,
-            attempt_failures,
         })
     }
 
@@ -495,7 +385,7 @@ impl ChaosSim {
         self.injected += 1;
         self.attempts += 1;
         // The kernel clock is the `total_latency` accumulator: this strike
-        // lands at `now + latency·at`, exactly the legacy left-to-right sum.
+        // lands at `now + latency·at`, a left-to-right sum over attempts.
         let strike_time = now + report.latency * at;
         self.attempt_failures.push(AttemptFailure {
             attempt: self.attempts,
@@ -594,14 +484,19 @@ mod tests {
         StageDag::compile(&plan, &Catalog::standard(), &CostModel::default()).unwrap()
     }
 
-    fn runner() -> ChaosRunner {
-        ChaosRunner::new(ClusterConfig::default(), f64::INFINITY).unwrap()
+    fn runner(temp_capacity_bytes: f64) -> ChaosRunner {
+        ChaosRunner::with_obs(
+            ClusterConfig::default(),
+            temp_capacity_bytes,
+            Obs::disabled(),
+        )
+        .unwrap()
     }
 
     #[test]
     fn empty_schedule_matches_plain_run() {
         let dag = dag();
-        let r = runner();
+        let r = runner(f64::INFINITY);
         let outcome = r
             .run_job(&dag, &HashSet::new(), &FaultSchedule::none())
             .unwrap();
@@ -615,7 +510,7 @@ mod tests {
     #[test]
     fn task_crash_restarts_and_checkpoints_survive() {
         let dag = dag();
-        let r = runner();
+        let r = runner(f64::INFINITY);
         let all: HashSet<StageId> = dag.stages().iter().map(|s| s.id).collect();
         let schedule = FaultSchedule {
             events: vec![FaultEvent::TaskCrash { at: 0.8 }],
@@ -630,7 +525,7 @@ mod tests {
     #[test]
     fn out_of_range_machine_is_clamped_not_fatal() {
         let dag = dag();
-        let r = runner();
+        let r = runner(f64::INFINITY);
         let schedule = FaultSchedule {
             events: vec![FaultEvent::MachineLoss {
                 machine: usize::MAX,
@@ -642,58 +537,20 @@ mod tests {
     }
 
     #[test]
-    fn kernel_drill_matches_legacy_bit_for_bit() {
-        let dag = dag();
-        let r = ChaosRunner::new(ClusterConfig::default(), 1.0).unwrap();
-        let ckpt: HashSet<StageId> = dag
-            .stages()
-            .iter()
-            .map(|s| s.id)
-            .filter(|id| id.0 % 2 == 0)
-            .collect();
-        let schedule = FaultSchedule {
-            events: vec![
-                FaultEvent::TaskCrash { at: 0.6 },
-                FaultEvent::TempExhaustion { at: 0.4 },
-                FaultEvent::MachineLoss {
-                    machine: 1,
-                    at: 0.9,
-                },
-            ],
-        };
-        let kernel = r.run_job(&dag, &ckpt, &schedule).unwrap();
-        let legacy = r.run_job_legacy(&dag, &ckpt, &schedule).unwrap();
-        assert_eq!(kernel.final_report, legacy.final_report);
-        assert_eq!(kernel.attempts, legacy.attempts);
-        assert_eq!(kernel.injected, legacy.injected);
-        assert_eq!(
-            kernel.recomputed_checkpointed,
-            legacy.recomputed_checkpointed
-        );
-        assert_eq!(
-            kernel.total_latency.to_bits(),
-            legacy.total_latency.to_bits()
-        );
-        assert_eq!(kernel.attempt_failures, legacy.attempt_failures);
-    }
-
-    #[test]
     fn temp_exhaustion_fires_only_past_capacity() {
         let dag = dag();
         let schedule = FaultSchedule {
             events: vec![FaultEvent::TempExhaustion { at: 0.9 }],
         };
-        let roomy = ChaosRunner::new(ClusterConfig::default(), f64::INFINITY).unwrap();
         assert_eq!(
-            roomy
+            runner(f64::INFINITY)
                 .run_job(&dag, &HashSet::new(), &schedule)
                 .unwrap()
                 .injected,
             0
         );
-        let cramped = ChaosRunner::new(ClusterConfig::default(), 1.0).unwrap();
         assert_eq!(
-            cramped
+            runner(1.0)
                 .run_job(&dag, &HashSet::new(), &schedule)
                 .unwrap()
                 .injected,

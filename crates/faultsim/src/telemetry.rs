@@ -1,6 +1,6 @@
 //! Telemetry perturbation: counter dropouts and outlier bursts.
 //!
-//! Operates on [`MachineTelemetry`](adas_infra::machine::MachineTelemetry)
+//! Operates on [`MachineTelemetry`]
 //! streams *before* they reach the store, mimicking the collection-layer
 //! failures the paper's Direction 2 models must tolerate: agents that skip
 //! reporting intervals and counters that go wild for a stretch of hours.

@@ -278,6 +278,7 @@ mod tests {
     use super::*;
     use crate::cardinality::TrainConfig;
     use crate::cost::CostTrainConfig;
+    use adas_obs::Obs;
     use adas_serve::GatewayConfig;
     use adas_workload::gen::{GeneratorConfig, WorkloadGenerator};
 
@@ -299,7 +300,7 @@ mod tests {
     fn served_cardinality_matches_direct_path() {
         let (catalog, plans) = history();
         let (direct, _) = LearnedCardinality::train(&catalog, &plans, TrainConfig::default());
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let served = direct.publish(&gateway);
         assert_eq!(served.served_count(), direct.model_count());
         for plan in plans.iter().take(50) {
@@ -314,7 +315,7 @@ mod tests {
     fn served_cardinality_cache_hits_on_recurrence() {
         let (catalog, plans) = history();
         let (direct, _) = LearnedCardinality::train(&catalog, &plans, TrainConfig::default());
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let served = direct.publish(&gateway);
         let covered: Vec<&LogicalPlan> = plans.iter().filter(|p| served.covers(p)).collect();
         assert!(!covered.is_empty());
@@ -327,7 +328,7 @@ mod tests {
     fn served_cost_matches_direct_path() {
         let (catalog, plans) = history();
         let (direct, _) = CostEnsemble::train(&catalog, &plans, CostTrainConfig::default());
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let served = direct.publish(&gateway);
         assert_eq!(served.served_count(), direct.micromodel_count());
         for plan in plans.iter().take(50) {
@@ -341,7 +342,7 @@ mod tests {
     fn observe_actual_feeds_the_controller_without_repredicting() {
         let (catalog, plans) = history();
         let (direct, _) = LearnedCardinality::train(&catalog, &plans, TrainConfig::default());
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let served = direct.publish(&gateway);
         let mut controller = AutonomyController::new(gateway.clone(), adas_obs::Obs::disabled());
         let covered: Vec<&LogicalPlan> = plans.iter().filter(|p| served.covers(p)).collect();
@@ -370,7 +371,7 @@ mod tests {
     fn served_cost_observe_actual_roundtrip() {
         let (catalog, plans) = history();
         let (direct, _) = CostEnsemble::train(&catalog, &plans, CostTrainConfig::default());
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let served = direct.publish(&gateway);
         let mut controller = AutonomyController::new(gateway.clone(), adas_obs::Obs::disabled());
         let plan = &plans[0];
@@ -387,7 +388,7 @@ mod tests {
     fn republish_hot_swaps_versions() {
         let (catalog, plans) = history();
         let (direct, _) = LearnedCardinality::train(&catalog, &plans, TrainConfig::default());
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let first = direct.publish(&gateway);
         let second = direct.publish(&gateway);
         assert_eq!(first.served_count(), second.served_count());

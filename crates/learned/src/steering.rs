@@ -128,15 +128,11 @@ pub struct SteeringController {
 
 impl SteeringController {
     /// Creates a controller whose templates all start at `default_rules`
-    /// (typically [`RuleSet::all`], the engine default).
-    pub fn new(default_rules: RuleSet, config: SteeringConfig) -> Self {
-        Self::with_obs(default_rules, config, Obs::disabled())
-    }
-
-    /// Creates a controller that records every steering observation as a
-    /// flight-recorder decision (model `steering-bandit`, versioned by the
-    /// template's promotion count), plus `hint_promoted` /
-    /// `hint_rejected_by_validation` provenance events.
+    /// (typically [`RuleSet::all`], the engine default). Every steering
+    /// observation is recorded into `obs` as a flight-recorder decision
+    /// (model `steering-bandit`, versioned by the template's promotion
+    /// count), plus `hint_promoted` / `hint_rejected_by_validation`
+    /// provenance events.
     pub fn with_obs(default_rules: RuleSet, config: SteeringConfig, obs: Obs) -> Self {
         Self {
             config,
@@ -330,6 +326,10 @@ mod tests {
         Signature(n)
     }
 
+    fn controller(config: SteeringConfig) -> SteeringController {
+        SteeringController::with_obs(RuleSet::all(), config, Obs::disabled())
+    }
+
     /// Environment where toggling rule 3 off yields a 20% cost reduction and
     /// everything else is neutral.
     fn env_cost(rules: RuleSet) -> f64 {
@@ -342,7 +342,7 @@ mod tests {
 
     #[test]
     fn controller_promotes_genuinely_better_config() {
-        let mut c = SteeringController::new(RuleSet::all(), SteeringConfig::default());
+        let mut c = controller(SteeringConfig::default());
         let t = sig(42);
         for _ in 0..400 {
             let chosen = c.choose(t);
@@ -360,7 +360,7 @@ mod tests {
 
     #[test]
     fn promotion_moves_one_step_at_a_time() {
-        let mut c = SteeringController::new(RuleSet::all(), SteeringConfig::default());
+        let mut c = controller(SteeringConfig::default());
         let t = sig(7);
         let start = c.deployed(t);
         let mut last = start;
@@ -385,13 +385,10 @@ mod tests {
     fn noisy_improvements_blocked_by_validation() {
         // Arm pays off on average but loses often: high variance.
         // mean = (7*0.5 + 1*6.0)/8 = 1.19 > margin, win rate = 0.125 < 0.75.
-        let mut c = SteeringController::new(
-            RuleSet::all(),
-            SteeringConfig {
-                epsilon: 0.0,
-                ..Default::default()
-            },
-        );
+        let mut c = controller(SteeringConfig {
+            epsilon: 0.0,
+            ..Default::default()
+        });
         let t = sig(9);
         let target = RuleSet::all().toggled(2);
         let rewards = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 6.0];
@@ -405,7 +402,7 @@ mod tests {
 
     #[test]
     fn neutral_environment_never_promotes() {
-        let mut c = SteeringController::new(RuleSet::all(), SteeringConfig::default());
+        let mut c = controller(SteeringConfig::default());
         let t = sig(5);
         for _ in 0..300 {
             let chosen = c.choose(t);
@@ -417,7 +414,7 @@ mod tests {
 
     #[test]
     fn independent_templates_steer_independently() {
-        let mut c = SteeringController::new(RuleSet::all(), SteeringConfig::default());
+        let mut c = controller(SteeringConfig::default());
         // Template A: rule 1 is bad. Template B: rule 2 is bad.
         let cost_a = |r: RuleSet| if r.contains(1) { 100.0 } else { 70.0 };
         let cost_b = |r: RuleSet| if r.contains(2) { 100.0 } else { 70.0 };
@@ -436,7 +433,7 @@ mod tests {
 
     #[test]
     fn stale_observations_ignored() {
-        let mut c = SteeringController::new(RuleSet::all(), SteeringConfig::default());
+        let mut c = controller(SteeringConfig::default());
         let t = sig(3);
         // An observation for a config outside the neighbourhood is dropped.
         let far = RuleSet::none();

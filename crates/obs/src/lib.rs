@@ -25,19 +25,17 @@
 //! ## The recording hot path
 //!
 //! Always-on recording must be budgeted like any other hot-path cost, so
-//! the default backend ([`Obs::recording`]) never allocates per record:
-//! strings intern to integer ids ([`intern`]), records stage into a
-//! preallocated ring and flush in batches, metric updates land in dense
-//! slots, and strings are only resolved back at snapshot/export time. A
-//! direct-mutation reference backend ([`Obs::recording_direct`]) keeps the
-//! original one-`Trace`-mutation-per-record semantics; the equivalence
-//! suite pins both to byte-identical canonical JSON. Instrumentation sites
-//! that emit several records at one point in time should take one
-//! [`Obs::batch`] and record through it — one lock acquisition for the
-//! whole block instead of one per record. Fleet-scale runs can bound trace
-//! growth with deterministic per-seed sampling
-//! ([`Obs::recording_sampled`], [`sample`]) and export without ever
-//! holding the full JSON in memory ([`Obs::export_stream`]).
+//! the recorder ([`Obs::recording`]) never allocates per record: strings
+//! intern to integer ids ([`intern`]), records stage into a preallocated
+//! ring and flush in batches, metric updates land in dense slots, and
+//! strings are only resolved back at snapshot/export time. Golden digests
+//! pin the exported canonical JSON, whatever the ring size and wherever
+//! snapshots cut it. Instrumentation sites that emit several records at one
+//! point in time should take one [`Obs::batch`] and record through it — one
+//! lock acquisition for the whole block instead of one per record.
+//! Fleet-scale runs can bound trace growth with deterministic per-seed
+//! sampling ([`Obs::recording_sampled`], [`sample`]) and export without
+//! ever holding the full JSON in memory ([`Obs::export_stream`]).
 //!
 //! ```
 //! use adas_obs::{Obs, Provenance};
@@ -65,7 +63,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod direct;
 pub mod export;
 pub mod flight;
 pub mod intern;
@@ -84,7 +81,6 @@ pub use sample::{sample_keeps, SampleConfig};
 pub use span::{SpanId, SpanRecord};
 pub use trace::{EventRecord, Trace, TraceQuery};
 
-use direct::DirectRecorder;
 use parking_lot::Mutex;
 use ring::{BatchedRecorder, MetricIdKey, DEFAULT_RING_CAPACITY};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -97,19 +93,6 @@ use std::sync::MutexGuard;
 /// instead of hardcoding its own size.
 pub const DEFAULT_EXPORT_CHUNK: usize = 64 * 1024;
 
-/// One recorder backend behind an [`Obs`] handle.
-// The enum lives inside the handle's `Arc<Mutex<..>>`, heap-allocated once
-// per recorder; boxing the large variant would add a pointer chase to every
-// staged record for no memory win.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Recorder {
-    /// Per-record trace mutation — the reference semantics.
-    Direct(DirectRecorder),
-    /// Ring-staged, interned, batch-flushed — the hot-path default.
-    Batched(BatchedRecorder),
-}
-
 /// Position in a recording for [`Obs::snapshot_since`]: how many records of
 /// each kind the caller has already consumed. A fresh (default) cursor
 /// makes the first incremental snapshot equal to a full [`Obs::snapshot`].
@@ -121,165 +104,17 @@ pub struct TraceCursor {
     deployments: usize,
 }
 
-impl Recorder {
-    fn span_enter(&mut self, component: &str, name: &str, sim_time: f64) -> SpanId {
-        match self {
-            Recorder::Direct(d) => d.span_enter(component, name, sim_time),
-            Recorder::Batched(b) => b.span_enter(component, name, sim_time),
-        }
-    }
-
-    fn span_enter_indexed(
-        &mut self,
-        component: &str,
-        base: &str,
-        index: usize,
-        sim_time: f64,
-    ) -> SpanId {
-        match self {
-            Recorder::Direct(d) => d.span_enter(component, &format!("{base}_{index}"), sim_time),
-            Recorder::Batched(b) => b.span_enter_indexed(component, base, index, sim_time),
-        }
-    }
-
-    fn span_exit(&mut self, id: SpanId, sim_time: f64) {
-        match self {
-            Recorder::Direct(d) => d.span_exit(id, sim_time),
-            Recorder::Batched(b) => b.span_exit(id, sim_time),
-        }
-    }
-
-    fn event(&mut self, component: &str, name: &str, sim_time: f64, fields: &[(&str, &str)]) {
-        match self {
-            Recorder::Direct(d) => d.event(component, name, sim_time, fields),
-            Recorder::Batched(b) => b.event(component, name, sim_time, fields),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn record_decision(
-        &mut self,
-        component: &str,
-        decision: &str,
-        provenance: &Provenance<'_>,
-        predicted: f64,
-        observed: Option<f64>,
-        verdict: &str,
-        vetoed: bool,
-        feedback_latency_ticks: u64,
-        sim_time: f64,
-    ) {
-        match self {
-            Recorder::Direct(d) => d.record_decision(
-                component,
-                decision,
-                provenance.model_id,
-                provenance.model_version,
-                provenance.features_digest,
-                predicted,
-                observed,
-                verdict,
-                vetoed,
-                feedback_latency_ticks,
-                sim_time,
-            ),
-            Recorder::Batched(b) => b.record_decision(
-                component,
-                decision,
-                provenance.model_id,
-                provenance.model_version,
-                provenance.features_digest,
-                predicted,
-                observed,
-                verdict,
-                vetoed,
-                feedback_latency_ticks,
-                sim_time,
-            ),
-        }
-    }
-
-    fn record_deployment(
-        &mut self,
-        component: &str,
-        kind: DeploymentKind,
-        model_id: &str,
-        version: u64,
-        cause: &str,
-        sim_time: f64,
-    ) {
-        match self {
-            Recorder::Direct(d) => {
-                d.record_deployment(component, kind, model_id, version, cause, sim_time)
-            }
-            Recorder::Batched(b) => {
-                b.record_deployment(component, kind, model_id, version, cause, sim_time)
-            }
-        }
-    }
-
-    fn counter_add(&mut self, component: &str, name: &str, labels: &[(&str, &str)], delta: u64) {
-        match self {
-            Recorder::Direct(d) => d.counter_add(component, name, labels, delta),
-            Recorder::Batched(b) => b.counter_add(component, name, labels, delta),
-        }
-    }
-
-    fn gauge_set(&mut self, component: &str, name: &str, labels: &[(&str, &str)], value: f64) {
-        match self {
-            Recorder::Direct(d) => d.gauge_set(component, name, labels, value),
-            Recorder::Batched(b) => b.gauge_set(component, name, labels, value),
-        }
-    }
-
-    fn histogram_observe(
-        &mut self,
-        component: &str,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: Option<&[f64]>,
-        value: f64,
-    ) {
-        match self {
-            Recorder::Direct(d) => d.histogram_observe(component, name, labels, bounds, value),
-            Recorder::Batched(b) => b.histogram_observe(component, name, labels, bounds, value),
-        }
-    }
-
-    fn last_event_json(&mut self) -> Option<String> {
-        match self {
-            Recorder::Direct(d) => d.last_event_json(),
-            Recorder::Batched(b) => b.last_event_json(),
-        }
-    }
-
-    fn snapshot(&mut self) -> Trace {
-        match self {
-            Recorder::Direct(d) => d.snapshot(),
-            Recorder::Batched(b) => b.snapshot(),
-        }
-    }
-
-    fn export_stream(&mut self, chunk_size: usize, sink: &mut dyn FnMut(&str)) {
-        match self {
-            Recorder::Direct(d) => d.export_stream(chunk_size, sink),
-            Recorder::Batched(b) => b.export_stream(chunk_size, sink),
-        }
-    }
-}
-
 /// The recording handle.
 ///
 /// Cheap to clone (an `Arc` internally) and thread through constructors.
 /// [`Obs::disabled`] carries no recorder at all: every instrumentation call
 /// is a single `Option` branch, which is what keeps the always-on
 /// production configuration within the overhead budget. When recording,
-/// the default backend stages records through a preallocated ring with
-/// interned strings (see the crate docs); [`Obs::recording_direct`] selects
-/// the per-record reference backend instead.
+/// records stage through a preallocated ring with interned strings (see
+/// the crate docs).
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<Mutex<Recorder>>>,
+    inner: Option<Arc<Mutex<BatchedRecorder>>>,
 }
 
 impl Obs {
@@ -288,41 +123,31 @@ impl Obs {
         Self { inner: None }
     }
 
-    /// A live recorder using the batched hot-path backend.
+    /// A live recorder with the default staging-ring capacity.
     pub fn recording() -> Self {
-        Self::from_recorder(Recorder::Batched(BatchedRecorder::new(
-            DEFAULT_RING_CAPACITY,
-            None,
-        )))
+        Self::from_recorder(BatchedRecorder::new(DEFAULT_RING_CAPACITY, None))
     }
 
-    /// A live recorder using the original direct-mutation backend — the
-    /// reference semantics the batched backend is equivalence-tested
-    /// against.
-    pub fn recording_direct() -> Self {
-        Self::from_recorder(Recorder::Direct(DirectRecorder::default()))
-    }
-
-    /// A batched recorder with an explicit staging-ring capacity (records
+    /// A live recorder with an explicit staging-ring capacity (records
     /// between forced flushes). Mostly useful in tests that want to force
     /// many flush boundaries.
     pub fn recording_with_ring(capacity: usize) -> Self {
-        Self::from_recorder(Recorder::Batched(BatchedRecorder::new(capacity, None)))
+        Self::from_recorder(BatchedRecorder::new(capacity, None))
     }
 
-    /// A batched recorder with deterministic per-seed sampling: whether a
+    /// A live recorder with deterministic per-seed sampling: whether a
     /// span/event/decision is kept is a pure function of `(seed, id)`, so
     /// same-seed replays export byte-identical sampled traces and the
     /// sampled trace is a strict filter of the full one (see [`sample`]).
     /// Deployment records and metrics are never sampled out.
     pub fn recording_sampled(seed: u64, keep_ratio: f64) -> Self {
-        Self::from_recorder(Recorder::Batched(BatchedRecorder::new(
+        Self::from_recorder(BatchedRecorder::new(
             DEFAULT_RING_CAPACITY,
             Some(SampleConfig::new(seed, keep_ratio)),
-        )))
+        ))
     }
 
-    fn from_recorder(recorder: Recorder) -> Self {
+    fn from_recorder(recorder: BatchedRecorder) -> Self {
         Self {
             inner: Some(Arc::new(Mutex::new(recorder))),
         }
@@ -379,11 +204,11 @@ impl Obs {
     }
 
     fn intern_pair(&self, component: &str, name: &str) -> Option<(usize, (u32, u32))> {
-        self.inner.as_ref().and_then(|arc| match &mut *arc.lock() {
-            Recorder::Batched(b) => {
-                Some((Arc::as_ptr(arc) as usize, b.intern_pair(component, name)))
-            }
-            Recorder::Direct(_) => None,
+        self.inner.as_ref().map(|arc| {
+            (
+                Arc::as_ptr(arc) as usize,
+                arc.lock().intern_pair(component, name),
+            )
         })
     }
 
@@ -434,7 +259,7 @@ impl Obs {
     }
 
     /// Opens a span named `{base}_{index}` — the common per-stage /
-    /// per-job naming scheme. The batched backend formats each distinct
+    /// per-job naming scheme. The recorder formats each distinct
     /// `(base, index)` pair once and reuses the interned name after that,
     /// keeping repeated hot-loop spans allocation-free.
     pub fn span_enter_indexed(
@@ -613,8 +438,8 @@ impl Obs {
 
     /// Streams the canonical JSON export in chunks of at least `chunk_size`
     /// bytes (the final chunk may be shorter). The concatenation of the
-    /// chunks is byte-identical to [`Obs::export_json`], but the batched
-    /// backend resolves one record at a time — neither the full `Trace`
+    /// chunks is byte-identical to [`Obs::export_json`], but the recorder
+    /// resolves one record at a time — neither the full `Trace`
     /// clone nor the full export string is ever materialized, which is what
     /// lets a fleet-scale run ship its flight record without holding it in
     /// memory. A disabled handle streams the empty trace.
@@ -635,7 +460,7 @@ impl Obs {
 
 /// Shared innards of the typed metric handles: the full string identity
 /// (always kept, so a handle works — more slowly — against any recorder)
-/// plus, when the handle was created from a batched recorder, that
+/// plus, when the handle was created from a recording `Obs`, that
 /// recorder's pre-resolved interned key. The hot-path update through the
 /// fast key skips string hashing and comparison entirely; the `token` check
 /// makes sure interned ids never reach a recorder they don't belong to.
@@ -669,12 +494,11 @@ impl MetricHandle {
         // Interns the identity strings but creates no metric slot: a handle
         // that is never used leaves the exported registry untouched, exactly
         // like a string-path call that never happens.
-        let fast = obs.inner.as_ref().and_then(|arc| match &mut *arc.lock() {
-            Recorder::Batched(b) => Some((
+        let fast = obs.inner.as_ref().map(|arc| {
+            (
                 Arc::as_ptr(arc) as usize,
-                b.make_metric_key(component, name, labels),
-            )),
-            Recorder::Direct(_) => None,
+                arc.lock().make_metric_key(component, name, labels),
+            )
         });
         Self {
             component: component.to_string(),
@@ -722,14 +546,12 @@ impl SpanKey {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return SpanId::NONE;
         };
-        if let Recorder::Batched(b) = rec {
-            if let Some((t, (component, name))) = self.fast {
-                if t == token {
-                    return b.span_enter_ids(component, name, sim_time);
-                }
+        match self.fast {
+            Some((t, (component, name))) if t == token => {
+                rec.span_enter_ids(component, name, sim_time)
             }
+            _ => rec.span_enter(&self.component, &self.name, sim_time),
         }
-        rec.span_enter(&self.component, &self.name, sim_time)
     }
 }
 
@@ -751,14 +573,12 @@ impl IndexedSpanKey {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return SpanId::NONE;
         };
-        if let Recorder::Batched(b) = rec {
-            if let Some((t, (component, base))) = self.fast {
-                if t == token {
-                    return b.span_enter_indexed_ids(component, base, index, sim_time);
-                }
+        match self.fast {
+            Some((t, (component, base))) if t == token => {
+                rec.span_enter_indexed_ids(component, base, index, sim_time)
             }
+            _ => rec.span_enter_indexed(&self.component, &self.base, index, sim_time),
         }
-        rec.span_enter_indexed(&self.component, &self.base, index, sim_time)
     }
 }
 
@@ -781,17 +601,15 @@ impl CounterHandle {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return;
         };
-        if let Recorder::Batched(b) = rec {
-            if let Some(key) = self.0.key_for(token) {
-                match self.0.slot.load(Ordering::Relaxed) {
-                    u32::MAX => {
-                        let slot = b.counter_add_key(key, delta);
-                        self.0.slot.store(slot, Ordering::Relaxed);
-                    }
-                    slot => b.counter_add_slot(slot, delta),
+        if let Some(key) = self.0.key_for(token) {
+            match self.0.slot.load(Ordering::Relaxed) {
+                u32::MAX => {
+                    let slot = rec.counter_add_key(key, delta);
+                    self.0.slot.store(slot, Ordering::Relaxed);
                 }
-                return;
+                slot => rec.counter_add_slot(slot, delta),
             }
+            return;
         }
         rec.counter_add(
             &self.0.component,
@@ -814,17 +632,15 @@ impl GaugeHandle {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return;
         };
-        if let Recorder::Batched(b) = rec {
-            if let Some(key) = self.0.key_for(token) {
-                match self.0.slot.load(Ordering::Relaxed) {
-                    u32::MAX => {
-                        let slot = b.gauge_set_key(key, value);
-                        self.0.slot.store(slot, Ordering::Relaxed);
-                    }
-                    slot => b.gauge_set_slot(slot, value),
+        if let Some(key) = self.0.key_for(token) {
+            match self.0.slot.load(Ordering::Relaxed) {
+                u32::MAX => {
+                    let slot = rec.gauge_set_key(key, value);
+                    self.0.slot.store(slot, Ordering::Relaxed);
                 }
-                return;
+                slot => rec.gauge_set_slot(slot, value),
             }
+            return;
         }
         rec.gauge_set(
             &self.0.component,
@@ -850,17 +666,15 @@ impl HistogramHandle {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return;
         };
-        if let Recorder::Batched(b) = rec {
-            if let Some(key) = self.inner.key_for(token) {
-                match self.inner.slot.load(Ordering::Relaxed) {
-                    u32::MAX => {
-                        let slot = b.histogram_observe_key(key, self.bounds.as_deref(), value);
-                        self.inner.slot.store(slot, Ordering::Relaxed);
-                    }
-                    slot => b.histogram_observe_slot(slot, value),
+        if let Some(key) = self.inner.key_for(token) {
+            match self.inner.slot.load(Ordering::Relaxed) {
+                u32::MAX => {
+                    let slot = rec.histogram_observe_key(key, self.bounds.as_deref(), value);
+                    self.inner.slot.store(slot, Ordering::Relaxed);
                 }
-                return;
+                slot => rec.histogram_observe_slot(slot, value),
             }
+            return;
         }
         rec.histogram_observe(
             &self.inner.component,
@@ -877,7 +691,7 @@ impl HistogramHandle {
 /// handle; `span_enter*` then return [`SpanId::NONE`].
 pub struct ObsBatch<'a> {
     token: usize,
-    guard: Option<MutexGuard<'a, Recorder>>,
+    guard: Option<MutexGuard<'a, BatchedRecorder>>,
 }
 
 impl ObsBatch<'_> {
@@ -1227,48 +1041,6 @@ mod tests {
         let trace = obs.snapshot();
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, vec!["stage_0", "stage_3", "stage_3", "stage_11"]);
-
-        let direct = Obs::recording_direct();
-        for i in [0usize, 3, 3, 11] {
-            let s = direct.span_enter_indexed("engine.exec", "stage", i, 0.0);
-            direct.span_exit(s, 1.0);
-        }
-        assert_eq!(direct.export_json(), obs.export_json());
-    }
-
-    #[test]
-    fn direct_and_batched_backends_export_identically() {
-        let drive = |obs: &Obs| {
-            for i in 0..50usize {
-                let t = i as f64 * 0.1;
-                let s = obs.span_enter_indexed("c", "job", i % 7, t);
-                obs.event("c", "tick", t, &[("i", "x")]);
-                obs.counter_add("c", "ticks", &[("shard", "0")], 1);
-                obs.histogram_observe("c", "lat", &[], 0.004 * (i % 9) as f64);
-                obs.gauge_set("c", "depth", &[], i as f64);
-                obs.record_decision(
-                    "c",
-                    "d",
-                    &Provenance::new("m", 1, i as u64),
-                    1.0,
-                    Some(1.5),
-                    "allow",
-                    false,
-                    2,
-                    t,
-                );
-                obs.span_exit(s, t + 0.05);
-            }
-            obs.record_deployment("c", DeploymentKind::Promote, "m", 2, "canary_healthy", 9.0);
-        };
-        let direct = Obs::recording_direct();
-        let batched = Obs::recording();
-        let tiny_ring = Obs::recording_with_ring(3);
-        drive(&direct);
-        drive(&batched);
-        drive(&tiny_ring);
-        assert_eq!(direct.export_json(), batched.export_json());
-        assert_eq!(direct.export_json(), tiny_ring.export_json());
     }
 
     #[test]
@@ -1324,15 +1096,11 @@ mod tests {
             lat.observe(&mut b, 0.004);
         };
 
-        // Handles and string calls export identically, on both backends.
-        for (strings, handles) in [
-            (Obs::recording(), Obs::recording()),
-            (Obs::recording_direct(), Obs::recording_direct()),
-        ] {
-            drive_strings(&strings);
-            drive_handles(&handles);
-            assert_eq!(strings.export_json(), handles.export_json());
-        }
+        // Handles and string calls export identically.
+        let (strings, handles) = (Obs::recording(), Obs::recording());
+        drive_strings(&strings);
+        drive_handles(&handles);
+        assert_eq!(strings.export_json(), handles.export_json());
 
         // A handle created from one recorder falls back to the string path
         // against another recorder — same records, no id confusion.

@@ -1,4 +1,4 @@
-//! The batched recording backend: preallocated ring staging, interned
+//! The recorder behind [`crate::Obs`]: preallocated ring staging, interned
 //! label sets, and batched flush into compact trace storage.
 //!
 //! Hot-path anatomy (what one `span_enter`/`counter_add` costs):
@@ -17,16 +17,15 @@
 //! When the ring fills (or a snapshot/export forces it), `flush` drains the
 //! staged records *in order* into compact, id-based trace storage — still no
 //! strings. Strings are resolved exactly once, at snapshot or streaming
-//! export, which is what makes the batched recorder's canonical JSON
-//! byte-identical to the direct reference recorder's
-//! ([`crate::Obs::recording_direct`]): the equivalence suite pins that.
+//! export, so the canonical JSON is independent of ring size and flush
+//! points: the golden-digest suites pin that.
 //!
 //! Optional deterministic sampling ([`crate::sample`]) is applied at flush:
 //! sequence numbers and span ids are assigned to every record regardless,
 //! so a sampled trace is a strict filter of the full trace.
 
 use crate::export::ChunkSink;
-use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord};
+use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord, Provenance};
 use crate::intern::{IdentityBuild, Interner, KeyHash, MixBuild};
 use crate::metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
 use crate::sample::SampleConfig;
@@ -326,7 +325,7 @@ impl MetricTable {
     }
 }
 
-/// The batched recorder backend behind [`crate::Obs::recording`].
+/// The recorder behind [`crate::Obs::recording`].
 #[derive(Debug)]
 pub(crate) struct BatchedRecorder {
     seq: u64,
@@ -587,9 +586,7 @@ impl BatchedRecorder {
         &mut self,
         component: &str,
         decision: &str,
-        model_id: &str,
-        model_version: u64,
-        features_digest: u64,
+        provenance: &Provenance<'_>,
         predicted: f64,
         observed: Option<f64>,
         verdict: &str,
@@ -601,7 +598,7 @@ impl BatchedRecorder {
         let span = self.span_stack.last().copied();
         let component = self.strings.intern(component);
         let decision = self.strings.intern(decision);
-        let model_id = self.strings.intern(model_id);
+        let model_id = self.strings.intern(provenance.model_id);
         let verdict = self.strings.intern(verdict);
         // Flush check before touching the side arena: staged indices must
         // stay within the current flush epoch.
@@ -616,8 +613,8 @@ impl BatchedRecorder {
             component,
             decision,
             model_id,
-            model_version,
-            features_digest,
+            model_version: provenance.model_version,
+            features_digest: provenance.features_digest,
             predicted,
             observed,
             verdict,

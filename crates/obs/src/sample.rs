@@ -10,8 +10,9 @@
 //! records the unsampled run would have produced (sequence numbers and
 //! span ids included — dropped records leave gaps, never renumbering).
 //!
-//! Which id a record samples by: spans use their [`SpanId`]
-//! (`crate::span::SpanId`), events and decisions their sequence number.
+//! Which id a record samples by: spans use their
+//! [`SpanId`](crate::span::SpanId), events and decisions their sequence
+//! number.
 //! Deployment records and metrics are never sampled out — deployments are
 //! rare and audit-critical, metrics are aggregates whose cost does not
 //! grow with trace length.

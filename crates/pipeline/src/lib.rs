@@ -28,6 +28,5 @@ pub mod sched;
 pub use graph::{PipelineGraph, PipelineStats};
 pub use pushdown::{optimize_pipelines, PushdownReport};
 pub use sched::{
-    schedule, schedule_legacy, schedule_pipelined, schedule_with_obs, OptimizerMode,
-    PipelinedReport, Policy, ScheduleReport,
+    schedule, schedule_pipelined, OptimizerMode, PipelinedReport, Policy, ScheduleReport,
 };

@@ -13,7 +13,7 @@
 use crate::graph::PipelineGraph;
 use adas_engine::cardinality::TrueCardinality;
 use adas_engine::cost::CostModel;
-use adas_engine::Result;
+use adas_engine::{EngineError, Result};
 use adas_obs::Obs;
 use adas_simkern::{Component, Ctx, Simulation};
 use adas_workload::catalog::Catalog;
@@ -72,23 +72,17 @@ fn downstream_work(
     total
 }
 
-/// Schedules a trace's jobs onto `job_slots` concurrent slots. Each job's
-/// duration is its true work divided by `work_per_second`.
-pub fn schedule(
-    trace: &Trace,
-    catalog: &Catalog,
-    job_slots: usize,
-    work_per_second: f64,
-    policy: Policy,
-) -> Result<ScheduleReport> {
-    schedule_with_obs(
-        trace,
-        catalog,
-        job_slots,
-        work_per_second,
-        policy,
-        &Obs::disabled(),
-    )
+/// Rejects scheduler parameters that would stall or poison the event loop.
+fn check_params(job_slots: usize, work_per_second: f64) -> Result<()> {
+    if job_slots == 0 {
+        return Err(EngineError::InvalidCluster("job_slots must be >= 1".into()));
+    }
+    if !(work_per_second > 0.0 && work_per_second.is_finite()) {
+        return Err(EngineError::InvalidCluster(format!(
+            "work_per_second must be finite and > 0, got {work_per_second}"
+        )));
+    }
+    Ok(())
 }
 
 /// Trace-derived inputs shared by every scheduler variant: the dependency
@@ -144,8 +138,7 @@ impl SchedInputs {
     }
 }
 
-/// Computes the report and replays the run into `obs` (shared by the
-/// kernel-backed and legacy paths so their traces stay byte-identical).
+/// Computes the report and replays the run into `obs`.
 fn finalize(
     inputs: &SchedInputs,
     finish: HashMap<JobId, f64>,
@@ -217,9 +210,8 @@ enum SchedEvent {
 }
 
 /// The scheduler as a simkern component. A `Wake` event fires at every job
-/// arrival and every job completion; the handler runs the same greedy
-/// dispatch loop the legacy scheduler ran at each decision instant, so the
-/// finish map is bit-for-bit identical — only the owner of time changed.
+/// arrival and every job completion; the handler runs the greedy dispatch
+/// loop at each such decision instant.
 struct SchedSim {
     policy: Policy,
     work_per_second: f64,
@@ -231,10 +223,9 @@ struct SchedSim {
 
 impl SchedSim {
     /// Dispatches every job startable at `ctx.time()`, scheduling a wake at
-    /// each dispatched job's finish. Mirrors one legacy `while` iteration
-    /// per pass: ready/free are recomputed from scratch after every
-    /// placement, so zero-duration jobs cascade at the same instant exactly
-    /// as the legacy `continue` did.
+    /// each dispatched job's finish. Ready jobs and free slots are
+    /// recomputed from scratch after every placement, so zero-duration jobs
+    /// cascade at the same instant.
     fn dispatch_all(&mut self, ctx: &mut Ctx<'_, SchedEvent>) {
         let now = ctx.time();
         loop {
@@ -278,17 +269,18 @@ impl Component<SchedEvent> for SchedSim {
     }
 }
 
-/// Like [`schedule`], recording the run into `obs`: a `schedule` span over
-/// the makespan with one child span per job (at its simulated dispatch and
-/// finish times, in job-id order), a `jobs_scheduled` counter labelled by
-/// policy, the makespan gauge and a completion-time histogram.
+/// Schedules a trace's jobs onto `job_slots` concurrent slots. Each job's
+/// duration is its true work divided by `work_per_second`.
+///
+/// The run is recorded into `obs`: a `schedule` span over the makespan
+/// with one child span per job (at its simulated dispatch and finish
+/// times, in job-id order), a `jobs_scheduled` counter labelled by policy,
+/// the makespan gauge and a completion-time histogram.
 ///
 /// Time is owned by the `simkern` event loop: job arrivals are scheduled
 /// as events at their submit times and completions as events at each job's
-/// computed finish; the greedy dispatch decision runs at each event. The
-/// decisions — and therefore the report and the recorded trace — are
-/// bit-for-bit those of [`schedule_legacy`].
-pub fn schedule_with_obs(
+/// computed finish; the greedy dispatch decision runs at each event.
+pub fn schedule(
     trace: &Trace,
     catalog: &Catalog,
     job_slots: usize,
@@ -296,8 +288,7 @@ pub fn schedule_with_obs(
     policy: Policy,
     obs: &Obs,
 ) -> Result<ScheduleReport> {
-    assert!(job_slots >= 1, "need at least one job slot");
-    assert!(work_per_second > 0.0, "work_per_second must be positive");
+    check_params(job_slots, work_per_second)?;
     let inputs = SchedInputs::build(trace, catalog)?;
     let pending: Vec<JobId> = trace.jobs().iter().map(|j| j.id).collect();
     let arrivals: Vec<f64> = pending.iter().map(|id| inputs.submit[id]).collect();
@@ -332,76 +323,10 @@ pub fn schedule_with_obs(
     ))
 }
 
-/// The pre-simkern scheduler: a blocking loop that advances its own `now`
-/// to the next interesting instant. Kept as the reference implementation —
-/// the equivalence suite pins [`schedule_with_obs`] bit-for-bit to this.
-pub fn schedule_legacy(
-    trace: &Trace,
-    catalog: &Catalog,
-    job_slots: usize,
-    work_per_second: f64,
-    policy: Policy,
-    obs: &Obs,
-) -> Result<ScheduleReport> {
-    assert!(job_slots >= 1, "need at least one job slot");
-    assert!(work_per_second > 0.0, "work_per_second must be positive");
-    let inputs = SchedInputs::build(trace, catalog)?;
-    let mut finish: HashMap<JobId, f64> = HashMap::new();
-    let mut slot_free = vec![0.0f64; job_slots];
-    let mut pending: Vec<JobId> = trace.jobs().iter().map(|j| j.id).collect();
-    let mut now = 0.0f64;
-
-    // Event-driven dispatch: at each instant, place the highest-priority
-    // *currently ready* job onto a *currently free* slot; when nothing can
-    // be dispatched, advance time to the next event (a slot freeing, a job
-    // arriving, or a dependency completing).
-    while !pending.is_empty() {
-        let ready: Vec<JobId> = pending
-            .iter()
-            .copied()
-            .filter(|&id| inputs.submit[&id] <= now)
-            .filter(|&id| {
-                inputs
-                    .graph
-                    .producers(id)
-                    .iter()
-                    .all(|p| finish.get(p).is_some_and(|&f| f <= now))
-            })
-            .collect();
-        let free_slot = slot_free
-            .iter()
-            .position(|&f| f <= now)
-            .filter(|_| !ready.is_empty());
-        if let Some(slot) = free_slot {
-            let next = ready
-                .into_iter()
-                .min_by(|&a, &b| inputs.compare(policy, a, b))
-                .expect("checked non-empty");
-            pending.retain(|&id| id != next);
-            let end = now + inputs.work[&next] / work_per_second;
-            slot_free[slot] = end;
-            finish.insert(next, end);
-            continue;
-        }
-        // Advance to the next event strictly after `now`.
-        let next_time = slot_free
-            .iter()
-            .copied()
-            .chain(pending.iter().map(|id| inputs.submit[id]))
-            .chain(finish.values().copied())
-            .filter(|&t| t > now)
-            .fold(f64::INFINITY, f64::min);
-        debug_assert!(next_time.is_finite(), "scheduler stalled with pending jobs");
-        now = next_time;
-    }
-
-    Ok(finalize(&inputs, finish, work_per_second, policy, obs))
-}
-
 /// How the pipeline optimizer is driven relative to job execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum OptimizerMode {
-    /// The legacy shape: one blocking loop owns both phases, so the
+    /// One blocking loop owns both phases, so the
     /// optimizer never runs while any job is executing — optimize job n,
     /// run job n, only then look at job n+1.
     Serial,
@@ -461,7 +386,7 @@ impl PipelinedSim {
 
             // Feed the optimizer. In serial mode it refuses to start while
             // any job is executing or an already-optimized job has not yet
-            // finished — that is the legacy blocking loop where one thread
+            // finished — that is a blocking loop where one thread
             // owns both phases and fully drains a job before the next.
             let exec_in_flight = self.slot_free.iter().any(|&f| f > now);
             let opt_blocked =
@@ -534,7 +459,7 @@ impl Component<SchedEvent> for PipelinedSim {
 /// every job must pass through a single optimizer resource (taking
 /// `optimize_seconds`) before it can run on one of `job_slots` slots.
 ///
-/// [`OptimizerMode::Serial`] reproduces the legacy single-loop shape where
+/// [`OptimizerMode::Serial`] reproduces the single-loop shape where
 /// the optimizer and the cluster never overlap; [`OptimizerMode::Pipelined`]
 /// lets the kernel interleave them, so optimizing job n+1 overlaps the
 /// execution of job n. The makespan ratio between the two modes is the
@@ -550,12 +475,12 @@ pub fn schedule_pipelined(
     mode: OptimizerMode,
     obs: &Obs,
 ) -> Result<PipelinedReport> {
-    assert!(job_slots >= 1, "need at least one job slot");
-    assert!(work_per_second > 0.0, "work_per_second must be positive");
-    assert!(
-        optimize_seconds >= 0.0 && optimize_seconds.is_finite(),
-        "optimize_seconds must be finite and non-negative"
-    );
+    check_params(job_slots, work_per_second)?;
+    if !(optimize_seconds >= 0.0 && optimize_seconds.is_finite()) {
+        return Err(EngineError::InvalidCluster(format!(
+            "optimize_seconds must be finite and >= 0, got {optimize_seconds}"
+        )));
+    }
     let inputs = SchedInputs::build(trace, catalog)?;
     let unoptimized: Vec<JobId> = trace.jobs().iter().map(|j| j.id).collect();
     let arrivals: Vec<f64> = unoptimized.iter().map(|id| inputs.submit[id]).collect();
@@ -663,7 +588,7 @@ mod tests {
             job(1, 0, 500, vec![1], vec![]),
         ]);
         let catalog = Catalog::standard();
-        let r = schedule(&trace, &catalog, 4, 1e6, Policy::Fifo).unwrap();
+        let r = schedule(&trace, &catalog, 4, 1e6, Policy::Fifo, &Obs::disabled()).unwrap();
         assert!(r.finish[&JobId(1)] > r.finish[&JobId(0)]);
     }
 
@@ -682,8 +607,16 @@ mod tests {
         }
         let trace = Trace::new(jobs);
         let catalog = Catalog::standard();
-        let fifo = schedule(&trace, &catalog, 2, 1e6, Policy::Fifo).unwrap();
-        let cp = schedule(&trace, &catalog, 2, 1e6, Policy::CriticalPath).unwrap();
+        let fifo = schedule(&trace, &catalog, 2, 1e6, Policy::Fifo, &Obs::disabled()).unwrap();
+        let cp = schedule(
+            &trace,
+            &catalog,
+            2,
+            1e6,
+            Policy::CriticalPath,
+            &Obs::disabled(),
+        )
+        .unwrap();
         assert!(
             cp.makespan <= fifo.makespan,
             "cp {} vs fifo {}",
@@ -693,13 +626,41 @@ mod tests {
     }
 
     #[test]
+    fn invalid_scheduler_parameters_are_typed_errors() {
+        fn rejected<T>(r: Result<T>) -> bool {
+            matches!(r, Err(EngineError::InvalidCluster(_)))
+        }
+        let trace = Trace::new(vec![job(0, 0, 300, vec![], vec![])]);
+        let catalog = Catalog::standard();
+        let obs = Obs::disabled();
+        for (slots, wps) in [(0, 1e6), (1, f64::NAN), (1, -1.0)] {
+            let report = schedule(&trace, &catalog, slots, wps, Policy::Fifo, &obs);
+            assert!(rejected(report), "slots {slots}, work/s {wps}");
+        }
+        let pipelined = |optimize_seconds| {
+            schedule_pipelined(
+                &trace,
+                &catalog,
+                1,
+                1e6,
+                optimize_seconds,
+                Policy::Fifo,
+                OptimizerMode::Pipelined,
+                &obs,
+            )
+        };
+        assert!(rejected(pipelined(-1.0)));
+        assert!(pipelined(1.0).is_ok());
+    }
+
+    #[test]
     fn single_slot_serializes_everything() {
         let trace = Trace::new(vec![
             job(0, 0, 300, vec![], vec![]),
             job(1, 0, 300, vec![], vec![]),
         ]);
         let catalog = Catalog::standard();
-        let r = schedule(&trace, &catalog, 1, 1e6, Policy::Fifo).unwrap();
+        let r = schedule(&trace, &catalog, 1, 1e6, Policy::Fifo, &Obs::disabled()).unwrap();
         let f: Vec<f64> = {
             let mut v: Vec<f64> = r.finish.values().copied().collect();
             v.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -709,41 +670,6 @@ mod tests {
             f[1] >= 2.0 * f[0] - 1e-6,
             "jobs must not overlap on one slot"
         );
-    }
-
-    #[test]
-    fn kernel_schedule_matches_legacy_bit_for_bit() {
-        let w = WorkloadGenerator::new(GeneratorConfig {
-            days: 2,
-            jobs_per_day: 80,
-            ..Default::default()
-        })
-        .unwrap()
-        .generate()
-        .unwrap();
-        for policy in [Policy::Fifo, Policy::CriticalPath] {
-            for slots in [1, 3, 8] {
-                let kernel =
-                    schedule_with_obs(&w.trace, &w.catalog, slots, 1e7, policy, &Obs::disabled())
-                        .unwrap();
-                let legacy =
-                    schedule_legacy(&w.trace, &w.catalog, slots, 1e7, policy, &Obs::disabled())
-                        .unwrap();
-                assert_eq!(kernel.finish.len(), legacy.finish.len());
-                for (id, f) in &legacy.finish {
-                    assert_eq!(
-                        kernel.finish[id].to_bits(),
-                        f.to_bits(),
-                        "job {id:?} finish diverged ({policy:?}, {slots} slots)"
-                    );
-                }
-                assert_eq!(kernel.makespan.to_bits(), legacy.makespan.to_bits());
-                assert_eq!(
-                    kernel.mean_completion.to_bits(),
-                    legacy.mean_completion.to_bits()
-                );
-            }
-        }
     }
 
     #[test]
@@ -814,7 +740,15 @@ mod tests {
         .unwrap()
         .generate()
         .unwrap();
-        let r = schedule(&w.trace, &w.catalog, 8, 1e7, Policy::CriticalPath).unwrap();
+        let r = schedule(
+            &w.trace,
+            &w.catalog,
+            8,
+            1e7,
+            Policy::CriticalPath,
+            &Obs::disabled(),
+        )
+        .unwrap();
         assert_eq!(r.finish.len(), w.trace.len());
         assert!(r.makespan > 0.0);
         assert!(r.mean_completion > 0.0);

@@ -12,6 +12,7 @@ use adas_engine::cost::CostModel;
 use adas_engine::exec::{ClusterConfig, SimOptions, Simulator};
 use adas_engine::physical::StageDag;
 use adas_engine::Result;
+use adas_obs::Obs;
 use adas_workload::catalog::Catalog;
 use adas_workload::job::Trace;
 use serde::Serialize;
@@ -91,7 +92,7 @@ pub fn replay(trace: &Trace, catalog: &Catalog, config: &ReplayConfig) -> Result
     let views = ViewCatalog::select(&train_plans, catalog, &config.selection);
     let extended = views.extend_catalog(catalog);
 
-    let sim = Simulator::new(config.cluster)?;
+    let sim = Simulator::with_obs(config.cluster, Obs::disabled())?;
     let cost_model = CostModel::default();
 
     // Charge each view's one-time materialization: simulate its build.

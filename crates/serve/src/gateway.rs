@@ -48,10 +48,6 @@ pub struct GatewayConfig {
     pub max_in_flight: usize,
     /// Per-model circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Use the pre-simkern O(open groups) deadline scan instead of the
-    /// timer wheel. Flushes are identical either way (the equivalence
-    /// suite pins this); the flag exists so that proof stays executable.
-    pub legacy_deadline_scan: bool,
 }
 
 impl GatewayConfig {
@@ -66,7 +62,6 @@ impl GatewayConfig {
             cache_shards: 8,
             max_in_flight: 1 << 20,
             breaker: BreakerConfig::default(),
-            legacy_deadline_scan: false,
         }
     }
 
@@ -82,7 +77,6 @@ impl GatewayConfig {
             cache_shards: 1,
             max_in_flight: usize::MAX,
             breaker: BreakerConfig::disabled(),
-            legacy_deadline_scan: false,
         }
     }
 
@@ -331,12 +325,8 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Creates a gateway with no flight recorder attached.
-    pub fn new(config: GatewayConfig) -> Self {
-        Self::with_obs(config, Obs::disabled())
-    }
-
-    /// Creates a gateway that records every serving decision into `obs`.
+    /// Creates a gateway that records every serving decision into `obs`
+    /// (pass [`Obs::disabled`] to attach no flight recorder).
     pub fn with_obs(config: GatewayConfig, obs: Obs) -> Self {
         let cache = (config.cache_capacity > 0)
             .then(|| PredictionCache::new(config.cache_capacity, config.cache_shards));
@@ -980,30 +970,16 @@ impl Gateway {
             let now = request.sim_time;
             // Deadline flushes happen before this request is admitted — a
             // deterministic function of the request sequence alone. The
-            // wheel pops groups oldest-first while the *exact* legacy
-            // comparison holds; the due-set matches the legacy scan because
-            // the predicate is monotone in the open tick, and flush order
-            // within one instant is unobservable (counters are sums and
-            // results settle in request order).
+            // wheel pops groups oldest-first while `now - oldest >=
+            // deadline` holds; the predicate is monotone in the open tick,
+            // and flush order within one instant is unobservable (counters
+            // are sums and results settle in request order).
             if config.batch_deadline_ticks.is_finite() {
-                if config.legacy_deadline_scan {
-                    let mut i = 0;
-                    while i < open.len() {
-                        let g = open[i].2;
-                        if now - groups[g].oldest >= config.batch_deadline_ticks {
-                            self.dispatch(&mut groups[g]);
-                            open.remove(i);
-                        } else {
-                            i += 1;
-                        }
-                    }
-                } else {
-                    while let Some((_, g)) =
-                        deadlines.pop_due(|oldest| now - oldest >= config.batch_deadline_ticks)
-                    {
-                        self.dispatch(&mut groups[g]);
-                        open.retain(|&(_, _, gg)| gg != g);
-                    }
+                while let Some((_, g)) =
+                    deadlines.pop_due(|oldest| now - oldest >= config.batch_deadline_ticks)
+                {
+                    self.dispatch(&mut groups[g]);
+                    open.retain(|&(_, _, gg)| gg != g);
                 }
             }
             self.admit(&entry);
@@ -1068,15 +1044,11 @@ impl Gateway {
                     groups.push(BatchGroup {
                         snapshot: snapshot.clone(),
                         rows: Vec::new(),
-                        oldest: now,
                         promise: None,
                     });
                     let g = groups.len() - 1;
                     open.push((entry.id as u64, snapshot.version, g));
-                    if config.batch_deadline_ticks.is_finite()
-                        && !config.legacy_deadline_scan
-                        && now.is_finite()
-                    {
+                    if config.batch_deadline_ticks.is_finite() && now.is_finite() {
                         deadlines.schedule(now, g);
                     }
                     g
@@ -1443,7 +1415,6 @@ impl Gateway {
 struct BatchGroup {
     snapshot: Arc<ServingSnapshot>,
     rows: Vec<Vec<f64>>,
-    oldest: f64,
     promise: Option<Arc<BatchPromise>>,
 }
 
@@ -1454,7 +1425,7 @@ mod tests {
     use adas_faultsim::ModelFaults;
 
     fn identity_gateway(config: GatewayConfig) -> (Gateway, ModelHandle) {
-        let gateway = Gateway::new(config);
+        let gateway = Gateway::with_obs(config, Obs::disabled());
         let handle = gateway.register("test/identity", |f: &[f64]| f[0] * 10.0);
         gateway
             .publish(handle, Arc::new(FnModel(|f: &[f64]| f[0] + 1.0)), 0.05)
@@ -1464,14 +1435,14 @@ mod tests {
 
     #[test]
     fn unregistered_handle_errors() {
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let err = gateway.predict(ModelHandle(3), &[1.0], 0.0).unwrap_err();
         assert!(matches!(err, ServeError::UnknownModel(_)));
     }
 
     #[test]
     fn register_is_idempotent() {
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let a = gateway.register("m", |_| 0.0);
         let b = gateway.register("m", |_| 1.0);
         assert_eq!(a, b);
@@ -1481,7 +1452,7 @@ mod tests {
 
     #[test]
     fn unpublished_model_serves_fallback() {
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let handle = gateway.register("m", |f: &[f64]| f[0] * 2.0);
         let p = gateway.predict(handle, &[3.0], 0.0).unwrap();
         assert_eq!(p.value, 6.0);
@@ -1562,7 +1533,7 @@ mod tests {
         let mut config = GatewayConfig::standard();
         config.cache_capacity = 0;
         config.breaker.guard_factor = 1.5;
-        let gateway = Gateway::new(config);
+        let gateway = Gateway::with_obs(config, Obs::disabled());
         // Fallback heuristic ≈ model output, so an unpoisoned model passes.
         let handle = gateway.register("m", |f: &[f64]| f[0] + 1.0);
         gateway
@@ -1680,37 +1651,43 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_flushes_match_legacy_scan() {
-        // Same request sequence through the wheel-backed and legacy
-        // deadline paths: identical predictions (bit-for-bit) and stats.
-        let mk = |legacy: bool| {
-            let mut config = GatewayConfig::standard();
-            config.cache_capacity = 0;
-            config.batch_size = 3;
-            config.batch_deadline_ticks = 4.0;
-            config.legacy_deadline_scan = legacy;
-            identity_gateway(config)
-        };
+    fn deadline_flush_sequence_is_pinned() {
+        // Size flushes (batch of 3) interleaved with deadline flushes
+        // (4 ticks), including two arrivals at one instant. The expected
+        // batches, rows, calls and prediction bits are those of the
+        // O(open groups) deadline scan the timer wheel replaced.
+        let mut config = GatewayConfig::standard();
+        config.cache_capacity = 0;
+        config.batch_size = 3;
+        config.batch_deadline_ticks = 4.0;
+        let (gateway, handle) = identity_gateway(config);
         let times = [0.0, 1.0, 2.5, 5.0, 5.0, 9.5, 12.0, 12.0, 20.0];
-        let build = |handle| {
-            times
-                .iter()
-                .enumerate()
-                .map(|(i, &t)| Request::new(handle, vec![i as f64], t))
-                .collect::<Vec<_>>()
-        };
-        let (wheel_gw, wheel_handle) = mk(false);
-        let (legacy_gw, legacy_handle) = mk(true);
-        let wheel_out = wheel_gw.predict_many(&build(wheel_handle)).unwrap();
-        let legacy_out = legacy_gw.predict_many(&build(legacy_handle)).unwrap();
-        for (a, b) in wheel_out.iter().zip(&legacy_out) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-            assert_eq!(a.source, b.source);
-        }
-        let (ws, ls) = (wheel_gw.stats(), legacy_gw.stats());
-        assert_eq!(ws.batches, ls.batches);
-        assert_eq!(ws.batched_rows, ls.batched_rows);
-        assert_eq!(ws.model_calls, ls.model_calls);
+        let requests: Vec<Request> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| Request::new(handle, vec![i as f64], t))
+            .collect();
+        let out = gateway.predict_many(&requests).unwrap();
+        let bits: Vec<u64> = out.iter().map(|p| p.value.to_bits()).collect();
+        assert_eq!(
+            bits,
+            [
+                0x3ff0000000000000, // 1.0
+                0x4000000000000000, // 2.0
+                0x4008000000000000, // 3.0
+                0x4010000000000000, // 4.0
+                0x4014000000000000, // 5.0
+                0x4018000000000000, // 6.0
+                0x401c000000000000, // 7.0
+                0x4020000000000000, // 8.0
+                0x4022000000000000, // 9.0
+            ]
+        );
+        assert!(out.iter().all(|p| p.source == Source::Model));
+        let stats = gateway.stats();
+        assert_eq!(stats.batches, 4, "size, deadline, size, drain");
+        assert_eq!(stats.batched_rows, 9);
+        assert_eq!(stats.model_calls, 9);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //! # Example: Seagull in three lines
 //!
 //! ```
+//! use adas_obs::Obs;
 //! use adas_service::seagull::{generate_fleet, schedule_fleet, BackupForecaster};
 //!
 //! let fleet = generate_fleet(50, 14, 0.7, 0.2, 1);
-//! let report = schedule_fleet(&fleet, BackupForecaster::MlModel, 2, 0.25);
+//! let report = schedule_fleet(&fleet, BackupForecaster::MlModel, 2, 0.25, &Obs::disabled());
 //! assert!(report.accuracy > 0.9);
 //! ```
 

@@ -206,20 +206,12 @@ pub struct SeagullReport {
 /// A placement is accurate when `true_load(chosen) <= true_load(best) *
 /// (1 + tolerance)` or the absolute excess is negligible relative to the
 /// server's mean load.
-pub fn schedule_fleet(
-    fleet: &[ServerLoad],
-    method: BackupForecaster,
-    window_hours: usize,
-    tolerance: f64,
-) -> SeagullReport {
-    schedule_fleet_with_obs(fleet, method, window_hours, tolerance, &Obs::disabled())
-}
-
-/// Like [`schedule_fleet`], recording one flight-recorder decision per
-/// server: the forecaster's identity, a digest of the load history it saw,
-/// the *forecast* load of the chosen window (predicted) vs. its *true* load
+///
+/// Records one flight-recorder decision per server into `obs`: the
+/// forecaster's identity, a digest of the load history it saw, the
+/// *forecast* load of the chosen window (predicted) vs. its *true* load
 /// (observed), and whether the placement met the accuracy bar.
-pub fn schedule_fleet_with_obs(
+pub fn schedule_fleet(
     fleet: &[ServerLoad],
     method: BackupForecaster,
     window_hours: usize,
@@ -308,21 +300,26 @@ mod tests {
         generate_fleet(300, 28, 0.6, 0.3, 41)
     }
 
+    /// A 2-hour-window sweep at 25% tolerance, unrecorded.
+    fn sweep(fleet: &[ServerLoad], method: BackupForecaster) -> SeagullReport {
+        schedule_fleet(fleet, method, 2, 0.25, &Obs::disabled())
+    }
+
     #[test]
     fn ml_model_hits_paper_accuracy() {
-        let report = schedule_fleet(&fleet(), BackupForecaster::MlModel, 2, 0.25);
+        let report = sweep(&fleet(), BackupForecaster::MlModel);
         assert!(report.accuracy >= 0.97, "ML accuracy {}", report.accuracy);
     }
 
     #[test]
     fn previous_day_heuristic_close_behind() {
-        let heuristic = schedule_fleet(&fleet(), BackupForecaster::PreviousDay, 2, 0.25);
+        let heuristic = sweep(&fleet(), BackupForecaster::PreviousDay);
         assert!(
             heuristic.accuracy >= 0.90,
             "heuristic accuracy {}",
             heuristic.accuracy
         );
-        let ml = schedule_fleet(&fleet(), BackupForecaster::MlModel, 2, 0.25);
+        let ml = sweep(&fleet(), BackupForecaster::MlModel);
         assert!(ml.accuracy >= heuristic.accuracy - 0.02);
     }
 
@@ -339,8 +336,8 @@ mod tests {
     fn patterned_servers_beat_noisy_ones() {
         let patterned = generate_fleet(100, 28, 1.0, 0.0, 5);
         let noisy = generate_fleet(100, 28, 0.0, 0.0, 5);
-        let p = schedule_fleet(&patterned, BackupForecaster::MlModel, 2, 0.25);
-        let n = schedule_fleet(&noisy, BackupForecaster::MlModel, 2, 0.25);
+        let p = sweep(&patterned, BackupForecaster::MlModel);
+        let n = sweep(&noisy, BackupForecaster::MlModel);
         assert!(p.accuracy >= n.accuracy);
         assert!(p.mean_load_ratio <= n.mean_load_ratio + 1e-9);
     }
@@ -449,8 +446,8 @@ mod serving_tests {
     #[test]
     fn served_schedule_matches_direct() {
         let fleet = generate_fleet(60, 28, 0.6, 0.3, 41);
-        let direct = schedule_fleet(&fleet, BackupForecaster::MlModel, 2, 0.25);
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let direct = schedule_fleet(&fleet, BackupForecaster::MlModel, 2, 0.25, &Obs::disabled());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let handle = publish_window_model(&gateway, BackupForecaster::MlModel);
         let served = schedule_fleet_served(&fleet, &gateway, handle, 2, 0.25);
         assert_eq!(served.servers, direct.servers);
@@ -464,7 +461,7 @@ mod serving_tests {
         let fleet = generate_fleet(60, 28, 0.6, 0.3, 41);
         let mut config = GatewayConfig::standard();
         config.cache_capacity = 0;
-        let gateway = Gateway::new(config);
+        let gateway = Gateway::with_obs(config, Obs::disabled());
         let handle = publish_window_model(&gateway, BackupForecaster::MlModel);
         // Permanent timeouts: every choice comes from the fallback, which is
         // exactly the previous-day heuristic.
@@ -472,7 +469,13 @@ mod serving_tests {
             .inject_faults(handle, ModelFaults::new(11, 0.0, 1.0, 1.0))
             .unwrap();
         let served = schedule_fleet_served(&fleet, &gateway, handle, 2, 0.25);
-        let heuristic = schedule_fleet(&fleet, BackupForecaster::PreviousDay, 2, 0.25);
+        let heuristic = schedule_fleet(
+            &fleet,
+            BackupForecaster::PreviousDay,
+            2,
+            0.25,
+            &Obs::disabled(),
+        );
         assert_eq!(served.accuracy, heuristic.accuracy);
         assert!(gateway.stats().fallbacks as usize >= fleet.len());
     }

@@ -28,7 +28,7 @@ pub fn derive(master: u64, index: u64) -> u64 {
 
 /// A SplitMix64 pseudo-random stream. Small, fast, and plenty for
 /// simulation draws; layers that need a cryptographically stronger
-/// generator (faultsim's `StdRng` channels) seed it from [`derive`].
+/// generator (faultsim's `StdRng` channels) seed it from [`derive`](fn@derive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
@@ -74,7 +74,7 @@ impl SplitMix64 {
 
 /// A registry of independent per-salt streams over one master seed,
 /// mirroring `faultsim`'s channel scheme: stream `salt` is seeded with
-/// [`derive`]`(master, salt)` on first use and persists across calls.
+/// [`derive`](fn@derive)`(master, salt)` on first use and persists across calls.
 #[derive(Debug, Clone)]
 pub struct RngRegistry {
     master: u64,

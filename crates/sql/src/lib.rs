@@ -23,7 +23,7 @@
 //!   caret-underlined snippet.
 //!
 //! The front-end is the exact inverse of
-//! [`adas_workload::sqltext`](adas_workload::sqltext): compiling
+//! [`adas_workload::sqltext`]: compiling
 //! `sqltext::to_sql(plan)` reproduces `plan` node for node, so strict and
 //! template signatures survive the SQL round trip byte-identically.
 //!

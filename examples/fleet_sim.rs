@@ -1,6 +1,6 @@
 //! Simulation-kernel tour: one clock under the whole stack.
 //!
-//! Three stops, per ISSUE 9:
+//! Two stops:
 //!
 //! 1. **The raw kernel.** A custom fleet component on `simkern` — machines
 //!    as slots, jobs as arrival events, completions as future events — to
@@ -10,18 +10,15 @@
 //!    the optimizer and the cluster as independent components on one
 //!    clock, optimizing job *n+1* overlaps executing job *n*, and the
 //!    makespan drops accordingly.
-//! 3. **Equivalence.** The ports changed the *mechanism*, not the
-//!    numbers: the kernel-backed cluster simulator reproduces the legacy
-//!    blocking loop bit for bit.
+//!
+//! The ports onto the kernel are pinned byte for byte by the golden
+//! digests in `tests/golden_paths.rs`.
 //!
 //! Run with: `cargo run --release --example fleet_sim`
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use autonomous_data_services::engine::cost::CostModel;
-use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
-use autonomous_data_services::engine::physical::StageDag;
 use autonomous_data_services::obs::Obs;
 use autonomous_data_services::pipeline::{schedule_pipelined, OptimizerMode, Policy};
 use autonomous_data_services::simkern::{Component, Ctx, Simulation};
@@ -140,37 +137,7 @@ fn pipelined_tour() {
     assert!(pipelined < serial);
 }
 
-// ------------------------------------------------- stop 3: equivalence
-
-fn equivalence_tour() {
-    let workload = WorkloadGenerator::new(GeneratorConfig {
-        days: 1,
-        jobs_per_day: 10,
-        ..Default::default()
-    })
-    .expect("valid config")
-    .generate()
-    .expect("generates");
-    let cost_model = CostModel::default();
-    let sim = Simulator::new(ClusterConfig::default()).expect("valid cluster");
-    let mut checked = 0usize;
-    for job in workload.trace.jobs() {
-        let dag = StageDag::compile(&job.plan, &workload.catalog, &cost_model).expect("compiles");
-        let kernel = sim.run(&dag, &SimOptions::default()).expect("runs");
-        let legacy = sim.run_legacy(&dag, &SimOptions::default()).expect("runs");
-        assert_eq!(
-            kernel.latency.to_bits(),
-            legacy.latency.to_bits(),
-            "kernel and legacy schedules must agree to the bit"
-        );
-        assert_eq!(kernel, legacy);
-        checked += 1;
-    }
-    println!("[equivalence] {checked} jobs: kernel == legacy, bit for bit");
-}
-
 fn main() {
     raw_kernel_tour();
     pipelined_tour();
-    equivalence_tour();
 }

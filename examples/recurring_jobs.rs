@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example recurring_jobs`
 
 use autonomous_data_services::checkpoint::{
-    evaluate_with_obs, plan_checkpoints_with_obs, PhoebeConfig, StagePredictor,
+    evaluate, plan_checkpoints, PhoebeConfig, StagePredictor,
 };
 use autonomous_data_services::engine::cardinality::{DefaultEstimator, TrueCardinality};
 use autonomous_data_services::engine::cost::CostModel;
@@ -149,7 +149,7 @@ fn main() {
         machines: 32,
         ..Default::default()
     };
-    let sim = Simulator::new(cluster).expect("valid cluster");
+    let sim = Simulator::with_obs(cluster, Obs::disabled()).expect("valid cluster");
     let dag = StageDag::compile(&big, &workload.catalog, &cost_model).expect("plan validates");
     let history: Vec<_> = [100i64, 300, 500]
         .iter()
@@ -174,8 +174,8 @@ fn main() {
         hotspot_threshold: 0.05,
         ..Default::default()
     };
-    let plan = plan_checkpoints_with_obs(&dag, &forecast, &config, &obs);
-    let phoebe = evaluate_with_obs(&dag, &plan, cluster, 0.85, &obs).expect("simulates");
+    let plan = plan_checkpoints(&dag, &forecast, &config, &obs);
+    let phoebe = evaluate(&dag, &plan, cluster, 0.85, &obs).expect("simulates");
     emit(
         &obs,
         "phoebe_evaluated",

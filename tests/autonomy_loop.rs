@@ -9,6 +9,7 @@ use autonomous_data_services::core::{
 };
 use autonomous_data_services::ml::dataset::Dataset;
 use autonomous_data_services::ml::linear::LinearRegression;
+use autonomous_data_services::obs::Obs;
 use autonomous_data_services::service::doppler::{
     generate_customers, standard_skus, true_best_sku, Doppler,
 };
@@ -49,10 +50,13 @@ fn feedback_loop_rolls_back_drifted_service_model() {
     let mut registry = ModelRegistry::new();
     registry.deploy(line(1.0, 0.0), 0.1); // matches the world
     registry.deploy(line(4.0, 0.0), 0.1); // deployed with an optimistic error
-    let mut feedback = FeedbackLoop::new(LoopConfig {
-        window: 16,
-        ..Default::default()
-    });
+    let mut feedback = FeedbackLoop::with_obs(
+        LoopConfig {
+            window: 16,
+            ..Default::default()
+        },
+        Obs::disabled(),
+    );
     let mut rolled_back = false;
     for i in 0..64 {
         let x = (i % 8) as f64;

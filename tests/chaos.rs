@@ -22,6 +22,7 @@ use autonomous_data_services::faultsim::{
 };
 use autonomous_data_services::infra::machine::{MachineFleet, SkuSpec};
 use autonomous_data_services::learned::cost::{CostEnsemble, CostTrainConfig};
+use autonomous_data_services::obs::Obs;
 use autonomous_data_services::telemetry::schema::SemanticSchema;
 use autonomous_data_services::telemetry::TelemetryStore;
 use autonomous_data_services::workload::gen::{GeneratorConfig, WorkloadGenerator};
@@ -58,7 +59,8 @@ fn chaos_same_seed_produces_identical_exec_reports() {
     let w = workload();
     let dags = dags(&w, 12);
     let cluster = ClusterConfig::default();
-    let runner = ChaosRunner::new(cluster, f64::INFINITY).expect("valid cluster");
+    let runner =
+        ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
 
     let run_all = |seed: u64| -> Vec<String> {
         let injector = FaultInjector::new(seed, FaultConfig::standard());
@@ -95,7 +97,8 @@ fn chaos_checkpointed_stages_never_recompute_after_restarts() {
         machine_loss_rate: 1.0,
         ..FaultConfig::standard()
     };
-    let runner = ChaosRunner::new(cluster, f64::INFINITY).expect("valid cluster");
+    let runner =
+        ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
     for seed in 0..8u64 {
         let injector = FaultInjector::new(seed, config);
         for (i, dag) in dags.iter().enumerate() {
@@ -136,7 +139,8 @@ fn chaos_attempt_failures_carry_typed_causes() {
         machine_loss_rate: 1.0,
         ..FaultConfig::standard()
     };
-    let runner = ChaosRunner::new(cluster, f64::INFINITY).expect("valid cluster");
+    let runner =
+        ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
     let injector = FaultInjector::new(11, config);
     let mut causes_seen: HashSet<&'static str> = HashSet::new();
     for (i, dag) in dags.iter().enumerate() {
@@ -175,7 +179,8 @@ fn chaos_full_checkpointing_never_hurts_under_faults() {
     let w = workload();
     let dags = dags(&w, 6);
     let cluster = ClusterConfig::default();
-    let runner = ChaosRunner::new(cluster, f64::INFINITY).expect("valid cluster");
+    let runner =
+        ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
     let injector = FaultInjector::new(
         5,
         FaultConfig {
@@ -254,10 +259,13 @@ fn chaos_delayed_feedback_still_rolls_back_poisoned_model() {
     let mut registry = ModelRegistry::new();
     registry.deploy(1.0f64, 0.02); // clean multiplier
     registry.deploy(poison, 0.02); // poisoned deployment with optimistic error
-    let mut monitor = FeedbackLoop::new(LoopConfig {
-        window: 10,
-        ..Default::default()
-    });
+    let mut monitor = FeedbackLoop::with_obs(
+        LoopConfig {
+            window: 10,
+            ..Default::default()
+        },
+        Obs::disabled(),
+    );
     let mut pipe = DelayedFeedback::new(FaultConfig::standard().feedback_delay);
 
     let mut rolled_back_at = None;
@@ -314,7 +322,8 @@ proptest! {
         let cm = CostModel::default();
         let job = &w.trace.jobs()[(seed % 10) as usize];
         let dag = StageDag::compile(&job.plan, &w.catalog, &cm).expect("compiles");
-        let runner = ChaosRunner::new(ClusterConfig::default(), 10f64.powi(capacity_exp as i32))
+        let capacity = 10f64.powi(capacity_exp as i32);
+        let runner = ChaosRunner::with_obs(ClusterConfig::default(), capacity, Obs::disabled())
             .expect("valid cluster");
         let schedule = FaultSchedule { events: events.clone() };
         let half: HashSet<StageId> =

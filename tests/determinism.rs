@@ -42,7 +42,7 @@ fn execution_simulation_is_reproducible() {
     .expect("valid")
     .generate()
     .expect("generates");
-    let sim = Simulator::new(ClusterConfig::default()).expect("valid");
+    let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).expect("valid");
     let cm = CostModel::default();
     for job in w.trace.jobs().iter().take(10) {
         let dag = StageDag::compile(&job.plan, &w.catalog, &cm).expect("compiles");
@@ -57,8 +57,8 @@ fn service_layer_simulations_are_reproducible() {
     let f1 = generate_fleet(50, 14, 0.6, 0.3, 5);
     let f2 = generate_fleet(50, 14, 0.6, 0.3, 5);
     assert_eq!(f1, f2);
-    let s1 = schedule_fleet(&f1, BackupForecaster::MlModel, 2, 0.25);
-    let s2 = schedule_fleet(&f2, BackupForecaster::MlModel, 2, 0.25);
+    let s1 = schedule_fleet(&f1, BackupForecaster::MlModel, 2, 0.25, &Obs::disabled());
+    let s2 = schedule_fleet(&f2, BackupForecaster::MlModel, 2, 0.25, &Obs::disabled());
     assert_eq!(s1, s2);
 
     let u1 = generate_usage(100, 14, 0.77, 3);
@@ -113,7 +113,7 @@ fn exec_reports_serialize_byte_identical() {
     .expect("valid")
     .generate()
     .expect("generates");
-    let sim = Simulator::new(ClusterConfig::default()).expect("valid");
+    let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).expect("valid");
     let cm = CostModel::default();
     for job in w.trace.jobs().iter().take(8) {
         let dag = StageDag::compile(&job.plan, &w.catalog, &cm).expect("compiles");

@@ -10,6 +10,7 @@ use autonomous_data_services::engine::physical::StageDag;
 use autonomous_data_services::engine::rules::{Optimizer, RuleSet};
 use autonomous_data_services::learned::cardinality::{LearnedCardinality, TrainConfig};
 use autonomous_data_services::learned::cost::{CostEnsemble, CostTrainConfig};
+use autonomous_data_services::obs::Obs;
 use autonomous_data_services::workload::analyze::WorkloadAnalysis;
 use autonomous_data_services::workload::gen::{
     GeneratedWorkload, GeneratorConfig, WorkloadGenerator,
@@ -33,7 +34,8 @@ fn every_generated_plan_compiles_optimizes_and_executes() {
     let est = DefaultEstimator::new(&w.catalog);
     let optimizer = Optimizer::default();
     let cost_model = CostModel::default();
-    let sim = Simulator::new(ClusterConfig::default()).expect("valid cluster");
+    let sim =
+        Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).expect("valid cluster");
     for job in w.trace.jobs().iter().take(100) {
         job.plan
             .validate(&w.catalog)
@@ -150,7 +152,8 @@ fn steered_ruleset_reduces_true_cost_when_promoted() {
             .total_cost(&o.plan, &truth)
             .expect("plan validates")
     };
-    let mut controller = SteeringController::new(RuleSet::all(), SteeringConfig::default());
+    let mut controller =
+        SteeringController::with_obs(RuleSet::all(), SteeringConfig::default(), Obs::disabled());
     for round in 0..50 {
         for (&sig, plans) in &by_template {
             let plan = plans[round % plans.len()];

@@ -1,154 +1,70 @@
-//! Replay equivalence between the flight recorder's backends.
+//! Replay equivalence for the flight recorder's batched backend.
 //!
-//! The batched hot-path recorder (`Obs::recording`) earns its speed with
-//! ring staging, string interning and pre-resolved handles — none of which
-//! may change a single exported byte. This suite drives the same seeded
-//! chaos scenario through the old-style direct-mutation reference backend
-//! (`Obs::recording_direct`), the batched default, and a batched recorder
-//! with a tiny staging ring (forcing many flush boundaries mid-scenario),
-//! and pins all three to byte-identical canonical JSON.
+//! The batched recorder (`Obs::recording`) earns its speed with ring
+//! staging, string interning and pre-resolved handles — none of which may
+//! change a single exported byte. This suite drives seeded scenarios
+//! through the default staging ring and a tiny ring (forcing many flush
+//! boundaries mid-scenario), takes snapshots at arbitrary points, and pins
+//! the exported canonical JSON to the golden digests in
+//! `tests/fixtures/golden_digests.json`.
 
-use autonomous_data_services::engine::cost::CostModel;
+mod golden;
+
 use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
-use autonomous_data_services::engine::physical::{StageDag, StageId};
-use autonomous_data_services::faultsim::{ChaosRunner, FaultConfig, FaultInjector};
-use autonomous_data_services::obs::{DeploymentKind, Obs};
-use autonomous_data_services::service::seagull::{
-    generate_fleet, schedule_fleet_with_obs, BackupForecaster,
-};
-use autonomous_data_services::workload::gen::{GeneratorConfig, WorkloadGenerator};
-use std::collections::HashSet;
+use autonomous_data_services::obs::Obs;
+use golden::{digest, drive_obs_scenario, obs_scenario_dags, Goldens};
 
-fn scenario_dags() -> Vec<StageDag> {
-    let w = WorkloadGenerator::new(GeneratorConfig {
-        days: 1,
-        jobs_per_day: 12,
-        ..Default::default()
-    })
-    .expect("valid")
-    .generate()
-    .expect("generates");
-    let cm = CostModel::default();
-    w.trace
-        .jobs()
-        .iter()
-        .take(8)
-        .map(|j| StageDag::compile(&j.plan, &w.catalog, &cm).expect("compiles"))
-        .collect()
-}
-
-/// One full seeded scenario: chaos-injected job runs (spans, events,
-/// counters, histograms), a seagull fleet sweep (decision records), and a
-/// deployment triple (deployment records) — every record kind the trace
-/// schema has.
-fn drive_scenario(obs: &Obs, dags: &[StageDag], seed: u64) {
-    let cluster = ClusterConfig::default();
-    let runner = ChaosRunner::with_obs(cluster, f64::INFINITY, obs.clone()).expect("valid cluster");
-    let injector = FaultInjector::new(seed, FaultConfig::standard());
-    for (i, dag) in dags.iter().enumerate() {
-        let schedule = injector.schedule_for(i as u64, cluster.machines);
-        let ckpt: HashSet<StageId> = dag
-            .stages()
-            .iter()
-            .map(|s| s.id)
-            .filter(|id| id.0 % 2 == 0)
-            .collect();
-        runner.run_job(dag, &ckpt, &schedule).expect("runs");
-    }
-
-    let fleet = generate_fleet(20, 14, 0.6, 0.3, seed);
-    schedule_fleet_with_obs(&fleet, BackupForecaster::MlModel, 2, 0.25, obs);
-
-    obs.record_deployment(
-        "serve.gateway",
-        DeploymentKind::Publish,
-        "m",
-        1,
-        "manual",
-        0.5,
-    );
-    obs.record_deployment(
-        "serve.gateway",
-        DeploymentKind::CanaryStart,
-        "m",
-        2,
-        "drift",
-        1.0,
-    );
-    obs.record_deployment(
-        "serve.gateway",
-        DeploymentKind::Rollback,
-        "m",
-        2,
-        "guard_trip",
-        2.0,
-    );
-}
-
-#[test]
-fn batched_and_direct_backends_export_byte_identical_traces() {
-    let dags = scenario_dags();
-    for seed in [7u64, 21, 42] {
-        let direct = Obs::recording_direct();
-        let batched = Obs::recording();
-        // A 3-record ring forces a flush boundary inside nearly every job,
-        // so flush-ordering bugs cannot hide behind a large ring.
-        let tiny_ring = Obs::recording_with_ring(3);
-        drive_scenario(&direct, &dags, seed);
-        drive_scenario(&batched, &dags, seed);
-        drive_scenario(&tiny_ring, &dags, seed);
-
-        let reference = direct.export_json();
-        assert_eq!(
-            reference,
-            batched.export_json(),
-            "seed {seed}: batched backend diverged from the direct reference"
-        );
-        assert_eq!(
-            reference,
-            tiny_ring.export_json(),
-            "seed {seed}: tiny-ring backend diverged from the direct reference"
-        );
-        assert!(
-            !reference.is_empty() && reference.contains("\"spans\""),
-            "seed {seed}: scenario must actually record something"
-        );
-    }
+/// Fresh recorders: the default ring and a 3-record ring that flushes
+/// inside nearly every job, so flush-ordering bugs cannot hide behind a
+/// large ring.
+fn backends() -> [(&'static str, Obs); 2] {
+    [
+        ("default ring", Obs::recording()),
+        ("3-slot ring", Obs::recording_with_ring(3)),
+    ]
 }
 
 #[test]
 fn backends_agree_across_interleaved_snapshots() {
     // Snapshots force flushes at arbitrary points; taking one mid-scenario
-    // must not perturb what either backend ultimately exports.
-    let dags = scenario_dags();
-    let direct = Obs::recording_direct();
-    let batched = Obs::recording();
-    let cluster = ClusterConfig::default();
-    for obs in [&direct, &batched] {
-        let sim = Simulator::with_obs(cluster, obs.clone()).expect("valid cluster");
+    // must not perturb what either ring size ultimately exports.
+    let dags = obs_scenario_dags();
+    let mut exports = Vec::new();
+    for (_, obs) in backends() {
+        let sim = Simulator::with_obs(ClusterConfig::default(), obs.clone()).expect("valid");
         for (i, dag) in dags.iter().enumerate() {
             sim.run(dag, &SimOptions::default()).expect("simulates");
             if i % 3 == 0 {
                 let _ = obs.snapshot();
             }
         }
+        exports.push(obs.export_json());
     }
-    assert_eq!(direct.export_json(), batched.export_json());
+    assert_eq!(exports[0], exports[1]);
+    let mut goldens = Goldens::new("obs_interleaved_snapshots");
+    goldens.record("trace", &exports[0]);
+    goldens.assert_all();
 }
 
 #[test]
 fn same_seed_replays_are_byte_identical_per_backend() {
-    let dags = scenario_dags();
-    for mk in [Obs::recording, Obs::recording_direct] {
-        let (a, b) = (mk(), mk());
-        drive_scenario(&a, &dags, 21);
-        drive_scenario(&b, &dags, 21);
-        assert_eq!(a.export_json(), b.export_json());
+    let dags = obs_scenario_dags();
+    let pinned = golden::expected("obs_scenario/seed=21/trace").expect("pinned in the fixture");
+    for ((name, a), (_, b)) in backends().into_iter().zip(backends()) {
+        drive_obs_scenario(&a, &dags, 21);
+        drive_obs_scenario(&b, &dags, 21);
+        let first = a.export_json();
+        assert_eq!(first, b.export_json(), "{name}: same-seed replay diverged");
+        assert_eq!(
+            digest(&first),
+            pinned,
+            "{name}: replay left the golden trace"
+        );
     }
     let a = Obs::recording();
     let b = Obs::recording();
-    drive_scenario(&a, &dags, 21);
-    drive_scenario(&b, &dags, 42);
+    drive_obs_scenario(&a, &dags, 21);
+    drive_obs_scenario(&b, &dags, 42);
     assert_ne!(
         a.export_json(),
         b.export_json(),

@@ -60,7 +60,7 @@ fn concatenated_chunks_match_export_json_and_parse() {
 
 #[test]
 fn empty_trace_streams_as_canonical_empty_document() {
-    for obs in [Obs::recording(), Obs::recording_direct(), Obs::disabled()] {
+    for obs in [Obs::recording(), Obs::disabled()] {
         let (streamed, _) = collect_stream(&obs, 16);
         assert_eq!(streamed, obs.export_json());
         let parsed: Trace = serde_json::from_str(&streamed).expect("parses");

@@ -12,6 +12,7 @@ use autonomous_data_services::engine::physical::StageDag;
 use autonomous_data_services::learned::cardinality::{LearnedCardinality, TrainConfig};
 use autonomous_data_services::ml::bundle::{ModelBundle, ModelKind};
 use autonomous_data_services::ml::forecast::{Forecaster, SeasonalNaive};
+use autonomous_data_services::obs::Obs;
 use autonomous_data_services::workload::evolution::analyze_evolution;
 use autonomous_data_services::workload::gen::{GeneratorConfig, WorkloadGenerator};
 use autonomous_data_services::workload::interchange::{export_plan, import_plan};
@@ -30,7 +31,7 @@ fn execute_record_train_loop_beats_default() {
     .expect("valid config")
     .generate()
     .expect("generates");
-    let sim = Simulator::new(ClusterConfig::default()).expect("valid");
+    let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).expect("valid");
     let cost_model = CostModel::default();
     let mut store = FeedbackStore::new();
     let (train_jobs, eval_jobs) = w.trace.jobs().split_at(400);

@@ -107,6 +107,7 @@ mod exec_properties {
     use autonomous_data_services::engine::cost::CostModel;
     use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
     use autonomous_data_services::engine::physical::StageDag;
+    use autonomous_data_services::obs::Obs;
     use autonomous_data_services::workload::catalog::Catalog;
     use proptest::prelude::*;
 
@@ -129,7 +130,7 @@ mod exec_properties {
                 slots_per_machine: slots,
                 ..Default::default()
             };
-            let sim = Simulator::new(config).expect("valid cluster");
+            let sim = Simulator::with_obs(config, Obs::disabled()).expect("valid cluster");
             let dag = StageDag::compile(&plan, &catalog, &CostModel::default()).expect("compiles");
             let report = sim.run(&dag, &SimOptions::default()).expect("simulates");
 
@@ -168,7 +169,8 @@ mod exec_properties {
             use std::collections::HashSet;
             let catalog = Catalog::standard();
             prop_assume!(plan.validate(&catalog).is_ok());
-            let sim = Simulator::new(ClusterConfig::default()).expect("valid");
+            let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled())
+                .expect("valid");
             let dag = StageDag::compile(&plan, &catalog, &CostModel::default()).expect("compiles");
             let all: HashSet<_> = dag.stages().iter().map(|s| s.id).collect();
             let plain = sim.run(&dag, &SimOptions::default()).expect("simulates");

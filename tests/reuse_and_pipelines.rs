@@ -7,6 +7,7 @@ use autonomous_data_services::checkpoint::{
 use autonomous_data_services::engine::cost::CostModel;
 use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
 use autonomous_data_services::engine::physical::StageDag;
+use autonomous_data_services::obs::Obs;
 use autonomous_data_services::pipeline::{optimize_pipelines, schedule, PipelineGraph, Policy};
 use autonomous_data_services::reuse::{
     replay, rewrite_plan, MatchPolicy, ReplayConfig, SelectionConfig, ViewCatalog,
@@ -109,13 +110,22 @@ fn pipeline_optimization_composes_with_scheduling() {
     assert!(report.optimized_work <= report.baseline_work * 1.2);
 
     // Scheduling both traces works and respects dependencies.
-    let baseline = schedule(&w.trace, &w.catalog, 8, 1e7, Policy::CriticalPath).expect("schedules");
+    let baseline = schedule(
+        &w.trace,
+        &w.catalog,
+        8,
+        1e7,
+        Policy::CriticalPath,
+        &Obs::disabled(),
+    )
+    .expect("schedules");
     let optimized = schedule(
         &autonomous_data_services::workload::job::Trace::new(jobs),
         &extended,
         8,
         1e7,
         Policy::CriticalPath,
+        &Obs::disabled(),
     )
     .expect("schedules");
     assert!(baseline.makespan > 0.0);
@@ -127,7 +137,7 @@ fn checkpoints_work_on_generated_jobs() {
     let w = workload();
     let cost_model = CostModel::default();
     let cluster = ClusterConfig::default();
-    let sim = Simulator::new(cluster).expect("valid cluster");
+    let sim = Simulator::with_obs(cluster, Obs::disabled()).expect("valid cluster");
 
     // Train the predictor on a handful of real generated jobs.
     let history: Vec<(StageDag, _)> = w
@@ -148,8 +158,8 @@ fn checkpoints_work_on_generated_jobs() {
     let job = &w.trace.jobs()[50];
     let dag = StageDag::compile(&job.plan, &w.catalog, &cost_model).expect("compiles");
     let forecast = predictor.forecast(&dag);
-    let plan = plan_checkpoints(&dag, &forecast, &PhoebeConfig::default());
-    let report = evaluate(&dag, &plan, cluster, 0.8).expect("evaluates");
+    let plan = plan_checkpoints(&dag, &forecast, &PhoebeConfig::default(), &Obs::disabled());
+    let report = evaluate(&dag, &plan, cluster, 0.8, &Obs::disabled()).expect("evaluates");
     assert!(report.baseline_latency > 0.0);
     assert!(report.ckpt_recovery <= report.baseline_recovery + 1e-9);
     assert!(report.hotspot_reduction >= 0.0);

@@ -8,6 +8,7 @@
 //! 2. **Bitwise hits** — a gateway cache hit returns a value bitwise equal
 //!    to what recomputing the prediction through the model would produce.
 
+use autonomous_data_services::obs::Obs;
 use autonomous_data_services::serve::{
     CacheKey, FnModel, Gateway, GatewayConfig, PredictionCache, Source,
 };
@@ -128,7 +129,7 @@ proptest! {
             (f[0] * 1.7).sin() * f[1].exp() + f[0] / (f[1].abs() + 0.25)
         }
 
-        let gateway = Gateway::new(GatewayConfig::standard());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
         let handle = gateway.register("props/model", |f: &[f64]| f[0]);
         gateway
             .publish(handle, Arc::new(FnModel(|f: &[f64]| model_fn(f))), 0.0)

@@ -8,6 +8,7 @@
 //! publisher bumps only **after** `Gateway::publish` returns: a read that
 //! starts after the watermark reads `w` must be answered by version ≥ `w`.
 
+use autonomous_data_services::obs::Obs;
 use autonomous_data_services::serve::{FnModel, Gateway, GatewayConfig, Source};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +19,7 @@ const READS_PER_CHECK: usize = 32;
 
 #[test]
 fn hot_swap_never_tears_or_rewinds() {
-    let gateway = Gateway::new(GatewayConfig::standard());
+    let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
     let handle = gateway.register("stress/versioned", |_f: &[f64]| -1.0);
 
     // Version the readers start from.
@@ -98,7 +99,7 @@ fn hot_swap_never_tears_or_rewinds() {
 /// race runs — hot swap replaces the serving snapshot, not the lineage.
 #[test]
 fn hot_swap_preserves_version_lineage() {
-    let gateway = Gateway::new(GatewayConfig::standard());
+    let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
     let handle = gateway.register("stress/lineage", |_f: &[f64]| 0.0);
     for v in 1..=10u64 {
         let version = gateway

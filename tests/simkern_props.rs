@@ -10,11 +10,11 @@ use std::rc::Rc;
 
 /// Records every dispatch it receives as `(fire_time, payload)`.
 #[derive(Default)]
-struct Recorder {
+struct DispatchLog {
     log: Vec<(f64, u64)>,
 }
 
-impl Component<u64> for Recorder {
+impl Component<u64> for DispatchLog {
     fn on_event(&mut self, event: &u64, ctx: &mut Ctx<'_, u64>) {
         self.log.push((ctx.time(), *event));
     }
@@ -52,7 +52,7 @@ proptest! {
     /// swapped across runs).
     #[test]
     fn event_ordering_is_a_total_order(times in grid_times()) {
-        let recorder = Rc::new(RefCell::new(Recorder::default()));
+        let recorder = Rc::new(RefCell::new(DispatchLog::default()));
         let mut sim: Simulation<u64> = Simulation::new(1);
         let id = sim.add_component(recorder.clone());
         for (i, &t) in times.iter().enumerate() {
@@ -85,7 +85,7 @@ proptest! {
         times in grid_times(),
         cancel_mask in proptest::collection::vec((0u32..2).prop_map(|v| v == 1), 64),
     ) {
-        let recorder = Rc::new(RefCell::new(Recorder::default()));
+        let recorder = Rc::new(RefCell::new(DispatchLog::default()));
         let mut sim: Simulation<u64> = Simulation::new(1);
         let id = sim.add_component(recorder.clone());
         let ids: Vec<_> = times
