@@ -10,17 +10,25 @@
 //! ulp off a decision instant, a reordered tie, a flush-order slip in the
 //! recorder) shows up as a named digest mismatch.
 //!
+//! The `stage_compile` and `learned_features` families pin the estimator
+//! passes behind stage compile and plan featurization bit for bit, so a
+//! change to how the catalog resolves names, or to how many estimator
+//! passes a costing makes, cannot move a single estimate.
+//!
 //! Digests are stable across processes and identical in debug and release
 //! builds; the suite runs under both.
 
 mod golden;
 
+use autonomous_data_services::engine::cardinality::CardinalityModel;
 use autonomous_data_services::engine::cost::CostModel;
 use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
 use autonomous_data_services::engine::physical::{StageDag, StageId};
 use autonomous_data_services::faultsim::{
     ChaosRunner, FaultConfig, FaultEvent, FaultInjector, FaultSchedule,
 };
+use autonomous_data_services::learned::cardinality::{LearnedCardinality, TrainConfig};
+use autonomous_data_services::learned::features;
 use autonomous_data_services::obs::{DeploymentKind, Obs, Provenance};
 use autonomous_data_services::pipeline::{schedule, Policy};
 use autonomous_data_services::workload::catalog::Catalog;
@@ -80,6 +88,112 @@ fn big_plan_dag() -> StageDag {
     )
     .aggregate(vec![1]);
     StageDag::compile(&plan, &Catalog::standard(), &CostModel::default()).expect("compiles")
+}
+
+// ------------------------------------------------------------- estimators
+
+/// Recurring fractions of the estimator traces: mostly recurring jobs over
+/// the standard tables, and mostly ad-hoc jobs that each add a private
+/// table (about 2.7k tables by the end of the trace).
+const ESTIMATOR_FRACTIONS: [f64; 2] = [0.9, 0.1];
+
+/// A 3-day × 1000-job trace at `recurring_fraction`, over 20 templates so
+/// both fractions see enough instances per template to train micromodels.
+fn estimator_workload(seed: u64, recurring_fraction: f64) -> GeneratedWorkload {
+    WorkloadGenerator::new(GeneratorConfig {
+        days: 3,
+        jobs_per_day: 1000,
+        recurring_fraction,
+        n_templates: 20,
+        seed,
+        ..Default::default()
+    })
+    .expect("valid config")
+    .generate()
+    .expect("generates")
+}
+
+/// Floats as their IEEE-754 bit patterns, so the digest sees every ulp.
+fn bits(values: &[f64]) -> String {
+    values
+        .iter()
+        .map(|v| format!("{:016x}", v.to_bits()))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// Every field of every stage of `dag`, one stage per line.
+fn stage_lines(dag: &StageDag) -> String {
+    dag.stages()
+        .iter()
+        .map(|s| {
+            let inputs: Vec<String> = s.inputs.iter().map(|i| i.0.to_string()).collect();
+            format!(
+                "{} {} [{}] {} {}",
+                s.id.0,
+                s.op,
+                inputs.join(","),
+                bits(&[s.work, s.est_work, s.rows, s.est_rows, s.output_bytes]),
+                s.tasks
+            )
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Stage compile of every job of both estimator traces: true and estimated
+/// rows and work, output bytes and task counts of every stage.
+#[test]
+fn stage_compile_matches_golden_digests() {
+    let mut goldens = Goldens::new("stage_compile");
+    let cm = CostModel::default();
+    for seed in SEEDS {
+        for fraction in ESTIMATOR_FRACTIONS {
+            let w = estimator_workload(seed, fraction);
+            let dags: Vec<String> = w
+                .trace
+                .jobs()
+                .iter()
+                .map(|j| {
+                    stage_lines(&StageDag::compile(&j.plan, &w.catalog, &cm).expect("compiles"))
+                })
+                .collect();
+            goldens.record_digest(format!("rf={fraction}/seed={seed}"), digest_all(&dags));
+        }
+    }
+    goldens.assert_all();
+}
+
+/// Micromodels trained on each estimator trace, then the learned
+/// annotation and the feature vector of every job of that trace.
+#[test]
+fn learned_features_match_golden_digests() {
+    let mut goldens = Goldens::new("learned_features");
+    let cm = CostModel::default();
+    for seed in SEEDS {
+        for fraction in ESTIMATOR_FRACTIONS {
+            let w = estimator_workload(seed, fraction);
+            let plans: Vec<LogicalPlan> = w.trace.jobs().iter().map(|j| j.plan.clone()).collect();
+            let (learned, report) =
+                LearnedCardinality::train(&w.catalog, &plans, TrainConfig::default());
+            assert!(
+                report.models_kept > 0,
+                "rf={fraction} seed={seed}: no micromodel kept"
+            );
+            let annotations: Vec<String> = plans
+                .iter()
+                .map(|p| bits(&learned.annotate(p).expect("annotates")))
+                .collect();
+            let featurized: Vec<String> = plans
+                .iter()
+                .map(|p| bits(&features::featurize(p, &w.catalog, &cm)))
+                .collect();
+            let case = format!("rf={fraction}/seed={seed}");
+            goldens.record_digest(format!("{case}/annotate"), digest_all(&annotations));
+            goldens.record_digest(format!("{case}/featurize"), digest_all(&featurized));
+        }
+    }
+    goldens.assert_all();
 }
 
 // ------------------------------------------------------------ chaos drill
