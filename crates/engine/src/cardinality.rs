@@ -10,7 +10,7 @@
 //! \[49\]) effective: instances of one template err the same way.
 
 use crate::Result;
-use adas_workload::catalog::{Catalog, ColumnMeta};
+use adas_workload::catalog::{Catalog, ColumnMeta, TableMeta};
 use adas_workload::plan::{CmpOp, LogicalPlan, PlanKind, Predicate};
 use adas_workload::signature::{template_signature_in, Fnv1a};
 
@@ -91,13 +91,7 @@ fn true_selectivity(meta: &ColumnMeta, op: CmpOp, value: i64) -> f64 {
     .clamp(0.0, 1.0)
 }
 
-fn predicate_selectivity(
-    catalog: &Catalog,
-    table: &str,
-    predicate: &Predicate,
-    truth: bool,
-) -> Result<f64> {
-    let meta = catalog.table(table)?;
+fn predicate_selectivity(meta: &TableMeta, predicate: &Predicate, truth: bool) -> Result<f64> {
     let mut sel = 1.0;
     for clause in &predicate.clauses {
         let col = meta.column(clause.column)?;
@@ -127,89 +121,80 @@ fn correlation_factor(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
     6.0f64.powf(unit)
 }
 
-fn annotate_node(
-    catalog: &Catalog,
+/// Annotates `plan` in pre-order into `out` and returns the metadata of its
+/// base table ([`LogicalPlan::base_table`]: the leftmost scan). Each table
+/// is resolved once, at its scan, and handed up to the filters, join sides
+/// and aggregates that read its columns.
+fn annotate_node<'c>(
+    catalog: &'c Catalog,
     plan: &LogicalPlan,
     truth: bool,
     out: &mut Vec<f64>,
-) -> Result<f64> {
+) -> Result<&'c TableMeta> {
     let slot = out.len();
     out.push(0.0);
-    let rows = match &plan.kind {
-        PlanKind::Scan { table } => catalog.table(table)?.rows as f64,
+    let (rows, base) = match &plan.kind {
+        PlanKind::Scan { table } => {
+            let meta = catalog.table(table)?;
+            (meta.rows as f64, meta)
+        }
         PlanKind::Filter { predicate } => {
             let child_slot = out.len();
-            annotate_node(catalog, &plan.children[0], truth, out)?;
+            let base = annotate_node(catalog, &plan.children[0], truth, out)?;
             let child_rows = out[child_slot];
-            let table = plan.base_table().ok_or_else(|| {
-                adas_workload::WorkloadError::MalformedPlan("filter without base table".into())
-            })?;
-            let sel = predicate_selectivity(catalog, table, predicate, truth)?;
+            let sel = predicate_selectivity(base, predicate, truth)?;
             let mut rows = child_rows * sel;
             if truth {
                 rows *= correlation_factor(plan, catalog);
             }
-            rows.min(child_rows)
+            (rows.min(child_rows), base)
         }
         PlanKind::Project { .. } => {
             let child_slot = out.len();
-            annotate_node(catalog, &plan.children[0], truth, out)?;
-            out[child_slot]
+            let base = annotate_node(catalog, &plan.children[0], truth, out)?;
+            (out[child_slot], base)
         }
         PlanKind::Join {
             left_key,
             right_key,
         } => {
             let left_slot = out.len();
-            annotate_node(catalog, &plan.children[0], truth, out)?;
+            let left = annotate_node(catalog, &plan.children[0], truth, out)?;
             let right_slot = out.len();
-            annotate_node(catalog, &plan.children[1], truth, out)?;
+            let right = annotate_node(catalog, &plan.children[1], truth, out)?;
             let (l, r) = (out[left_slot], out[right_slot]);
             // Strict resolution: a join key that no longer resolves against
             // its side's base table marks the plan invalid, exactly as
             // `LogicalPlan::validate` would — so the optimizer rejects
             // rewrites that rebind columns.
-            let side_ndv = |side: usize, key: usize| -> Result<f64> {
-                let table = plan.children[side].base_table().ok_or_else(|| {
-                    adas_workload::WorkloadError::MalformedPlan(
-                        "join side without base table".into(),
-                    )
-                })?;
-                Ok(catalog.table(table)?.column(key)?.distinct as f64)
-            };
-            let l_ndv = side_ndv(0, *left_key)?;
-            let r_ndv = side_ndv(1, *right_key)?;
+            let l_ndv = left.column(*left_key)?.distinct as f64;
+            let r_ndv = right.column(*right_key)?.distinct as f64;
             let mut rows = l * r / l_ndv.max(r_ndv).max(1.0);
             if truth {
                 rows *= correlation_factor(plan, catalog);
             }
-            rows.min(l * r)
+            (rows.min(l * r), left)
         }
         PlanKind::Aggregate { group_by } => {
             let child_slot = out.len();
-            annotate_node(catalog, &plan.children[0], truth, out)?;
+            let base = annotate_node(catalog, &plan.children[0], truth, out)?;
             let child_rows = out[child_slot];
-            let table = plan.base_table().ok_or_else(|| {
-                adas_workload::WorkloadError::MalformedPlan("aggregate without base table".into())
-            })?;
-            let meta = catalog.table(table)?;
             let mut groups = 1.0f64;
             for &c in group_by {
-                groups *= meta.column(c)?.distinct as f64;
+                groups *= base.column(c)?.distinct as f64;
             }
-            groups.min(child_rows).max(1.0)
+            (groups.min(child_rows).max(1.0), base)
         }
         PlanKind::Union => {
             let left_slot = out.len();
-            annotate_node(catalog, &plan.children[0], truth, out)?;
+            let left = annotate_node(catalog, &plan.children[0], truth, out)?;
             let right_slot = out.len();
             annotate_node(catalog, &plan.children[1], truth, out)?;
-            out[left_slot] + out[right_slot]
+            (out[left_slot] + out[right_slot], left)
         }
     };
-    let rows = rows.max(1.0);
-    out[slot] = rows;
-    Ok(rows)
+    out[slot] = rows.max(1.0);
+    Ok(base)
 }
 
 /// The classical default estimator (uniformity + independence).

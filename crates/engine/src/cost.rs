@@ -79,12 +79,19 @@ impl CostModel {
         plan: &LogicalPlan,
         cards: &dyn CardinalityModel,
     ) -> Result<CostBreakdown> {
-        let rows = cards.annotate(plan)?;
+        Ok(self.breakdown_annotated(plan, &cards.annotate(plan)?))
+    }
+
+    /// Per-node cost breakdown from `rows`, a pre-order annotation of
+    /// `plan` (one estimate per node, as [`CardinalityModel::annotate`]
+    /// returns it). Lets a caller that already holds an annotation cost it
+    /// without a second estimator pass.
+    pub fn breakdown_annotated(&self, plan: &LogicalPlan, rows: &[f64]) -> CostBreakdown {
         let mut per_node = vec![0.0; rows.len()];
         let mut cursor = 0usize;
-        self.node_cost(plan, &rows, &mut cursor, &mut per_node);
+        self.node_cost(plan, rows, &mut cursor, &mut per_node);
         let total = per_node.iter().sum();
-        Ok(CostBreakdown { per_node, total })
+        CostBreakdown { per_node, total }
     }
 
     /// Computes the cost of the node at `*cursor` (pre-order) and recurses.

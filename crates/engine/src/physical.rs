@@ -58,14 +58,14 @@ pub struct StageDag {
 
 impl StageDag {
     /// Compiles a logical plan into a stage DAG, annotating each stage with
-    /// true and estimated work from the catalog's cardinality models.
+    /// true and estimated work from the catalog's cardinality models. Each
+    /// model annotates the plan once; both cost breakdowns are built from
+    /// those annotations.
     pub fn compile(plan: &LogicalPlan, catalog: &Catalog, cost_model: &CostModel) -> Result<Self> {
-        let truth = TrueCardinality::new(catalog);
-        let default = DefaultEstimator::new(catalog);
-        let true_rows = truth.annotate(plan)?;
-        let est_rows = default.annotate(plan)?;
-        let true_cost = cost_model.breakdown(plan, &truth)?;
-        let est_cost = cost_model.breakdown(plan, &default)?;
+        let true_rows = TrueCardinality::new(catalog).annotate(plan)?;
+        let est_rows = DefaultEstimator::new(catalog).annotate(plan)?;
+        let true_cost = cost_model.breakdown_annotated(plan, &true_rows);
+        let est_cost = cost_model.breakdown_annotated(plan, &est_rows);
 
         // Walk the plan in pre-order, emitting stages in *post-order* so the
         // vector is topologically sorted (children first).

@@ -227,11 +227,12 @@ impl<'a> LearnedCardinality<'a> {
 impl CardinalityModel for LearnedCardinality<'_> {
     /// Root estimate from the micromodel when covered, else default; inner
     /// nodes always use the default estimator (the paper's fallback
-    /// behaviour).
+    /// behaviour). One default-estimator pass serves both the annotation
+    /// and the micromodel's features.
     fn annotate(&self, plan: &LogicalPlan) -> adas_engine::Result<Vec<f64>> {
         let mut ann = DefaultEstimator::new(self.catalog).annotate(plan)?;
         if let Some(model) = self.models.get(&template_signature(plan)) {
-            let f = features::featurize(plan, self.catalog, &self.cost_model);
+            let f = features::featurize_annotated(plan, &ann, &self.cost_model);
             ann[0] = model.predict(&f).exp().max(1.0);
         }
         Ok(ann)

@@ -19,13 +19,32 @@ pub const WIDTH: usize = 4 + N_LITERALS;
 /// Extracts the feature vector for a plan:
 /// `[log(default_rows), log(default_cost), node_count, join_count,
 /// literal_0..literal_3]` (missing literals are zero).
+///
+/// Runs the default estimator once; a plan it cannot annotate gets
+/// `log(1)` for both estimates.
 pub fn featurize(plan: &LogicalPlan, catalog: &Catalog, cost_model: &CostModel) -> Vec<f64> {
-    let est = DefaultEstimator::new(catalog);
-    let rows = est.estimate(plan).unwrap_or(1.0).max(1.0);
-    let cost = cost_model.total_cost(plan, &est).unwrap_or(1.0).max(1.0);
+    match DefaultEstimator::new(catalog).annotate(plan) {
+        Ok(rows) => featurize_annotated(plan, &rows, cost_model),
+        Err(_) => features_from(plan, 1.0, 1.0),
+    }
+}
+
+/// [`featurize`] from `default_rows`, the default estimator's pre-order
+/// annotation of `plan`, for callers that already hold it: no estimator
+/// pass at all.
+pub fn featurize_annotated(
+    plan: &LogicalPlan,
+    default_rows: &[f64],
+    cost_model: &CostModel,
+) -> Vec<f64> {
+    let cost = cost_model.breakdown_annotated(plan, default_rows).total;
+    features_from(plan, default_rows[0], cost)
+}
+
+fn features_from(plan: &LogicalPlan, rows: f64, cost: f64) -> Vec<f64> {
     let mut features = Vec::with_capacity(WIDTH);
-    features.push(rows.ln());
-    features.push(cost.ln());
+    features.push(rows.max(1.0).ln());
+    features.push(cost.max(1.0).ln());
     features.push(plan.node_count() as f64);
     features.push(
         plan.iter()

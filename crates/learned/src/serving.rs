@@ -143,7 +143,7 @@ impl CardinalityModel for ServedCardinality<'_> {
         let mut ann = DefaultEstimator::new(self.catalog).annotate(plan)?;
         let sig = template_signature(plan);
         if let Some(&handle) = self.handles.get(&sig) {
-            let f = features::featurize(plan, self.catalog, &self.cost_model);
+            let f = features::featurize_annotated(plan, &ann, &self.cost_model);
             let prediction = self
                 .gateway
                 .predict(handle, &f, self.sim_time.get())

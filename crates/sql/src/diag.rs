@@ -27,6 +27,13 @@ pub enum ErrorKind {
         /// What the grammar allowed here.
         expected: String,
     },
+    /// Parenthesized queries nest deeper than the parser accepts; the span
+    /// points at the `(` that crossed the limit.
+    NestingTooDeep {
+        /// The deepest nesting accepted
+        /// ([`MAX_NESTING_DEPTH`](crate::parser::MAX_NESTING_DEPTH)).
+        limit: usize,
+    },
     /// A complete query was parsed but input remains.
     TrailingInput {
         /// The first leftover token, as written.
@@ -123,6 +130,9 @@ impl fmt::Display for SqlError {
             }
             ErrorKind::UnexpectedEof { expected } => {
                 write!(f, "expected {expected}, found end of input")
+            }
+            ErrorKind::NestingTooDeep { limit } => {
+                write!(f, "queries nest more than {limit} levels deep")
             }
             ErrorKind::TrailingInput { found } => {
                 write!(f, "unexpected `{found}` after the end of the query")

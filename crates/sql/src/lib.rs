@@ -451,6 +451,24 @@ mod tests {
     }
 
     #[test]
+    fn diagnostic_nesting_too_deep() {
+        let depth = parser::MAX_NESTING_DEPTH + 1;
+        let sql = format!(
+            "{}SELECT * FROM events{}",
+            "(".repeat(depth),
+            ")".repeat(depth)
+        );
+        let expected = [
+            "error: queries nest more than 64 levels deep".to_string(),
+            "  |".to_string(),
+            format!("1 | {sql}"),
+            format!("  | {}^", " ".repeat(depth - 1)),
+        ]
+        .join("\n");
+        assert_eq!(render_err(&sql), expected);
+    }
+
+    #[test]
     fn diagnostic_qualifier_mismatch() {
         let expected = [
             "error: qualifier `users` does not match the base table `events` resolving this \

@@ -23,6 +23,11 @@
 //! `?` placeholders are numbered left to right in lexical order. The parser
 //! is purely syntactic: names, parameter arity, and clause legality are the
 //! rewrite pipeline's business.
+//!
+//! Parenthesized queries — `( query )` as a union operand or as a derived
+//! table — nest at most [`MAX_NESTING_DEPTH`] deep. Past that the parser
+//! returns [`ErrorKind::NestingTooDeep`] pointing at the `(` that crossed
+//! the limit, instead of recursing until the stack overflows.
 
 use crate::ast::{
     BetweenCond, CmpCond, ColumnRef, Condition, FromItem, JoinClause, Limit, OrderKey, QueryExpr,
@@ -32,6 +37,12 @@ use crate::diag::{ErrorKind, Result, SqlError};
 use crate::lexer::{lex, Token, TokenKind};
 use adas_workload::plan::CmpOp;
 
+/// Deepest nesting of parenthesized queries the parser accepts. Generator
+/// plans render at most two levels deep; the limit leaves ample headroom
+/// while keeping the parser's recursion, and every later walk over that
+/// nesting, far below any thread's stack.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parses a complete query, consuming all input.
 pub fn parse(sql: &str) -> Result<QueryExpr> {
     let tokens = lex(sql)?;
@@ -40,6 +51,7 @@ pub fn parse(sql: &str) -> Result<QueryExpr> {
         tokens,
         pos: 0,
         next_param: 0,
+        depth: 0,
     };
     let query = parser.query()?;
     let token = *parser.peek();
@@ -59,6 +71,8 @@ struct Parser<'a> {
     tokens: Vec<Token>,
     pos: usize,
     next_param: usize,
+    /// Parenthesized queries currently open around the parse position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -139,6 +153,24 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a `query` inside the `(` at `open`, which `union_term` and
+    /// `parse_from_item` have just consumed: the one place recursion
+    /// deepens, so the one place depth is counted.
+    fn nested_query(&mut self, open: Span) -> Result<QueryExpr> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(SqlError::new(
+                ErrorKind::NestingTooDeep {
+                    limit: MAX_NESTING_DEPTH,
+                },
+                open,
+            ));
+        }
+        self.depth += 1;
+        let query = self.query();
+        self.depth -= 1;
+        query
+    }
+
     fn query(&mut self) -> Result<QueryExpr> {
         let mut left = self.union_term()?;
         while self.at_keyword("UNION") {
@@ -157,8 +189,8 @@ impl Parser<'_> {
 
     fn union_term(&mut self) -> Result<QueryExpr> {
         if self.peek().kind == TokenKind::LParen {
-            self.advance();
-            let query = self.query()?;
+            let open = self.advance().span;
+            let query = self.nested_query(open)?;
             self.expect(&TokenKind::RParen, "`)`")?;
             Ok(query)
         } else {
@@ -282,7 +314,7 @@ impl Parser<'_> {
         match &self.peek().kind {
             TokenKind::LParen => {
                 let start = self.advance().span;
-                let query = self.query()?;
+                let query = self.nested_query(start)?;
                 let end = self.expect(&TokenKind::RParen, "`)`")?.span;
                 Ok(FromItem::Derived {
                     query: Box::new(query),
@@ -512,6 +544,74 @@ mod tests {
         };
         assert_eq!(c.value.concrete(), Some(i64::MIN));
         assert!(parse(&format!("SELECT * FROM t WHERE a = {}", 1u64 << 63)).is_err());
+    }
+
+    /// `depth` parenthesized levels around a minimal query.
+    fn nested(depth: usize) -> String {
+        format!("{}SELECT * FROM t{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    /// `depth` levels of derived tables.
+    fn nested_derived(depth: usize) -> String {
+        format!(
+            "{}SELECT * FROM t{}",
+            "SELECT * FROM (".repeat(depth),
+            ")".repeat(depth)
+        )
+    }
+
+    #[test]
+    fn nesting_at_the_limit_is_accepted() {
+        assert!(parse(&nested(MAX_NESTING_DEPTH)).is_ok());
+        assert!(parse(&nested_derived(MAX_NESTING_DEPTH)).is_ok());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_points_at_the_crossing_paren() {
+        let too_deep = ErrorKind::NestingTooDeep {
+            limit: MAX_NESTING_DEPTH,
+        };
+        let err = parse(&nested(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.kind, too_deep);
+        let at = MAX_NESTING_DEPTH; // byte offset of the (limit + 1)-th `(`
+        assert_eq!((err.span.start, err.span.end), (at, at + 1));
+
+        let sql = nested_derived(MAX_NESTING_DEPTH + 1);
+        let err = parse(&sql).unwrap_err();
+        assert_eq!(err.kind, too_deep);
+        let at = (MAX_NESTING_DEPTH + 1) * "SELECT * FROM (".len() - 1;
+        assert_eq!(&sql[err.span.start..err.span.end], "(");
+        assert_eq!(err.span.start, at);
+    }
+
+    #[test]
+    fn mixed_union_and_derived_nesting_counts_both() {
+        // Alternate the two re-entry points: each level is one `(`.
+        let mut sql = String::from("SELECT * FROM t");
+        for level in 0..=MAX_NESTING_DEPTH {
+            sql = if level % 2 == 0 {
+                format!("SELECT * FROM t UNION ALL ({sql})")
+            } else {
+                format!("SELECT * FROM ({sql})")
+            };
+        }
+        let err = parse(&sql).unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::NestingTooDeep { .. }));
+    }
+
+    #[test]
+    fn pathological_nesting_is_rejected_without_overflow() {
+        // Runs on a test thread's default stack in debug builds: without
+        // the limit this recursion overflows and aborts the process.
+        let err = parse(&nested(100_000)).unwrap_err();
+        assert_eq!(
+            err.kind,
+            ErrorKind::NestingTooDeep {
+                limit: MAX_NESTING_DEPTH
+            }
+        );
+        let err = parse(&nested_derived(100_000)).unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::NestingTooDeep { .. }));
     }
 
     #[test]

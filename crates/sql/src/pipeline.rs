@@ -38,11 +38,6 @@ use adas_workload::plan::LogicalPlan;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-/// Name → table-metadata index built once per [`Frontend`], so resolution
-/// never pays the catalog's linear table scan per reference (generated
-/// catalogs carry thousands of ad-hoc tables).
-type TableIndex<'a> = BTreeMap<&'a str, &'a TableMeta>;
-
 /// Obs component name for every front-end span and counter.
 pub const COMPONENT: &str = "sql.frontend";
 
@@ -209,13 +204,13 @@ impl QueryRule {
     fn apply(
         self,
         query: &mut QueryExpr,
-        tables: &TableIndex<'_>,
+        catalog: &Catalog,
         params: &[i64],
     ) -> Result<RuleOutcome> {
         match self {
-            Self::RelationDiscovery => relation_discovery(query, tables),
+            Self::RelationDiscovery => relation_discovery(query, catalog),
             Self::ParamBind => param_bind(query, params),
-            Self::ColumnResolution => column_resolution(query, tables),
+            Self::ColumnResolution => column_resolution(query, catalog),
             Self::BetweenDesugar => between_desugar(query),
             Self::ComparisonFlip => comparison_flip(query),
             Self::DerivedTableCollapse => derived_table_collapse(query),
@@ -344,12 +339,12 @@ fn is_passthrough(block: &SelectBlock) -> bool {
 // Rule bodies.
 // ---------------------------------------------------------------------------
 
-fn relation_discovery(query: &mut QueryExpr, tables: &TableIndex<'_>) -> Result<RuleOutcome> {
+fn relation_discovery(query: &mut QueryExpr, catalog: &Catalog) -> Result<RuleOutcome> {
     let mut missing: Option<(String, Span)> = None;
     query.for_each_block(&mut |block| {
         for item in block_items(block) {
             if let FromItem::Table { name, span } = item {
-                if missing.is_none() && !tables.contains_key(name.as_str()) {
+                if missing.is_none() && catalog.table(name).is_err() {
                     missing = Some((name.clone(), *span));
                 }
             }
@@ -414,12 +409,12 @@ fn param_bind(query: &mut QueryExpr, params: &[i64]) -> Result<RuleOutcome> {
     })
 }
 
-fn column_resolution(query: &mut QueryExpr, tables: &TableIndex<'_>) -> Result<RuleOutcome> {
+fn column_resolution(query: &mut QueryExpr, catalog: &Catalog) -> Result<RuleOutcome> {
     let mut resolved = 0usize;
     let mut error: Option<SqlError> = None;
     query.for_each_block_mut(&mut |block| {
         let base = block.from.base_table().0;
-        let base_meta = tables.get(base).copied();
+        let base_meta = catalog.table(base).ok();
         let mut resolve = |column: &mut ColumnRef, base: &str, table: Option<&TableMeta>| {
             if error.is_some() || column.resolved.is_some() {
                 return;
@@ -480,7 +475,7 @@ fn column_resolution(query: &mut QueryExpr, tables: &TableIndex<'_>) -> Result<R
             .for_each(|k| resolve(&mut k.column, base, base_meta));
         if let Some(join) = &mut block.join {
             let right_base = join.right.base_table().0;
-            let right_meta = tables.get(right_base).copied();
+            let right_meta = catalog.table(right_base).ok();
             resolve(&mut join.left_key, base, base_meta);
             resolve(&mut join.right_key, right_base, right_meta);
         }
@@ -816,20 +811,13 @@ impl PhaseOrders {
 #[derive(Debug, Clone)]
 pub struct Frontend<'a> {
     catalog: &'a Catalog,
-    tables: TableIndex<'a>,
 }
 
 impl<'a> Frontend<'a> {
-    /// Creates a front-end resolving names against `catalog`. Builds a
-    /// name → table index once so per-query resolution is logarithmic in
-    /// the catalog size.
+    /// Creates a front-end resolving names against `catalog` (through
+    /// [`Catalog::table`], the catalog's own name index).
     pub fn new(catalog: &'a Catalog) -> Self {
-        let tables = catalog
-            .tables()
-            .iter()
-            .map(|t| (t.name.as_str(), t))
-            .collect();
-        Self { catalog, tables }
+        Self { catalog }
     }
 
     /// The catalog this front-end resolves against.
@@ -984,7 +972,7 @@ impl<'a> Frontend<'a> {
                 for &rule in orders.order_for(phase) {
                     let outcome = if rule.matches_context(&cx) {
                         *tick += 1.0;
-                        rule.apply(query, &self.tables, params)?
+                        rule.apply(query, self.catalog, params)?
                     } else {
                         RuleOutcome::NotApplicable
                     };

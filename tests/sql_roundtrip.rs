@@ -5,6 +5,7 @@
 //! be able to tell the two worlds apart.
 
 use autonomous_data_services::reuse::{replay, ReplayConfig};
+use autonomous_data_services::sql::parser::MAX_NESTING_DEPTH;
 use autonomous_data_services::sql::{Frontend, QueryRule, RuleOutcome};
 use autonomous_data_services::workload::analyze::WorkloadAnalysis;
 use autonomous_data_services::workload::gen::{
@@ -134,4 +135,40 @@ fn sql_born_trace_is_indistinguishable_downstream() {
         replay(&w.trace, &w.catalog, &ReplayConfig::default()).expect("replay runs");
     let sql_report = replay(&sql_trace, &w.catalog, &ReplayConfig::default()).expect("replay runs");
     assert_eq!(baseline_report, sql_report);
+}
+
+/// The parser's nesting limit sits far above anything the generator's
+/// plans render to, at both recurring fractions the benchmarks use.
+#[test]
+fn generator_sql_nests_well_below_the_parser_limit() {
+    let mut deepest = 0usize;
+    for recurring_fraction in [0.9, 0.1] {
+        let w = WorkloadGenerator::new(GeneratorConfig {
+            days: 2,
+            jobs_per_day: 200,
+            recurring_fraction,
+            ..Default::default()
+        })
+        .expect("valid config")
+        .generate()
+        .expect("generation succeeds");
+        for job in w.sql_jobs().expect("every generated plan renders") {
+            let mut depth = 0usize;
+            for c in job.sql.chars() {
+                match c {
+                    '(' => {
+                        depth += 1;
+                        deepest = deepest.max(depth);
+                    }
+                    ')' => depth -= 1,
+                    _ => {}
+                }
+            }
+        }
+    }
+    assert!(deepest > 0, "generator plans render nested queries");
+    assert!(
+        4 * deepest <= MAX_NESTING_DEPTH,
+        "generator SQL nests {deepest} deep against a limit of {MAX_NESTING_DEPTH}"
+    );
 }
