@@ -70,23 +70,14 @@ impl CostModel {
 
     /// Total plan cost under the given cardinality model.
     pub fn total_cost(&self, plan: &LogicalPlan, cards: &dyn CardinalityModel) -> Result<f64> {
-        Ok(self.breakdown(plan, cards)?.total)
-    }
-
-    /// Per-node cost breakdown under the given cardinality model.
-    pub fn breakdown(
-        &self,
-        plan: &LogicalPlan,
-        cards: &dyn CardinalityModel,
-    ) -> Result<CostBreakdown> {
-        Ok(self.breakdown_annotated(plan, &cards.annotate(plan)?))
+        Ok(self.breakdown(plan, &cards.annotate(plan)?).total)
     }
 
     /// Per-node cost breakdown from `rows`, a pre-order annotation of
     /// `plan` (one estimate per node, as [`CardinalityModel::annotate`]
-    /// returns it). Lets a caller that already holds an annotation cost it
-    /// without a second estimator pass.
-    pub fn breakdown_annotated(&self, plan: &LogicalPlan, rows: &[f64]) -> CostBreakdown {
+    /// returns it), so a caller that holds an annotation costs it without
+    /// a second estimator pass.
+    pub fn breakdown(&self, plan: &LogicalPlan, rows: &[f64]) -> CostBreakdown {
         let mut per_node = vec![0.0; rows.len()];
         let mut cursor = 0usize;
         self.node_cost(plan, rows, &mut cursor, &mut per_node);
@@ -192,7 +183,7 @@ mod tests {
             .filter(Predicate::single(1, CmpOp::Eq, 3))
             .aggregate(vec![3])
             .project(vec![0]);
-        let b = model.breakdown(&plan, &est).unwrap();
+        let b = model.breakdown(&plan, &est.annotate(&plan).unwrap());
         assert_eq!(b.per_node.len(), plan.node_count());
         assert!((b.per_node.iter().sum::<f64>() - b.total).abs() < 1e-9);
         assert!(b.per_node.iter().all(|&c| c >= 0.0));

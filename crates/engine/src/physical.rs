@@ -64,8 +64,8 @@ impl StageDag {
     pub fn compile(plan: &LogicalPlan, catalog: &Catalog, cost_model: &CostModel) -> Result<Self> {
         let true_rows = TrueCardinality::new(catalog).annotate(plan)?;
         let est_rows = DefaultEstimator::new(catalog).annotate(plan)?;
-        let true_cost = cost_model.breakdown_annotated(plan, &true_rows);
-        let est_cost = cost_model.breakdown_annotated(plan, &est_rows);
+        let true_cost = cost_model.breakdown(plan, &true_rows);
+        let est_cost = cost_model.breakdown(plan, &est_rows);
 
         // Walk the plan in pre-order, emitting stages in *post-order* so the
         // vector is topologically sorted (children first).

@@ -37,7 +37,7 @@ pub fn featurize_annotated(
     default_rows: &[f64],
     cost_model: &CostModel,
 ) -> Vec<f64> {
-    let cost = cost_model.breakdown_annotated(plan, default_rows).total;
+    let cost = cost_model.breakdown(plan, default_rows).total;
     features_from(plan, default_rows[0], cost)
 }
 

@@ -80,12 +80,13 @@ impl TableMeta {
 
 /// A catalog of tables, looked up by name.
 ///
-/// Names resolve through a hash index over tables and views that is built
-/// on the first lookup and kept in step by every mutation. It stores entry
-/// positions, not names, and finds the first entry of a name, as a
+/// Table names resolve through a hash index that is built on the first
+/// lookup and kept in step by [`Catalog::add_table`]. It stores table
+/// positions, not names, and finds the first table of a name, as a
 /// front-to-back scan would. The index is not part of the catalog's value:
 /// `Debug`, `==` and the serde form see only the tables and views, whether
-/// or not a lookup has built it yet.
+/// or not a lookup has built it yet. Views are few (only reuse and
+/// pushdown register them) and are still found by a scan.
 #[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Catalog {
     tables: Vec<TableMeta>,
@@ -94,10 +95,10 @@ pub struct Catalog {
     /// the defining plan so "true" cardinalities stay invariant under
     /// semantics-preserving rewrites.
     views: Vec<(String, LogicalPlan)>,
-    /// Name index over `tables` and `views`. Skipped by serde, so a
-    /// deserialized catalog rebuilds it on its first lookup.
+    /// Name index over `tables`. Skipped by serde, so a deserialized
+    /// catalog rebuilds it on its first lookup.
     #[serde(skip)]
-    index: OnceLock<Index>,
+    index: OnceLock<NameIndex>,
 }
 
 impl fmt::Debug for Catalog {
@@ -122,27 +123,23 @@ impl Catalog {
     }
 
     /// The name index, built on first use.
-    fn index(&self) -> &Index {
-        self.index
-            .get_or_init(|| Index::build(&self.tables, &self.views))
-    }
-
-    /// Moves the name index out for a mutation, building it if needed;
-    /// the mutation puts it back with [`OnceLock::from`].
-    fn take_index(&mut self) -> Index {
-        self.index
-            .take()
-            .unwrap_or_else(|| Index::build(&self.tables, &self.views))
+    fn index(&self) -> &NameIndex {
+        self.index.get_or_init(|| NameIndex::build(&self.tables))
     }
 
     /// Adds a table, replacing any previous table with the same name.
     pub fn add_table(&mut self, table: TableMeta) {
-        let mut index = self.take_index();
-        match index.tables.find(&self.tables, &table.name) {
+        // Move the index out (building it if needed) so it can be updated
+        // while `tables` is borrowed mutably, then put it back.
+        let mut index = self
+            .index
+            .take()
+            .unwrap_or_else(|| NameIndex::build(&self.tables));
+        match index.find(&self.tables, &table.name) {
             Some(pos) => self.tables[pos] = table,
             None => {
                 self.tables.push(table);
-                index.tables.insert(&self.tables, self.tables.len() - 1);
+                index.insert(&self.tables, self.tables.len() - 1);
             }
         }
         self.index = OnceLock::from(index);
@@ -151,7 +148,6 @@ impl Catalog {
     /// Looks a table up by name.
     pub fn table(&self, name: &str) -> Result<&TableMeta> {
         self.index()
-            .tables
             .find(&self.tables, name)
             .map(|pos| &self.tables[pos])
             .ok_or_else(|| WorkloadError::UnknownTable(name.to_string()))
@@ -166,23 +162,16 @@ impl Catalog {
     /// definition under the same name). Call alongside `add_table` when
     /// registering a view or pushed-subexpression table.
     pub fn register_view(&mut self, name: &str, plan: LogicalPlan) {
-        let mut index = self.take_index();
-        match index.views.find(&self.views, name) {
-            Some(pos) => self.views[pos].1 = plan,
-            None => {
-                self.views.push((name.to_string(), plan));
-                index.views.insert(&self.views, self.views.len() - 1);
-            }
+        if let Some(existing) = self.views.iter_mut().find(|(n, _)| n == name) {
+            existing.1 = plan;
+        } else {
+            self.views.push((name.to_string(), plan));
         }
-        self.index = OnceLock::from(index);
     }
 
     /// The plan materialized by `name`, when it was registered as a view.
     pub fn view_definition(&self, name: &str) -> Option<&LogicalPlan> {
-        self.index()
-            .views
-            .find(&self.views, name)
-            .map(|pos| &self.views[pos].1)
+        self.views.iter().find(|(n, _)| n == name).map(|(_, p)| p)
     }
 
     /// Number of tables.
@@ -250,58 +239,25 @@ impl Catalog {
     }
 }
 
-/// An entry a [`NameIndex`] keys on.
-trait Named {
-    fn name(&self) -> &str;
-}
-
-impl Named for TableMeta {
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl Named for (String, LogicalPlan) {
-    fn name(&self) -> &str {
-        &self.0
-    }
-}
-
-/// The catalog's name indexes, one per entry vector.
-#[derive(Clone)]
-struct Index {
-    tables: NameIndex,
-    views: NameIndex,
-}
-
-impl Index {
-    fn build(tables: &[TableMeta], views: &[(String, LogicalPlan)]) -> Self {
-        Self {
-            tables: NameIndex::build(tables),
-            views: NameIndex::build(views),
-        }
-    }
-}
-
 /// Marks a free slot.
 const EMPTY: u32 = u32::MAX;
 
-/// An open-addressing (linear-probing) hash index from a name to the
-/// position of the first entry carrying it, over an entry vector the
-/// caller owns and passes to every call.
+/// An open-addressing (linear-probing) hash index from a table name to the
+/// position of the first table carrying it, over a table vector the caller
+/// owns and passes to every call.
 ///
 /// Invariants:
 ///
 /// * Slots hold positions only, never names: four bytes per slot, a
 ///   power-of-two slot count of at least 8, and the load kept at or below
-///   three quarters. A probe compares the name stored at the slot's
+///   three quarters. A probe compares the name of the table at the slot's
 ///   position.
 /// * Each distinct name in the vector has exactly one slot, holding its
 ///   *first* position — what a front-to-back linear scan finds, even when a
 ///   deserialized vector carries duplicates.
-/// * Entries are only ever appended or replaced in place under the same
+/// * Tables are only ever appended or replaced in place under the same
 ///   name, so positions stay valid and slots are never freed (no
-///   tombstones). Replacing an entry leaves the index unchanged.
+///   tombstones). Replacing a table leaves the index unchanged.
 #[derive(Clone)]
 struct NameIndex {
     slots: Vec<u32>,
@@ -309,15 +265,15 @@ struct NameIndex {
 }
 
 impl NameIndex {
-    /// Indexes `entries`, keeping the first position of each name.
-    fn build<T: Named>(entries: &[T]) -> Self {
+    /// Indexes `tables`, keeping the first position of each name.
+    fn build(tables: &[TableMeta]) -> Self {
         let mut index = Self {
-            slots: vec![EMPTY; (entries.len() * 4 / 3 + 1).next_power_of_two().max(8)],
+            slots: vec![EMPTY; (tables.len() * 4 / 3 + 1).next_power_of_two().max(8)],
             len: 0,
         };
-        for (pos, entry) in entries.iter().enumerate() {
-            if index.find(entries, entry.name()).is_none() {
-                index.insert(entries, pos);
+        for (pos, table) in tables.iter().enumerate() {
+            if index.find(tables, &table.name).is_none() {
+                index.insert(tables, pos);
             }
         }
         index
@@ -330,41 +286,41 @@ impl NameIndex {
         (h ^ (h >> 32)) as usize & (self.slots.len() - 1)
     }
 
-    /// Position of the first entry named `name`.
-    fn find<T: Named>(&self, entries: &[T], name: &str) -> Option<usize> {
+    /// Position of the first table named `name`.
+    fn find(&self, tables: &[TableMeta], name: &str) -> Option<usize> {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(name);
         loop {
             match self.slots[slot] {
                 EMPTY => return None,
-                pos if entries[pos as usize].name() == name => return Some(pos as usize),
+                pos if tables[pos as usize].name == name => return Some(pos as usize),
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// Indexes `entries[pos]`, whose name the index must not hold yet.
-    fn insert<T: Named>(&mut self, entries: &[T], pos: usize) {
+    /// Indexes `tables[pos]`, whose name the index must not hold yet.
+    fn insert(&mut self, tables: &[TableMeta], pos: usize) {
         if 4 * (self.len + 1) > 3 * self.slots.len() {
             let grown = vec![EMPTY; 2 * self.slots.len()];
             let old = std::mem::replace(&mut self.slots, grown);
             self.len = 0;
             for p in old.into_iter().filter(|&p| p != EMPTY) {
-                self.place(entries, p);
+                self.place(tables, p);
             }
         }
-        // A catalog of 2^32 - 1 entries would need hundreds of GiB of
+        // A catalog of 2^32 - 1 tables would need hundreds of GiB of
         // metadata first; the bound is documented rather than handled.
         let pos = u32::try_from(pos)
             .ok()
             .filter(|&p| p != EMPTY)
-            .expect("catalog holds fewer than 2^32 - 1 entries");
-        self.place(entries, pos);
+            .expect("catalog holds fewer than 2^32 - 1 tables");
+        self.place(tables, pos);
     }
 
-    fn place<T: Named>(&mut self, entries: &[T], pos: u32) {
+    fn place(&mut self, tables: &[TableMeta], pos: u32) {
         let mask = self.slots.len() - 1;
-        let mut slot = self.home(entries[pos as usize].name());
+        let mut slot = self.home(&tables[pos as usize].name);
         while self.slots[slot] != EMPTY {
             slot = (slot + 1) & mask;
         }

@@ -1,9 +1,10 @@
 //! The catalog's name index against a linear-scan reference.
 //!
-//! `Catalog` resolves names through a hash index built on first lookup and
-//! kept in step by `add_table` / `register_view`. These properties replay
-//! random mutation sequences over a five-name alphabet (so entries get
-//! replaced, and tables and views share names) with lookups interleaved,
+//! `Catalog` resolves table names through a hash index built on first
+//! lookup and kept in step by `add_table`; views are still scanned. These
+//! properties replay random `add_table` / `register_view` sequences over a
+//! five-name alphabet (so entries get replaced, and tables and views share
+//! names) with lookups interleaved,
 //! and check every answer against a plain vector scanned front to back —
 //! the catalog's behaviour before it had an index. They also check that
 //! the index survives cloning and serde round trips, and that it never
