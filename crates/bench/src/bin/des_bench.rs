@@ -15,8 +15,10 @@
 //!    Recorded, not gated: the lifecycle benchmark's end-to-end latency
 //!    bounds catch an exec slowdown on the per-job path.
 
-use std::time::Instant;
+use std::cell::RefCell;
+use std::rc::Rc;
 
+use adas_bench::harness::{Config, Gate, Report};
 use adas_engine::cost::CostModel;
 use adas_engine::exec::{ClusterConfig, SimOptions, Simulator};
 use adas_engine::physical::StageDag;
@@ -25,34 +27,13 @@ use adas_pipeline::{schedule_pipelined, OptimizerMode, Policy};
 use adas_simkern::{Component, Ctx, Simulation};
 use adas_workload::gen::{GeneratorConfig, WorkloadGenerator};
 use adas_workload::job::{Job, Trace};
-use serde::Serialize;
-use std::cell::RefCell;
-use std::rc::Rc;
-
-#[derive(Serialize)]
-struct DesBench {
-    /// Fleet scenario size.
-    fleet_machines: usize,
-    fleet_jobs: usize,
-    fleet_events: u64,
-    /// Kernel events dispatched per second on the fleet scenario.
-    events_per_sec: f64,
-    /// Backlog scenario size for the pipelining gate.
-    pipeline_jobs: usize,
-    serial_makespan: f64,
-    pipelined_makespan: f64,
-    /// `serial_makespan / pipelined_makespan`. Must stay ≥ 1.3.
-    pipelined_speedup: f64,
-    pipelined_speedup_ok: bool,
-    /// Single-job runs per second through the kernel-backed exec path
-    /// (best of rounds).
-    kernel_runs_per_sec: f64,
-}
 
 // ------------------------------------------------------- fleet throughput
 
 const FLEET_MACHINES: usize = 10_000;
 const FLEET_JOBS: usize = 100_000;
+/// One arrival and one finish per job.
+const FLEET_EVENTS: u64 = 2 * FLEET_JOBS as u64;
 
 enum FleetEvent {
     Arrive(u32),
@@ -83,9 +64,8 @@ impl Component<FleetEvent> for Fleet {
     }
 }
 
-/// One timed fleet run; returns (events dispatched, seconds).
-fn fleet_run() -> (u64, f64) {
-    let start = Instant::now();
+/// One fleet run, set-up included.
+fn fleet_run() {
     let fleet = Rc::new(RefCell::new(Fleet {
         machine_free: vec![0.0; FLEET_MACHINES],
         completed: 0,
@@ -96,25 +76,22 @@ fn fleet_run() -> (u64, f64) {
         // Arrivals staggered so the queue holds a realistic mixed horizon.
         sim.schedule_at(job as f64 * 0.01, id, FleetEvent::Arrive(job));
     }
-    let processed = sim.run();
-    let secs = start.elapsed().as_secs_f64();
+    assert_eq!(sim.run(), FLEET_EVENTS);
     assert_eq!(fleet.borrow().completed as usize, FLEET_JOBS);
-    (processed, secs)
 }
 
 // --------------------------------------------------------------- scenarios
 
 fn main() {
-    // 1. Fleet throughput: best events/sec over a few rounds.
-    const FLEET_ROUNDS: usize = 3;
-    let mut events = 0u64;
-    let mut best_fleet = f64::INFINITY;
-    for _ in 0..FLEET_ROUNDS {
-        let (processed, secs) = fleet_run();
-        events = processed;
-        best_fleet = best_fleet.min(secs);
-    }
-    let events_per_sec = events as f64 / best_fleet;
+    let mut report = Report::new("des");
+    report.fact("fleet_machines", FLEET_MACHINES);
+    report.fact("fleet_jobs", FLEET_JOBS);
+
+    // 1. Fleet throughput.
+    report.run(
+        3,
+        vec![Config::new("fleet", |lap| lap.time(fleet_run)).rate(FLEET_EVENTS as usize, "events")],
+    );
 
     // 2. Pipelined vs serial makespan on a backlog replay: every job of a
     // generated workload resubmitted at time zero (a queued backlog), one
@@ -170,7 +147,14 @@ fn main() {
     };
     let serial_makespan = run_mode(OptimizerMode::Serial);
     let pipelined_makespan = run_mode(OptimizerMode::Pipelined);
-    let speedup = serial_makespan / pipelined_makespan;
+    report.fact("pipeline_jobs", n_jobs);
+    report.fact("serial_makespan", serial_makespan);
+    report.fact("pipelined_makespan", pipelined_makespan);
+    report.gate(Gate::at_least(
+        "pipelined_speedup",
+        serial_makespan / pipelined_makespan,
+        1.3,
+    ));
 
     // 3. Single-job exec throughput on the workload's largest DAG, so the
     // measurement is dominated by dispatch work rather than the fixed
@@ -185,40 +169,12 @@ fn main() {
         .expect("non-empty workload");
     let sim =
         Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).expect("valid cluster");
-    const ROUNDS: usize = 11;
-    const PASSES_PER_ROUND: usize = 5_000;
-    let pass = || {
-        for _ in 0..PASSES_PER_ROUND {
-            sim.run(&dag, &SimOptions::default()).expect("simulates");
-        }
-    };
-    // Warm-up so allocators and caches settle before timing.
-    pass();
-    let mut kernel_secs = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        pass();
-        kernel_secs = kernel_secs.min(start.elapsed().as_secs_f64());
-    }
-
-    let report = DesBench {
-        fleet_machines: FLEET_MACHINES,
-        fleet_jobs: FLEET_JOBS,
-        fleet_events: events,
-        events_per_sec,
-        pipeline_jobs: n_jobs,
-        serial_makespan,
-        pipelined_makespan,
-        pipelined_speedup: speedup,
-        pipelined_speedup_ok: speedup >= 1.3,
-        kernel_runs_per_sec: PASSES_PER_ROUND as f64 / kernel_secs,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_des.json");
-    std::fs::write(path, format!("{json}\n")).expect("writes baseline");
-    println!("{json}");
-    if !report.pipelined_speedup_ok {
-        eprintln!("pipelined speedup {speedup:.3}x is below the 1.3x gate");
-        std::process::exit(1);
-    }
+    report.run(
+        11,
+        vec![Config::new("kernel_exec", |lap| {
+            lap.time(|| sim.run(&dag, &SimOptions::default()).expect("simulates"))
+        })
+        .rate(1, "runs")],
+    );
+    report.finish();
 }

@@ -7,152 +7,60 @@
 //! [`Obs::recording`] (full spans, metrics and flight recording) — and
 //! records jobs/second for each into `BENCH_obs.json` at the repo root. The
 //! contracts this baseline tracks: the disabled path must cost < 5% and the
-//! full recording path < 10% versus the raw simulator. Overheads are
-//! best-of-rounds and clamped at 0 — a negative reading is measurement
-//! noise, not a speedup, and must not mask a real regression elsewhere.
+//! full recording path < 10% versus the raw simulator, best-of-rounds.
 
-use std::time::Instant;
-
-use adas_engine::cost::CostModel;
+use adas_bench::harness::{Config, Gate, Report};
+use adas_bench::replay_dags;
 use adas_engine::exec::{ClusterConfig, SimOptions, Simulator};
-use adas_engine::physical::StageDag;
 use adas_obs::Obs;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct ObsBench {
-    jobs: usize,
-    rounds: usize,
-    plain_jobs_per_sec: f64,
-    disabled_jobs_per_sec: f64,
-    recording_jobs_per_sec: f64,
-    /// Relative cost of the disabled-obs path vs. the unobserved simulator
-    /// (`disabled_time / plain_time - 1`, best-of-rounds, clamped at 0).
-    /// Must stay < 0.05.
-    disabled_overhead: f64,
-    disabled_overhead_ok: bool,
-    /// Relative cost of full recording vs. the unobserved simulator
-    /// (best-of-rounds, clamped at 0). Must stay < 0.10 — always-on flight
-    /// recording is budgeted like any other hot-path cost.
-    recording_overhead: f64,
-    recording_overhead_ok: bool,
-}
-
-fn timed(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
-}
 
 fn main() {
-    let workload =
-        adas_workload::gen::WorkloadGenerator::new(adas_workload::gen::GeneratorConfig {
-            days: 2,
-            jobs_per_day: 60,
-            ..Default::default()
-        })
-        .expect("valid config")
-        .generate()
-        .expect("generates");
-    let cost_model = CostModel::default();
-    let dags: Vec<StageDag> = workload
-        .trace
-        .jobs()
-        .iter()
-        .map(|j| StageDag::compile(&j.plan, &workload.catalog, &cost_model).expect("compiles"))
-        .collect();
-
+    let dags = replay_dags();
     let cluster = ClusterConfig::default();
     let disabled_sim = Simulator::with_obs(cluster, Obs::disabled()).expect("valid cluster");
 
-    const ROUNDS: usize = 31;
-    // Replay the whole job set this many times per timed round so each
-    // measurement spans tens of milliseconds; a single pass is ~1ms and
-    // best-of-rounds over that is dominated by scheduler noise.
-    const PASSES_PER_ROUND: usize = 50;
-    // Warm-up pass so allocators and caches settle before timing.
-    for dag in &dags {
-        disabled_sim
-            .run_unobserved(dag, &SimOptions::default())
-            .expect("simulates");
-    }
-
-    // Rounds interleave the three configurations so background-load drift
-    // hits all of them roughly equally; a sequential plan (all plain rounds,
-    // then all disabled, …) lets one load spike skew a whole configuration
-    // and shows up as multi-point overhead swings between runs.
-    let mut plain = f64::INFINITY;
-    let mut disabled_secs = f64::INFINITY;
-    let mut recording_secs = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        plain = plain.min(timed(|| {
-            for _ in 0..PASSES_PER_ROUND {
-                for dag in &dags {
-                    disabled_sim
-                        .run_unobserved(dag, &SimOptions::default())
-                        .expect("simulates");
-                }
-            }
-        }));
-        disabled_secs = disabled_secs.min(timed(|| {
-            for _ in 0..PASSES_PER_ROUND {
-                for dag in &dags {
-                    disabled_sim
-                        .run(dag, &SimOptions::default())
-                        .expect("simulates");
-                }
-            }
-        }));
-        // A fresh recorder per round keeps the trace from growing
-        // unboundedly across rounds while still amortizing allocation over
-        // a full pass set. Construction stays *outside* the timed window:
-        // the budget tracks steady-state recording cost per run, not the
-        // one-off ring/registry allocation (which shrank to a measurable
-        // fraction of a round once the kernel scheduler sped the runs up).
-        recording_secs = recording_secs.min({
-            let sim = Simulator::with_obs(cluster, Obs::recording()).expect("valid cluster");
-            timed(|| {
-                for _ in 0..PASSES_PER_ROUND {
+    let mut report = Report::new("obs");
+    report.fact("jobs", dags.len());
+    let t = report.run(
+        31,
+        vec![
+            Config::new("plain", |lap| {
+                lap.time(|| {
+                    for dag in &dags {
+                        disabled_sim
+                            .run_unobserved(dag, &SimOptions::default())
+                            .expect("simulates");
+                    }
+                })
+            })
+            .rate(dags.len(), "jobs"),
+            Config::new("disabled", |lap| {
+                lap.time(|| {
+                    for dag in &dags {
+                        disabled_sim
+                            .run(dag, &SimOptions::default())
+                            .expect("simulates");
+                    }
+                })
+            })
+            .rate(dags.len(), "jobs"),
+            // A fresh recorder per round keeps the trace from growing without
+            // bound across rounds. Its construction stays outside the timed
+            // window: the budget tracks steady-state recording cost per run,
+            // not the one-off ring/registry allocation.
+            Config::new("recording", |lap| {
+                let sim = Simulator::with_obs(cluster, Obs::recording()).expect("valid cluster");
+                lap.time(|| {
                     for dag in &dags {
                         sim.run(dag, &SimOptions::default()).expect("simulates");
                     }
-                }
+                })
             })
-        });
-    }
-
-    let n = (dags.len() * PASSES_PER_ROUND) as f64;
-    // Clamp at 0: best-of-rounds can come out marginally below the plain
-    // baseline (scheduler noise), and reporting that as a negative overhead
-    // ("a speedup") would be dishonest.
-    let overhead = (disabled_secs / plain - 1.0).max(0.0);
-    let recording_overhead = (recording_secs / plain - 1.0).max(0.0);
-    let report = ObsBench {
-        jobs: dags.len(),
-        rounds: ROUNDS,
-        plain_jobs_per_sec: n / plain,
-        disabled_jobs_per_sec: n / disabled_secs,
-        recording_jobs_per_sec: n / recording_secs,
-        disabled_overhead: overhead,
-        disabled_overhead_ok: overhead < 0.05,
-        recording_overhead,
-        recording_overhead_ok: recording_overhead < 0.10,
-    };
-
-    let json = serde_json::to_string_pretty(&report).expect("serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    std::fs::write(path, format!("{json}\n")).expect("writes baseline");
-    println!("{json}");
-    let mut failed = false;
-    if !report.disabled_overhead_ok {
-        eprintln!("disabled-path overhead {overhead:.4} exceeds the 5% budget");
-        failed = true;
-    }
-    if !report.recording_overhead_ok {
-        eprintln!("recording overhead {recording_overhead:.4} exceeds the 10% budget");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+            .rate(dags.len(), "jobs"),
+        ],
+    );
+    report.gate(Gate::overhead("disabled_overhead", &t[1], &t[0], 0.05));
+    // Always-on flight recording is budgeted like any other hot-path cost.
+    report.gate(Gate::overhead("recording_overhead", &t[2], &t[0], 0.10));
+    report.finish();
 }

@@ -19,15 +19,14 @@
 //!   candidate staged vs. the same gateway without one. The routing layer
 //!   (arrival ticket + candidate snapshot read) must cost < 5%.
 
-use adas_obs::Obs;
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
+use adas_bench::harness::{Config, Gate, Report};
+use adas_obs::Obs;
 use adas_serve::{
-    DeployPhase, FnModel, Gateway, GatewayConfig, GatewayStats, ModelHandle, Request, ServableModel,
+    DeployPhase, FnModel, Gateway, GatewayConfig, ModelHandle, Request, ServableModel,
 };
-use serde::Serialize;
 
 /// Feature-vector width.
 const FEATURES: usize = 8;
@@ -42,7 +41,6 @@ const CHUNK: usize = 512;
 /// Synthetic per-row inference cost (fused multiply-add chain length) —
 /// roughly a small gradient-boosting forest's worth of work.
 const WORK: usize = 4000;
-const ROUNDS: usize = 5;
 const WORKERS: usize = 8;
 
 /// Deterministic synthetic model: a serial FMA chain over the features.
@@ -82,217 +80,126 @@ fn gateway_with(config: GatewayConfig) -> (Gateway, ModelHandle) {
     (gateway, handle)
 }
 
-fn best_secs(rounds: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..rounds {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-#[derive(Serialize)]
-struct ServeBench {
-    unique_requests: usize,
-    repeats: usize,
-    total_requests: usize,
-    rounds: usize,
-    workers: usize,
-    direct_rps: f64,
-    disabled_rps: f64,
-    /// Relative cost of the pass-through gateway vs. direct model calls
-    /// (`disabled_time / direct_time - 1`, best-of-rounds). Must stay < 0.05.
-    disabled_overhead: f64,
-    disabled_overhead_ok: bool,
-    concurrent_rps: f64,
-    /// Aggregate-throughput ratio of the 8-worker cached+batched gateway
-    /// over the direct single-threaded path. Must stay ≥ 2.
-    concurrent_speedup: f64,
-    concurrent_speedup_ok: bool,
-    cache_hit_rate: f64,
-    batch1_rps: f64,
-    batch32_rps: f64,
-    /// Batch-32 over batch-1 throughput, 8 workers, cache off, unique rows.
-    batching_speedup: f64,
-    canary_baseline_rps: f64,
-    canary_rps: f64,
-    /// Relative cost of serving with a 20% canary candidate staged vs. the
-    /// same gateway with no candidate (`canary_time / baseline_time - 1`,
-    /// best-of-rounds, cache off so every request takes the routed path).
-    /// Must stay < 0.05.
-    canary_overhead: f64,
-    canary_overhead_ok: bool,
-}
-
 fn main() {
     let features = unique_features(0x5_E27E_BE7C);
     // Recurring arrival order: a full pass over the unique set, repeated.
     // The first pass warms the cache; later passes hit it.
     let order: Vec<usize> = (0..REPEATS).flat_map(|_| 0..UNIQUE).collect();
+    let unique: Vec<usize> = (0..UNIQUE).collect();
     let total = order.len();
-
-    // The direct baseline calls the same boxed model object the gateway
-    // serves, so the comparison isolates the gateway envelope rather than
-    // inlining differences in the model body.
-    let model: Arc<dyn ServableModel> = Arc::new(FnModel(|f: &[f64]| infer(f)));
-
-    // Warm-up so allocators settle before timing.
-    let mut sink = 0.0f64;
-    for row in &features {
-        sink += model.predict(row);
-    }
-    black_box(sink);
-
-    let direct_secs = best_secs(ROUNDS, || {
-        let mut acc = 0.0f64;
-        for &i in &order {
-            acc += model.predict(&features[i]);
-        }
-        black_box(acc);
-    });
-
-    let (disabled_gateway, disabled_handle) = gateway_with(GatewayConfig::disabled());
-    let disabled_secs = best_secs(ROUNDS, || {
-        let mut acc = 0.0f64;
-        for (t, &i) in order.iter().enumerate() {
-            acc += disabled_gateway
-                .predict(disabled_handle, &features[i], t as f64)
-                .expect("registered handle")
-                .value;
-        }
-        black_box(acc);
-    });
-
-    // Concurrent path: fresh gateway per round so every round replays the
-    // same cold-cache-then-warm-cache trajectory.
-    let mut concurrent_stats: Option<GatewayStats> = None;
-    let concurrent_secs = best_secs(ROUNDS, || {
-        let mut config = GatewayConfig::concurrent(WORKERS);
-        config.batch_size = 32;
-        let (gateway, handle) = gateway_with(config);
-        let mut acc = 0.0f64;
-        for chunk in order.chunks(CHUNK) {
+    // Serves `rows` one request at a time on the caller thread.
+    let serve_each = |(gateway, handle): &(Gateway, ModelHandle), rows: &[usize]| -> f64 {
+        rows.iter()
+            .enumerate()
+            .map(|(t, &i)| {
+                let p = gateway.predict(*handle, &features[i], t as f64);
+                p.expect("registered handle").value
+            })
+            .sum()
+    };
+    // Serves `rows` in `predict_many` chunks, a quarter tick per request.
+    let serve_chunked = |(gateway, handle): &(Gateway, ModelHandle), rows: &[usize]| -> f64 {
+        let mut acc = 0.0;
+        for chunk in rows.chunks(CHUNK) {
             let requests: Vec<Request> = chunk
                 .iter()
                 .enumerate()
-                .map(|(t, &i)| Request::new(handle, features[i].clone(), t as f64 * 0.25))
+                .map(|(t, &i)| Request::new(*handle, features[i].clone(), t as f64 * 0.25))
                 .collect();
             for p in gateway.predict_many(&requests).expect("registered handle") {
                 acc += p.value;
             }
         }
-        black_box(acc);
-        concurrent_stats = Some(gateway.stats());
-    });
-    let concurrent_stats = concurrent_stats.expect("at least one round ran");
+        acc
+    };
+
+    // The direct baseline calls the same boxed model object the gateway
+    // serves, so the comparison isolates the gateway envelope rather than
+    // inlining differences in the model body.
+    let model: Arc<dyn ServableModel> = Arc::new(FnModel(|f: &[f64]| infer(f)));
+    let disabled = gateway_with(GatewayConfig::disabled());
 
     // Batching isolation: unique rows only (no dedup, no cache) so the only
-    // difference between the two runs is rows-per-pool-job.
-    let batch_secs = |batch_size: usize| {
-        let (gateway, handle) = {
-            let mut config = GatewayConfig::concurrent(WORKERS);
-            config.batch_size = batch_size;
-            config.cache_capacity = 0;
-            gateway_with(config)
-        };
-        best_secs(ROUNDS, || {
-            let mut acc = 0.0f64;
-            for chunk in (0..UNIQUE).collect::<Vec<_>>().chunks(CHUNK) {
-                let requests: Vec<Request> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(t, &i)| Request::new(handle, features[i].clone(), t as f64 * 0.25))
-                    .collect();
-                for p in gateway.predict_many(&requests).expect("registered handle") {
-                    acc += p.value;
-                }
-            }
-            black_box(acc);
-        })
+    // difference between the two gateways is rows-per-pool-job.
+    let batching = |batch_size: usize| {
+        let mut config = GatewayConfig::concurrent(WORKERS);
+        config.batch_size = batch_size;
+        config.cache_capacity = 0;
+        gateway_with(config)
     };
-    let batch1_secs = batch_secs(1);
-    let batch32_secs = batch_secs(32);
+    let (batch1, batch32) = (batching(1), batching(32));
 
     // Canary routing overhead: the same single-threaded serve loop with and
     // without a 20% canary candidate staged. Cache off so every request
     // pays the routing decision; the candidate runs the identical model, so
     // the delta is purely the routing machinery (ticket + candidate read).
-    let canary_gateway = |staged: bool| {
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        let (gateway, handle) = gateway_with(config);
-        if staged {
-            gateway
-                .stage_candidate(
-                    handle,
-                    Arc::new(FnModel(|f: &[f64]| infer(f))),
-                    0.0,
-                    DeployPhase::Canary,
-                    20,
-                    "bench",
-                    0.0,
-                )
-                .expect("registered handle");
-        }
-        (gateway, handle)
-    };
-    let canary_secs_for = |staged: bool| {
-        let (gateway, handle) = canary_gateway(staged);
-        best_secs(ROUNDS, || {
-            let mut acc = 0.0f64;
-            for (t, &i) in order.iter().enumerate() {
-                acc += gateway
-                    .predict(handle, &features[i], t as f64)
-                    .expect("registered handle")
-                    .value;
-            }
-            black_box(acc);
-        })
-    };
-    let canary_baseline_secs = canary_secs_for(false);
-    let canary_secs = canary_secs_for(true);
-    let canary_overhead = canary_secs / canary_baseline_secs - 1.0;
+    let mut config = GatewayConfig::standard();
+    config.cache_capacity = 0;
+    let canary_base = gateway_with(config);
+    let canary = gateway_with(config);
+    canary
+        .0
+        .stage_candidate(
+            canary.1,
+            Arc::new(FnModel(|f: &[f64]| infer(f))),
+            0.0,
+            DeployPhase::Canary,
+            20,
+            "bench",
+            0.0,
+        )
+        .expect("registered handle");
 
-    let overhead = disabled_secs / direct_secs - 1.0;
-    let speedup = direct_secs / concurrent_secs;
-    let report = ServeBench {
-        unique_requests: UNIQUE,
-        repeats: REPEATS,
-        total_requests: total,
-        rounds: ROUNDS,
-        workers: WORKERS,
-        direct_rps: total as f64 / direct_secs,
-        disabled_rps: total as f64 / disabled_secs,
-        disabled_overhead: overhead,
-        disabled_overhead_ok: overhead < 0.05,
-        concurrent_rps: total as f64 / concurrent_secs,
-        concurrent_speedup: speedup,
-        concurrent_speedup_ok: speedup >= 2.0,
-        cache_hit_rate: concurrent_stats.cache_hit_rate,
-        batch1_rps: UNIQUE as f64 / batch1_secs,
-        batch32_rps: UNIQUE as f64 / batch32_secs,
-        batching_speedup: batch1_secs / batch32_secs,
-        canary_baseline_rps: total as f64 / canary_baseline_secs,
-        canary_rps: total as f64 / canary_secs,
-        canary_overhead,
-        canary_overhead_ok: canary_overhead < 0.05,
-    };
-
-    let json = serde_json::to_string_pretty(&report).expect("serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, format!("{json}\n")).expect("writes baseline");
-    println!("{json}");
-    if !report.disabled_overhead_ok {
-        eprintln!("pass-through gateway overhead {overhead:.4} exceeds the 5% budget");
-        std::process::exit(1);
-    }
-    if !report.concurrent_speedup_ok {
-        eprintln!("concurrent gateway speedup {speedup:.2}x is below the 2x floor");
-        std::process::exit(1);
-    }
-    if !report.canary_overhead_ok {
-        eprintln!("canary routing overhead {canary_overhead:.4} exceeds the 5% budget");
-        std::process::exit(1);
-    }
+    let mut cache_hit_rate = 0.0;
+    let mut report = Report::new("serve");
+    let t = report.run(
+        5,
+        vec![
+            Config::new("direct", |lap| {
+                lap.time(|| {
+                    order
+                        .iter()
+                        .map(|&i| model.predict(&features[i]))
+                        .sum::<f64>()
+                })
+            })
+            .rate(total, "requests"),
+            Config::new("disabled", |lap| lap.time(|| serve_each(&disabled, &order)))
+                .rate(total, "requests"),
+            // A fresh gateway per pass, so every pass replays the same
+            // cold-cache-then-warm-cache trajectory.
+            Config::new("concurrent", |lap| {
+                cache_hit_rate = lap.time(|| {
+                    let mut config = GatewayConfig::concurrent(WORKERS);
+                    config.batch_size = 32;
+                    let gateway = gateway_with(config);
+                    black_box(serve_chunked(&gateway, &order));
+                    gateway.0.stats().cache_hit_rate
+                })
+            })
+            .rate(total, "requests"),
+            Config::new("batch1", |lap| lap.time(|| serve_chunked(&batch1, &unique)))
+                .rate(UNIQUE, "requests"),
+            Config::new("batch32", |lap| {
+                lap.time(|| serve_chunked(&batch32, &unique))
+            })
+            .rate(UNIQUE, "requests"),
+            Config::new("canary_baseline", |lap| {
+                lap.time(|| serve_each(&canary_base, &order))
+            })
+            .rate(total, "requests"),
+            Config::new("canary", |lap| lap.time(|| serve_each(&canary, &order)))
+                .rate(total, "requests"),
+        ],
+    );
+    report.fact("unique_requests", UNIQUE);
+    report.fact("repeats", REPEATS);
+    report.fact("workers", WORKERS);
+    report.fact("cache_hit_rate", cache_hit_rate);
+    // Batch-32 over batch-1 throughput, 8 workers, cache off, unique rows.
+    report.fact("batching_speedup", t[3].best() / t[4].best());
+    report.gate(Gate::overhead("disabled_overhead", &t[1], &t[0], 0.05));
+    report.gate(Gate::speedup("concurrent_speedup", &t[2], &t[0], 2.0));
+    report.gate(Gate::overhead("canary_overhead", &t[6], &t[5], 0.05));
+    report.finish();
 }

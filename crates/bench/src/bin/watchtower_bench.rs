@@ -9,9 +9,10 @@
 //! every drill (and in CI) without meaningfully extending the cycle.
 //! Results land in `BENCH_watchtower.json` at the repo root.
 
+use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
+use adas_bench::harness::{Config, Gate, Report};
 use adas_core::feedback::LoopConfig;
 use adas_faultsim::{ModelFaults, PoisonProfile};
 use adas_obs::{Obs, Trace};
@@ -20,29 +21,6 @@ use adas_serve::{
     GatewayConfig, PoisonScope, ServableModel, SloPolicy,
 };
 use adas_watchtower::{analyze, default_specs};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct WatchtowerBench {
-    drill_ticks: u64,
-    trace_spans: usize,
-    trace_events: usize,
-    trace_decisions: usize,
-    trace_deployments: usize,
-    rounds: usize,
-    produce_secs: f64,
-    analyze_secs: f64,
-    /// `analyze_secs / produce_secs`, best-of-rounds. Must stay < 0.05.
-    analysis_cost_ratio: f64,
-    analysis_cost_ok: bool,
-    incidents_reconstructed: usize,
-}
-
-fn timed(f: impl FnOnce()) -> f64 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_secs_f64()
-}
 
 const DRILL_TICKS: u64 = 2000;
 
@@ -137,51 +115,27 @@ fn run_drill(seed: u64) -> Trace {
 }
 
 fn main() {
-    const ROUNDS: usize = 9;
     let specs = default_specs();
+    // The drill is seeded, so every run produces this same trace.
+    let trace = run_drill(7);
+    let incidents = analyze(&trace, &specs).incidents.incidents.len();
 
-    // Warm-up: one full drill + analysis so allocators settle.
-    let warm_trace = run_drill(7);
-    let warm_report = analyze(&warm_trace, &specs);
-    let incidents = warm_report.incidents.incidents.len();
-
-    // Interleave production and analysis rounds so background-load drift
-    // hits both sides of the ratio roughly equally.
-    let mut produce_secs = f64::INFINITY;
-    let mut analyze_secs = f64::INFINITY;
-    let mut trace = warm_trace;
-    for _ in 0..ROUNDS {
-        let mut fresh = None;
-        produce_secs = produce_secs.min(timed(|| {
-            fresh = Some(run_drill(7));
-        }));
-        trace = fresh.expect("drill ran");
-        analyze_secs = analyze_secs.min(timed(|| {
-            std::hint::black_box(analyze(std::hint::black_box(&trace), &specs));
-        }));
-    }
-
-    let ratio = analyze_secs / produce_secs;
-    let report = WatchtowerBench {
-        drill_ticks: DRILL_TICKS,
-        trace_spans: trace.spans.len(),
-        trace_events: trace.events.len(),
-        trace_decisions: trace.decisions.len(),
-        trace_deployments: trace.deployments.len(),
-        rounds: ROUNDS,
-        produce_secs,
-        analyze_secs,
-        analysis_cost_ratio: ratio,
-        analysis_cost_ok: ratio < 0.05,
-        incidents_reconstructed: incidents,
-    };
-
-    let json = serde_json::to_string_pretty(&report).expect("serializes");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_watchtower.json");
-    std::fs::write(path, format!("{json}\n")).expect("writes baseline");
-    println!("{json}");
-    if !report.analysis_cost_ok {
-        eprintln!("watchtower analysis ratio {ratio:.4} exceeds the 5% budget");
-        std::process::exit(1);
-    }
+    let mut report = Report::new("watchtower");
+    report.fact("drill_ticks", DRILL_TICKS);
+    report.fact("trace_spans", trace.spans.len());
+    report.fact("trace_events", trace.events.len());
+    report.fact("trace_decisions", trace.decisions.len());
+    report.fact("trace_deployments", trace.deployments.len());
+    report.fact("incidents_reconstructed", incidents);
+    let t = report.run(
+        9,
+        vec![
+            Config::new("produce", |lap| lap.time(|| run_drill(7))),
+            Config::new("analyze", |lap| {
+                lap.time(|| analyze(black_box(&trace), &specs))
+            }),
+        ],
+    );
+    report.gate(Gate::ratio_below("analysis_cost_ratio", &t[1], &t[0], 0.05));
+    report.finish();
 }

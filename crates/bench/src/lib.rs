@@ -7,15 +7,42 @@
 //! (`cargo run -p adas-bench --bin experiments --release`) runs them and
 //! prints the tables recorded in `EXPERIMENTS.md`.
 //!
-//! Criterion micro-benchmarks for the performance-sensitive primitives live
-//! in `benches/microbench.rs`.
+//! [`harness`] is the one timing loop behind the budget-gate bins
+//! (`obs_bench`, `faultsim_bench`, `des_bench`, `serve_bench`, `sql_bench`
+//! and `watchtower_bench`, each writing `BENCH_<name>.json` at the repo
+//! root) and the micro-benchmarks of the performance-sensitive primitives in
+//! `benches/microbench.rs` (`cargo bench -p adas-bench`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
+pub mod harness;
 
+use adas_engine::cost::CostModel;
+use adas_engine::physical::StageDag;
+use adas_workload::gen::{GeneratorConfig, WorkloadGenerator};
 use serde::Serialize;
+
+/// The 120-job replay `obs_bench` and `faultsim_bench` time: a generated
+/// two-day workload of 60 jobs a day, compiled to stage DAGs.
+pub fn replay_dags() -> Vec<StageDag> {
+    let workload = WorkloadGenerator::new(GeneratorConfig {
+        days: 2,
+        jobs_per_day: 60,
+        ..Default::default()
+    })
+    .expect("valid config")
+    .generate()
+    .expect("generates");
+    let cost_model = CostModel::default();
+    workload
+        .trace
+        .jobs()
+        .iter()
+        .map(|j| StageDag::compile(&j.plan, &workload.catalog, &cost_model).expect("compiles"))
+        .collect()
+}
 
 /// One paper-vs-measured comparison row.
 #[derive(Debug, Clone, Serialize)]

@@ -732,24 +732,11 @@ impl Gateway {
         Ok(())
     }
 
-    /// Marks the model's serving path as poisoned: fresh predictions are
-    /// biased by the fault channel's poison profile before the guard sees
-    /// them. `true` poisons every version ([`PoisonScope::All`]); `false`
-    /// clears poisoning.
-    pub fn set_poisoned(&self, handle: ModelHandle, poisoned: bool) -> Result<()> {
-        self.set_poison_scope(
-            handle,
-            if poisoned {
-                PoisonScope::All
-            } else {
-                PoisonScope::None
-            },
-        )
-    }
-
-    /// Scopes poisoning to specific versions — e.g.
-    /// [`PoisonScope::Version`] models one corrupted artifact, so a
-    /// rollback to an earlier version actually heals serving.
+    /// Marks the model's serving path as poisoned for the versions in
+    /// `scope`: fresh predictions are biased by the fault channel's poison
+    /// profile before the guard sees them. [`PoisonScope::Version`] models
+    /// one corrupted artifact, so a rollback to an earlier version actually
+    /// heals serving; [`PoisonScope::None`] clears poisoning.
     pub fn set_poison_scope(&self, handle: ModelHandle, scope: PoisonScope) -> Result<()> {
         let entry = self.entry(handle)?;
         entry.faults.lock().poisoned = scope;
@@ -793,20 +780,6 @@ impl Gateway {
         let mut faults = entry.faults.lock();
         faults.source = None;
         faults.poisoned = PoisonScope::None;
-        Ok(())
-    }
-
-    /// [`Gateway::clear_faults`] with an explicit simulated time, recorded
-    /// as a `model_faults_cleared` trace event.
-    pub fn clear_faults_at(&self, handle: ModelHandle, sim_time: f64) -> Result<()> {
-        self.clear_faults(handle)?;
-        let entry = self.entry(handle)?;
-        self.inner.obs.event(
-            COMPONENT,
-            "model_faults_cleared",
-            sim_time,
-            &[("model", entry.name.as_str())],
-        );
         Ok(())
     }
 
@@ -1547,7 +1520,7 @@ mod tests {
         gateway
             .inject_faults(handle, ModelFaults::new(7, 0.0, 0.0, 2.0))
             .unwrap();
-        gateway.set_poisoned(handle, true).unwrap();
+        gateway.set_poison_scope(handle, PoisonScope::All).unwrap();
         let p = gateway.predict(handle, &[4.0], 1.0).unwrap();
         assert_eq!(p.source, Source::Fallback(FallbackCause::Guarded));
         assert_eq!(p.value, 5.0, "served the heuristic, not the poisoned value");

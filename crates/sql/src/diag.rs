@@ -27,8 +27,9 @@ pub enum ErrorKind {
         /// What the grammar allowed here.
         expected: String,
     },
-    /// Parenthesized queries nest deeper than the parser accepts; the span
-    /// points at the `(` that crossed the limit.
+    /// Parenthesized queries and extra `UNION ALL` terms nest deeper than
+    /// the parser accepts; the span points at the `(` or `UNION` that
+    /// crossed the limit.
     NestingTooDeep {
         /// The deepest nesting accepted
         /// ([`MAX_NESTING_DEPTH`](crate::parser::MAX_NESTING_DEPTH)).

@@ -335,8 +335,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Pinned diagnostics: the exact rendered text for five representative
-    // bad queries. Treat these strings as a stable output contract.
+    // Pinned diagnostics: the exact rendered text for representative bad
+    // queries. Treat these strings as a stable output contract.
     // ------------------------------------------------------------------
 
     #[test]
@@ -466,6 +466,38 @@ mod tests {
         ]
         .join("\n");
         assert_eq!(render_err(&sql), expected);
+    }
+
+    #[test]
+    fn diagnostic_union_chain_too_deep() {
+        let sql = vec!["SELECT * FROM events"; parser::MAX_NESTING_DEPTH + 2].join(" UNION ALL ");
+        let at = sql.rfind("UNION").expect("a chain");
+        let expected = [
+            "error: queries nest more than 64 levels deep".to_string(),
+            "  |".to_string(),
+            format!("1 | {sql}"),
+            format!("  | {}^^^^^", " ".repeat(at)),
+        ]
+        .join("\n");
+        assert_eq!(render_err(&sql), expected);
+    }
+
+    #[test]
+    fn longest_accepted_union_chain_compiles() {
+        // Lowering, rewriting and dropping walk the whole left-deep tree, on
+        // a test thread's default stack.
+        let catalog = frontend_catalog();
+        let sql = vec!["SELECT * FROM events"; parser::MAX_NESTING_DEPTH + 1].join(" UNION ALL ");
+        let compiled = Frontend::new(&catalog)
+            .compile(&sql, &[])
+            .expect("compiles");
+        let mut unions = 0;
+        let mut node = &compiled.query;
+        while let ast::QueryExpr::Union { left, .. } = node {
+            unions += 1;
+            node = left;
+        }
+        assert_eq!(unions, parser::MAX_NESTING_DEPTH);
     }
 
     #[test]

@@ -24,10 +24,14 @@
 //! is purely syntactic: names, parameter arity, and clause legality are the
 //! rewrite pipeline's business.
 //!
-//! Parenthesized queries — `( query )` as a union operand or as a derived
-//! table — nest at most [`MAX_NESTING_DEPTH`] deep. Past that the parser
-//! returns [`ErrorKind::NestingTooDeep`] pointing at the `(` that crossed
-//! the limit, instead of recursing until the stack overflows.
+//! Queries nest at most [`MAX_NESTING_DEPTH`] levels deep. Each
+//! parenthesized query — `( query )` as a union operand or as a derived
+//! table — is one level, and so is each `UNION ALL` term after a chain's
+//! first: the chain is left-deep, so every extra term puts the terms before
+//! it one level further down the tree. Past the limit the parser returns
+//! [`ErrorKind::NestingTooDeep`] pointing at the `(` or `UNION` that crossed
+//! it, so neither the parser's recursion nor any later walk over the tree
+//! can overflow the stack.
 
 use crate::ast::{
     BetweenCond, CmpCond, ColumnRef, Condition, FromItem, JoinClause, Limit, OrderKey, QueryExpr,
@@ -37,10 +41,10 @@ use crate::diag::{ErrorKind, Result, SqlError};
 use crate::lexer::{lex, Token, TokenKind};
 use adas_workload::plan::CmpOp;
 
-/// Deepest nesting of parenthesized queries the parser accepts. Generator
-/// plans render at most two levels deep; the limit leaves ample headroom
-/// while keeping the parser's recursion, and every later walk over that
-/// nesting, far below any thread's stack.
+/// Deepest nesting the parser accepts, counting parenthesized queries and
+/// extra `UNION ALL` terms alike. Generator plans render a few levels deep;
+/// the limit leaves ample headroom while keeping the parser's recursion,
+/// and every later walk over the tree, far below any thread's stack.
 pub const MAX_NESTING_DEPTH: usize = 64;
 
 /// Parses a complete query, consuming all input.
@@ -52,6 +56,7 @@ pub fn parse(sql: &str) -> Result<QueryExpr> {
         pos: 0,
         next_param: 0,
         depth: 0,
+        reach: 0,
     };
     let query = parser.query()?;
     let token = *parser.peek();
@@ -73,6 +78,10 @@ struct Parser<'a> {
     next_param: usize,
     /// Parenthesized queries currently open around the parse position.
     depth: usize,
+    /// Deepest level the query being parsed reaches so far: `depth` at its
+    /// start, raised by nested parentheses and by its own and nested
+    /// `UNION ALL` chains.
+    reach: usize,
 }
 
 impl Parser<'_> {
@@ -154,8 +163,8 @@ impl Parser<'_> {
     }
 
     /// Parses a `query` inside the `(` at `open`, which `union_term` and
-    /// `parse_from_item` have just consumed: the one place recursion
-    /// deepens, so the one place depth is counted.
+    /// `parse_from_item` have just consumed: the one place the parser's
+    /// recursion deepens, so the one place `depth` is counted.
     fn nested_query(&mut self, open: Span) -> Result<QueryExpr> {
         if self.depth == MAX_NESTING_DEPTH {
             return Err(SqlError::new(
@@ -171,12 +180,26 @@ impl Parser<'_> {
         query
     }
 
+    /// Parses a left-deep `UNION ALL` chain. Its terms reach at most
+    /// `reach`; the `n`-th extra term adds `n` levels above the deepest of
+    /// them, so the chain counts against the same limit as parentheses.
     fn query(&mut self) -> Result<QueryExpr> {
+        let outer_reach = std::mem::replace(&mut self.reach, self.depth);
         let mut left = self.union_term()?;
+        let mut extra = 0;
         while self.at_keyword("UNION") {
-            self.advance();
+            let union = self.advance().span;
             self.expect_keyword("ALL")?;
             let right = self.union_term()?;
+            extra += 1;
+            if self.reach + extra > MAX_NESTING_DEPTH {
+                return Err(SqlError::new(
+                    ErrorKind::NestingTooDeep {
+                        limit: MAX_NESTING_DEPTH,
+                    },
+                    union,
+                ));
+            }
             let span = left.span().join(right.span());
             left = QueryExpr::Union {
                 left: Box::new(left),
@@ -184,6 +207,7 @@ impl Parser<'_> {
                 span,
             };
         }
+        self.reach = outer_reach.max(self.reach + extra);
         Ok(left)
     }
 
@@ -612,6 +636,80 @@ mod tests {
         );
         let err = parse(&nested_derived(100_000)).unwrap_err();
         assert!(matches!(err.kind, ErrorKind::NestingTooDeep { .. }));
+    }
+
+    /// A `UNION ALL` chain of `terms` minimal queries.
+    fn union_chain(terms: usize) -> String {
+        let mut sql = String::from("SELECT * FROM t");
+        for _ in 1..terms {
+            sql.push_str(" UNION ALL SELECT * FROM t");
+        }
+        sql
+    }
+
+    #[test]
+    fn union_chain_past_the_limit_points_at_the_crossing_union() {
+        // Each extra term is one level, so the chain may have limit + 1 terms.
+        assert!(parse(&union_chain(MAX_NESTING_DEPTH + 1)).is_ok());
+        let sql = union_chain(MAX_NESTING_DEPTH + 2);
+        let err = parse(&sql).unwrap_err();
+        assert_eq!(
+            err.kind,
+            ErrorKind::NestingTooDeep {
+                limit: MAX_NESTING_DEPTH
+            }
+        );
+        assert_eq!(&sql[err.span.start..err.span.end], "UNION");
+        assert_eq!(err.span.start, sql.rfind("UNION").unwrap());
+    }
+
+    #[test]
+    fn union_chains_and_parentheses_share_one_budget() {
+        let extra = |terms: usize| " UNION ALL SELECT * FROM t".repeat(terms);
+        // A chain inside parentheses: 10 levels of `(` plus 54 extra terms.
+        let inside = |terms| format!("{}{}{}", "(".repeat(10), union_chain(terms), ")".repeat(10));
+        assert!(parse(&inside(55)).is_ok());
+        assert!(parse(&inside(56)).is_err());
+        // A chain whose first term nests 10 deep: the extra terms push that
+        // term further down, so they count on top of its nesting.
+        let after = |terms| format!("{}{}", nested(10), extra(terms));
+        assert!(parse(&after(54)).is_ok());
+        assert!(parse(&after(55)).is_err());
+        // So does a first term holding a chain: its `(` and 29 extra terms
+        // are 30 levels, so 34 more fit and 35 do not.
+        let nested_chain = |outer| format!("({}){}", union_chain(30), extra(outer));
+        assert!(parse(&nested_chain(34)).is_ok());
+        assert!(parse(&nested_chain(35)).is_err());
+    }
+
+    #[test]
+    fn first_term_chains_cannot_stack_past_the_limit() {
+        // Each level is a parenthesized first term and 8 extra terms. Every
+        // chain fits on its own, but each level puts the ones inside it 9
+        // levels further down the tree.
+        let stack = |levels: usize| {
+            let mut sql = String::from("SELECT * FROM t");
+            for _ in 0..levels {
+                sql = format!("({sql}){}", " UNION ALL SELECT * FROM t".repeat(8));
+            }
+            sql
+        };
+        assert!(parse(&stack(7)).is_ok(), "63 levels");
+        let err = parse(&stack(8)).unwrap_err();
+        assert!(matches!(err.kind, ErrorKind::NestingTooDeep { .. }));
+    }
+
+    #[test]
+    fn pathological_union_chain_is_rejected_without_overflow() {
+        // A test thread's default stack in a debug build: without the
+        // limit, dropping this left-deep tree overflows and aborts.
+        let err = parse(&union_chain(100_000)).unwrap_err();
+        assert_eq!(
+            err.kind,
+            ErrorKind::NestingTooDeep {
+                limit: MAX_NESTING_DEPTH
+            }
+        );
     }
 
     #[test]
