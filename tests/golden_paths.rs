@@ -13,17 +13,20 @@
 //! The `stage_compile` and `learned_features` families pin the estimator
 //! passes behind stage compile and plan featurization bit for bit, so a
 //! change to how the catalog resolves names, or to how many estimator
-//! passes a costing makes, cannot move a single estimate.
+//! passes a costing makes, cannot move a single estimate. The `optimize`
+//! family pins the rewrite optimizer's output under the default and the
+//! learned estimator: final plan, estimated cost and the rules applied.
 //!
 //! Digests are stable across processes and identical in debug and release
 //! builds; the suite runs under both.
 
 mod golden;
 
-use autonomous_data_services::engine::cardinality::CardinalityModel;
+use autonomous_data_services::engine::cardinality::{CardinalityModel, DefaultEstimator};
 use autonomous_data_services::engine::cost::CostModel;
 use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
 use autonomous_data_services::engine::physical::{StageDag, StageId};
+use autonomous_data_services::engine::rules::{Optimized, Optimizer, RuleSet};
 use autonomous_data_services::faultsim::{
     ChaosRunner, FaultConfig, FaultEvent, FaultInjector, FaultSchedule,
 };
@@ -36,6 +39,7 @@ use autonomous_data_services::workload::gen::{
     GeneratedWorkload, GeneratorConfig, WorkloadGenerator,
 };
 use autonomous_data_services::workload::plan::{CmpOp, LogicalPlan, Predicate};
+use autonomous_data_services::workload::signature::strict_signature;
 use golden::{digest_all, drive_obs_scenario, obs_scenario_dags, Goldens, SEEDS};
 use std::collections::HashSet;
 
@@ -191,6 +195,58 @@ fn learned_features_match_golden_digests() {
             let case = format!("rf={fraction}/seed={seed}");
             goldens.record_digest(format!("{case}/annotate"), digest_all(&annotations));
             goldens.record_digest(format!("{case}/featurize"), digest_all(&featurized));
+        }
+    }
+    goldens.assert_all();
+}
+
+/// One optimizer result as a line: the final plan's strict signature, the
+/// estimated cost's bits and the applied rules in order.
+fn optimized_line(opt: &Optimized) -> String {
+    let rules: Vec<&str> = opt.applied.iter().map(|r| r.name()).collect();
+    format!(
+        "{} {} [{}]",
+        strict_signature(&opt.plan),
+        bits(&[opt.estimated_cost]),
+        rules.join(",")
+    )
+}
+
+/// Every job of both estimator traces through the all-rules optimizer,
+/// once guided by the default estimator and once by the micromodels
+/// trained on that trace. The two digests of a trace coincide: a
+/// micromodel replaces only the root estimate, and the cost model reads a
+/// node's own rows only at a scan or a join, which never root these plans
+/// or their rewrites.
+#[test]
+fn optimize_matches_golden_digests() {
+    let mut goldens = Goldens::new("optimize");
+    let optimizer = Optimizer::default();
+    for seed in SEEDS {
+        for fraction in ESTIMATOR_FRACTIONS {
+            let w = estimator_workload(seed, fraction);
+            let plans: Vec<LogicalPlan> = w.trace.jobs().iter().map(|j| j.plan.clone()).collect();
+            let (learned, _) =
+                LearnedCardinality::train(&w.catalog, &plans, TrainConfig::default());
+            let default = DefaultEstimator::new(&w.catalog);
+            let models: [(&str, &dyn CardinalityModel); 2] =
+                [("default", &default), ("learned", &learned)];
+            for (name, model) in models {
+                let lines: Vec<String> = plans
+                    .iter()
+                    .map(|p| {
+                        optimized_line(
+                            &optimizer
+                                .optimize(p, RuleSet::all(), model)
+                                .expect("optimizes"),
+                        )
+                    })
+                    .collect();
+                goldens.record_digest(
+                    format!("rf={fraction}/seed={seed}/{name}"),
+                    digest_all(&lines),
+                );
+            }
         }
     }
     goldens.assert_all();
