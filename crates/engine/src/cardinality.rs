@@ -13,6 +13,7 @@ use crate::Result;
 use adas_workload::catalog::{Catalog, ColumnMeta, TableMeta};
 use adas_workload::plan::{CmpOp, LogicalPlan, PlanKind, Predicate};
 use adas_workload::signature::{template_signature_in, Fnv1a};
+use adas_workload::WorkloadError;
 
 /// A model that annotates every node of a plan with an output-row estimate.
 pub trait CardinalityModel {
@@ -124,13 +125,25 @@ fn correlation_factor(plan: &LogicalPlan, catalog: &Catalog) -> f64 {
 /// Annotates `plan` in pre-order into `out` and returns the metadata of its
 /// base table ([`LogicalPlan::base_table`]: the leftmost scan). Each table
 /// is resolved once, at its scan, and handed up to the filters, join sides
-/// and aggregates that read its columns.
+/// and aggregates that read its columns. A node whose child count is not
+/// its operator's arity is rejected with [`LogicalPlan::validate`]'s
+/// message, so every caller — costing, optimizing, stage compile — gets an
+/// error instead of an out-of-bounds child index.
 fn annotate_node<'c>(
     catalog: &'c Catalog,
     plan: &LogicalPlan,
     truth: bool,
     out: &mut Vec<f64>,
 ) -> Result<&'c TableMeta> {
+    if plan.children.len() != plan.kind.arity() {
+        return Err(WorkloadError::MalformedPlan(format!(
+            "{} requires {} children, has {}",
+            plan.kind.name(),
+            plan.kind.arity(),
+            plan.children.len()
+        ))
+        .into());
+    }
     let slot = out.len();
     out.push(0.0);
     let (rows, base) = match &plan.kind {

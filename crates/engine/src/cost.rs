@@ -96,11 +96,12 @@ impl CostModel {
     ) -> usize {
         let idx = *cursor;
         *cursor += 1;
-        let child_indices: Vec<usize> = plan
-            .children
-            .iter()
-            .map(|c| self.node_cost(c, rows, cursor, out))
-            .collect();
+        // Annotation rejects a node whose child count is not its arity (at
+        // most two), so these are all the children a cost reads.
+        let mut child_indices = [0usize; 2];
+        for (slot, child) in child_indices.iter_mut().zip(&plan.children) {
+            *slot = self.node_cost(child, rows, cursor, out);
+        }
         let w = &self.weights;
         let out_rows = rows[idx];
         let cost = match &plan.kind {

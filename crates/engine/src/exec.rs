@@ -12,7 +12,7 @@ use adas_obs::{CounterHandle, GaugeHandle, HistogramHandle, IndexedSpanKey, Obs,
 use adas_simkern::{Component, Ctx, OrderedTick, Simulation};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
 use std::rc::Rc;
 use std::sync::OnceLock;
@@ -157,24 +157,18 @@ impl Simulator {
     /// not precomputed and either feeds no one (a sink) or feeds a required
     /// stage. Stages fully shielded by precomputed outputs are skipped —
     /// this is what makes checkpoint-based recovery cheaper than a full
-    /// re-run. Takes the consumer lists so a run computes
-    /// `dag.consumers()` only once.
-    fn required_stages(
-        dag: &StageDag,
-        options: &SimOptions,
-        consumers: &[Vec<StageId>],
-    ) -> Vec<bool> {
-        let n = dag.len();
+    /// re-run.
+    fn required_stages(stages: &SimStages, options: &SimOptions) -> Vec<bool> {
+        let n = stages.len();
         let mut required = vec![false; n];
         // Walk sinks-to-sources; topological order means consumers have
         // higher indices, so a reverse scan settles everything in one pass.
         for idx in (0..n).rev() {
-            let id = StageId(idx);
-            if options.precomputed.contains(&id) {
+            if options.precomputed.contains(&StageId(idx)) {
                 continue;
             }
-            let is_sink = consumers[idx].is_empty();
-            if is_sink || consumers[idx].iter().any(|c| required[c.0]) {
+            let consumers = stages.consumers(idx);
+            if consumers.is_empty() || consumers.iter().any(|&c| required[c]) {
                 required[idx] = true;
             }
         }
@@ -237,23 +231,18 @@ impl Simulator {
         batch.span_exit(root, report.latency);
     }
 
-    /// Internal scheduler: returns the report plus, for each stage, the
-    /// machines its tasks ran on (the temp-output placement machine-failure
-    /// analysis needs).
+    /// Internal scheduler: returns the report plus the machine each task
+    /// ran on (the temp-output placement machine-failure analysis needs).
     ///
     /// The schedule is produced by a [`ClusterSim`] component on the
     /// `simkern` discrete-event kernel: stage-task completions are events,
     /// the kernel clock is the only notion of time, and earliest-free-slot
-    /// selection is a heap pop. Reports and traces are pinned by the golden
-    /// digests in `tests/golden_paths.rs`.
-    fn schedule(
-        &self,
-        dag: &StageDag,
-        options: &SimOptions,
-    ) -> Result<(ExecReport, Vec<Vec<usize>>)> {
-        let consumers = dag.consumers();
-        let required = Self::required_stages(dag, options, &consumers);
-        let cluster = ClusterSim::new(&self.config, dag, required, &consumers);
+    /// selection is a heap lookup. Reports and traces are pinned by the
+    /// golden digests in `tests/golden_paths.rs`.
+    fn schedule(&self, dag: &StageDag, options: &SimOptions) -> Result<(ExecReport, Placement)> {
+        let stages = SimStages::new(dag);
+        let required = Self::required_stages(&stages, options);
+        let cluster = ClusterSim::new(&self.config, stages, required);
         let mut sim = Simulation::new(0);
         let cluster = Rc::new(RefCell::new(cluster));
         let id = sim.add_component(cluster.clone());
@@ -261,14 +250,13 @@ impl Simulator {
         sim.run();
         let mut cluster = cluster.borrow_mut();
         debug_assert_eq!(
-            cluster.placed,
+            cluster.cursor,
             cluster.stages.len(),
             "every stage must be placed when the event queue drains"
         );
-        let (stage_start, stage_finish, stage_machines, total_cpu, required) = cluster.take();
+        let (stage_start, stage_finish, placement, total_cpu, required) = cluster.take();
         let latency = stage_finish.iter().copied().fold(0.0, f64::max);
-        let machine_temp_peak =
-            self.temp_peaks(dag, options, &stage_finish, &stage_machines, latency);
+        let machine_temp_peak = self.temp_peaks(dag, options, &stage_finish, &placement);
         Ok((
             ExecReport {
                 latency,
@@ -278,7 +266,7 @@ impl Simulator {
                 machine_temp_peak,
                 executed: required,
             },
-            stage_machines,
+            placement,
         ))
     }
 
@@ -291,7 +279,11 @@ impl Simulator {
         dag: &StageDag,
         options: &SimOptions,
     ) -> Result<(ExecReport, Vec<Vec<usize>>)> {
-        self.schedule(dag, options)
+        let (report, placement) = self.schedule(dag, options)?;
+        let per_stage = (0..dag.len())
+            .map(|idx| placement.stage(idx).to_vec())
+            .collect();
+        Ok((report, per_stage))
     }
 
     /// Simulates a *machine* failure: at `failure_at` of the baseline
@@ -316,7 +308,7 @@ impl Simulator {
             checkpointed: checkpointed.clone(),
             precomputed: HashSet::new(),
         };
-        let (original, stage_machines) = self.schedule(dag, &options)?;
+        let (original, placement) = self.schedule(dag, &options)?;
         self.record_run(&original);
         let failure_time = original.latency * failure_at.clamp(0.0, 1.0);
         let surviving: HashSet<StageId> = dag
@@ -324,7 +316,7 @@ impl Simulator {
             .iter()
             .filter(|s| original.stage_finish[s.id.0] <= failure_time)
             .filter(|s| {
-                checkpointed.contains(&s.id) || !stage_machines[s.id.0].contains(&failed_machine)
+                checkpointed.contains(&s.id) || !placement.stage(s.id.0).contains(&failed_machine)
             })
             .map(|s| s.id)
             .collect();
@@ -350,48 +342,50 @@ impl Simulator {
         Ok((original, recovery))
     }
 
-    /// Computes per-machine peak temp storage from alloc/free events.
+    /// Computes per-machine peak local temp storage.
+    ///
+    /// Each task of a placed stage holds an equal share of the stage's
+    /// output on its machine, from the stage's finish until the output is
+    /// freed. The free time folds the consumers' finishes into the job's
+    /// latency, the largest stage finish, so every free lands at job end,
+    /// after every allocation. Outputs are sizes (never negative), so frees
+    /// never raise a peak, and a machine's peak is the running sum of the
+    /// shares allocated on it. The shares are added in order of finish,
+    /// larger share first at equal finishes, then stage and task order —
+    /// the order an alloc/free event sort that puts allocations first at
+    /// equal times adds them in — so each peak is the same float sum.
+    /// Checkpointed outputs live in the global store and precomputed stages
+    /// never run; neither holds temp.
     fn temp_peaks(
         &self,
         dag: &StageDag,
         options: &SimOptions,
         stage_finish: &[f64],
-        stage_machines: &[Vec<usize>],
-        latency: f64,
+        placement: &Placement,
     ) -> Vec<f64> {
-        let consumers = dag.consumers();
-        // (time, machine, delta); allocs sorted before frees at equal times
-        // via the sign of delta (positive first) for a conservative peak.
-        let mut events: Vec<(f64, usize, f64)> = Vec::new();
+        // (finish, per-task share, stage) for every placed stage whose
+        // output stays in temp; precomputed stages are never placed.
+        let mut allocs: Vec<(f64, f64, usize)> = Vec::with_capacity(dag.len());
         for stage in dag.stages() {
-            let idx = stage.id.0;
-            if options.checkpointed.contains(&stage.id) || options.precomputed.contains(&stage.id) {
-                continue; // output lives in the global store
-            }
-            let machines = &stage_machines[idx];
-            if machines.is_empty() {
+            let machines = placement.stage(stage.id.0);
+            if machines.is_empty() || options.checkpointed.contains(&stage.id) {
                 continue;
             }
-            let per_machine = stage.output_bytes / machines.len() as f64;
-            let free_time = consumers[idx]
-                .iter()
-                .map(|c| stage_finish[c.0])
-                .fold(latency, f64::max);
-            for &m in machines {
-                events.push((stage_finish[idx], m, per_machine));
-                events.push((free_time, m, -per_machine));
-            }
+            let share = stage.output_bytes / machines.len() as f64;
+            allocs.push((stage_finish[stage.id.0], share, stage.id.0));
         }
-        events.sort_by(|a, b| {
+        allocs.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.2.partial_cmp(&a.2).unwrap_or(std::cmp::Ordering::Equal))
+                .unwrap_or(Ordering::Equal)
+                .then(b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal))
         });
         let mut current = vec![0.0f64; self.config.machines];
         let mut peak = vec![0.0f64; self.config.machines];
-        for (_, m, delta) in events {
-            current[m] += delta;
-            peak[m] = peak[m].max(current[m]);
+        for (_, share, idx) in allocs {
+            for &m in placement.stage(idx) {
+                current[m] += share;
+                peak[m] = peak[m].max(current[m]);
+            }
         }
         peak
     }
@@ -461,11 +455,11 @@ enum ClusterEvent {
     StageComplete(usize),
 }
 
-/// Per-stage data the component needs, copied out of the DAG because
-/// `simkern` components are `'static`. Inputs and consumers are flattened
-/// into one backing vector each (CSR-style offsets) — the copy costs a
-/// fixed handful of allocations instead of two per stage, which is what
-/// keeps the kernel path's per-run overhead inside `des_bench`'s 5% gate.
+/// Per-stage data the component needs, copied out of the DAG once per run
+/// because `simkern` components are `'static`. Inputs and consumers (the
+/// inverse edges) are flattened into one backing vector each (CSR-style
+/// offsets), so the copy costs three allocations however many stages
+/// the DAG has.
 #[derive(Debug, Clone, Copy)]
 struct StageMeta {
     tasks: usize,
@@ -485,6 +479,46 @@ struct SimStages {
 }
 
 impl SimStages {
+    /// Flattens `dag`'s inputs in stage order, then inverts them: count
+    /// each stage's consumers, turn the counts into start offsets, and fill
+    /// in stage order, which advances every start offset to its end and
+    /// lists each stage's consumers in ascending order.
+    fn new(dag: &StageDag) -> Self {
+        let mut meta = Vec::with_capacity(dag.len());
+        let mut inputs_flat = Vec::new();
+        for s in dag.stages() {
+            inputs_flat.extend(s.inputs.iter().map(|i| i.0));
+            meta.push(StageMeta {
+                tasks: s.tasks,
+                work: s.work,
+                inputs_end: inputs_flat.len(),
+                consumers_end: 0,
+            });
+        }
+        for &input in &inputs_flat {
+            meta[input].consumers_end += 1;
+        }
+        let mut start = 0;
+        for m in &mut meta {
+            let count = m.consumers_end;
+            m.consumers_end = start;
+            start += count;
+        }
+        let mut consumers_flat = vec![0; inputs_flat.len()];
+        for s in dag.stages() {
+            for input in &s.inputs {
+                let end = &mut meta[input.0].consumers_end;
+                consumers_flat[*end] = s.id.0;
+                *end += 1;
+            }
+        }
+        Self {
+            meta,
+            inputs_flat,
+            consumers_flat,
+        }
+    }
+
     fn len(&self) -> usize {
         self.meta.len()
     }
@@ -508,6 +542,23 @@ impl SimStages {
     }
 }
 
+/// The machine each task ran on: one vector in stage order, with per-stage
+/// end offsets like [`SimStages`]. Skipped stages own an empty range.
+#[derive(Debug, Default)]
+struct Placement {
+    machines: Vec<usize>,
+    /// End offset of each settled stage's machines in `machines`.
+    ends: Vec<usize>,
+}
+
+impl Placement {
+    /// The machines stage `idx`'s tasks ran on, in task order.
+    fn stage(&self, idx: usize) -> &[usize] {
+        let start = if idx == 0 { 0 } else { self.ends[idx - 1] };
+        &self.machines[start..self.ends[idx]]
+    }
+}
+
 /// The cluster executor as a `simkern` component.
 ///
 /// Placement is list scheduling: the dispatch cursor walks stages in
@@ -515,9 +566,10 @@ impl SimStages {
 /// it with every input complete. Each task starts at
 /// `max(slot_free, ready)`, with `ready` the max input finish. Stage
 /// completions are kernel events (the clock advances through the
-/// schedule), and the earliest-free slot is a
-/// `BinaryHeap<Reverse<(OrderedTick, slot)>>` pop with an explicit index
-/// tie-break.
+/// schedule), and the earliest-free slot is the top of a
+/// `BinaryHeap<Reverse<(OrderedTick, slot)>>`, rewritten in place with
+/// the task's finish; the slot index makes every key unique, so the order
+/// slots are taken in depends only on the keys.
 ///
 /// One wrinkle: list scheduling can queue a stage's tasks on slots that
 /// free *before* the current clock (the cursor held it back behind an
@@ -537,64 +589,42 @@ struct ClusterSim {
     remaining_inputs: Vec<usize>,
     /// Dispatch cursor: stages below it are placed (or skipped).
     cursor: usize,
-    placed: usize,
     stage_start: Vec<f64>,
     stage_finish: Vec<f64>,
-    stage_machines: Vec<Vec<usize>>,
+    placement: Placement,
     total_cpu: f64,
 }
 
 impl ClusterSim {
-    fn new(
-        config: &ClusterConfig,
-        dag: &StageDag,
-        required: Vec<bool>,
-        consumers: &[Vec<StageId>],
-    ) -> Self {
-        let n = dag.len();
+    fn new(config: &ClusterConfig, stages: SimStages, required: Vec<bool>) -> Self {
+        let n = stages.len();
         let total_slots = config.machines * config.slots_per_machine;
-        let mut meta = Vec::with_capacity(n);
-        let mut inputs_flat = Vec::new();
-        let mut consumers_flat = Vec::new();
-        let mut remaining_inputs = Vec::with_capacity(n);
-        for (s, c) in dag.stages().iter().zip(consumers) {
-            inputs_flat.extend(s.inputs.iter().map(|i| i.0));
-            consumers_flat.extend(c.iter().map(|i| i.0));
-            meta.push(StageMeta {
-                tasks: s.tasks,
-                work: s.work,
-                inputs_end: inputs_flat.len(),
-                consumers_end: consumers_flat.len(),
-            });
-            remaining_inputs.push(s.inputs.len());
-        }
+        let remaining_inputs = (0..n).map(|idx| stages.inputs(idx).len()).collect();
+        let total_tasks = stages.meta.iter().map(|m| m.tasks).sum();
         Self {
             slots_per_machine: config.slots_per_machine,
             work_per_second: config.work_per_second,
             task_overhead: config.task_overhead,
-            stages: SimStages {
-                meta,
-                inputs_flat,
-                consumers_flat,
-            },
+            stages,
             required,
             slot_free: (0..total_slots)
                 .map(|slot| Reverse((OrderedTick::new(0.0), slot)))
                 .collect(),
             remaining_inputs,
             cursor: 0,
-            placed: 0,
             stage_start: vec![0.0; n],
             stage_finish: vec![0.0; n],
-            stage_machines: vec![Vec::new(); n],
+            placement: Placement {
+                machines: Vec::with_capacity(total_tasks),
+                ends: Vec::with_capacity(n),
+            },
             total_cpu: 0.0,
         }
     }
 
     /// Marks `idx` complete and unblocks its consumers.
     fn complete(&mut self, idx: usize) {
-        for c in 0..self.stages.consumers(idx).len() {
-            let consumer = self.stages.consumers(idx)[c];
+        for &consumer in self.stages.consumers(idx) {
             self.remaining_inputs[consumer] -= 1;
         }
     }
@@ -608,17 +638,14 @@ impl ClusterSim {
                 // Precomputed or shielded: completes instantly at time 0.
                 self.stage_start[idx] = 0.0;
                 self.stage_finish[idx] = 0.0;
-                self.cursor += 1;
-                self.placed += 1;
                 self.complete(idx);
-                continue;
-            }
-            if self.remaining_inputs[idx] > 0 {
+            } else if self.remaining_inputs[idx] > 0 {
                 return; // wait for a StageComplete event
+            } else {
+                self.place(idx, ctx);
             }
-            self.place(idx, ctx);
+            self.placement.ends.push(self.placement.machines.len());
             self.cursor += 1;
-            self.placed += 1;
         }
     }
 
@@ -637,16 +664,17 @@ impl ClusterSim {
         let mut finish = ready;
         let mut start = f64::INFINITY;
         for _ in 0..tasks {
-            let Reverse((free, slot)) = self.slot_free.pop().expect("at least one slot");
+            let mut earliest = self.slot_free.peek_mut().expect("at least one slot");
+            let Reverse((free, slot)) = *earliest;
             debug_assert!(free.get().is_finite(), "slot free-time must be finite");
             let task_start = free.get().max(ready);
             let task_finish = task_start + task_duration;
-            self.slot_free
-                .push(Reverse((OrderedTick::new(task_finish), slot)));
+            *earliest = Reverse((OrderedTick::new(task_finish), slot));
+            drop(earliest); // restores heap order
             self.total_cpu += task_duration;
             finish = finish.max(task_finish);
             start = start.min(task_start);
-            self.stage_machines[idx].push(slot / self.slots_per_machine);
+            self.placement.machines.push(slot / self.slots_per_machine);
         }
         self.stage_start[idx] = if start.is_finite() { start } else { ready };
         self.stage_finish[idx] = finish;
@@ -658,12 +686,11 @@ impl ClusterSim {
     }
 
     /// Moves the results out after the run.
-    #[allow(clippy::type_complexity)]
-    fn take(&mut self) -> (Vec<f64>, Vec<f64>, Vec<Vec<usize>>, f64, Vec<bool>) {
+    fn take(&mut self) -> (Vec<f64>, Vec<f64>, Placement, f64, Vec<bool>) {
         (
             std::mem::take(&mut self.stage_start),
             std::mem::take(&mut self.stage_finish),
-            std::mem::take(&mut self.stage_machines),
+            std::mem::take(&mut self.placement),
             self.total_cpu,
             std::mem::take(&mut self.required),
         )
@@ -862,6 +889,137 @@ mod tests {
         let total_temp: f64 = r.machine_temp_peak.iter().sum();
         // The scan's full output is held in temp somewhere.
         assert!((total_temp - dag.stages()[0].output_bytes).abs() < 1.0);
+    }
+
+    /// The alloc/free event sort that [`Simulator::temp_peaks`] replaced,
+    /// kept as its reference. Each task of a placed stage allocates its
+    /// share of the stage's output on its machine at the stage's finish,
+    /// and frees it once the last consumer finished, but never before the
+    /// job's latency. Events sort by time, allocations first at equal
+    /// times, larger first.
+    fn reference_temp_peaks(
+        dag: &StageDag,
+        options: &SimOptions,
+        stage_finish: &[f64],
+        stage_machines: &[Vec<usize>],
+        latency: f64,
+        machines: usize,
+    ) -> Vec<f64> {
+        let consumers = dag.consumers();
+        // (time, machine, delta)
+        let mut events: Vec<(f64, usize, f64)> = Vec::new();
+        for stage in dag.stages() {
+            let idx = stage.id.0;
+            if options.checkpointed.contains(&stage.id) || options.precomputed.contains(&stage.id) {
+                continue;
+            }
+            let placed = &stage_machines[idx];
+            if placed.is_empty() {
+                continue;
+            }
+            let per_machine = stage.output_bytes / placed.len() as f64;
+            let free_time = consumers[idx]
+                .iter()
+                .map(|c| stage_finish[c.0])
+                .fold(latency, f64::max);
+            for &m in placed {
+                events.push((stage_finish[idx], m, per_machine));
+                events.push((free_time, m, -per_machine));
+            }
+        }
+        events.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(Ordering::Equal)
+                .then(b.2.partial_cmp(&a.2).unwrap_or(Ordering::Equal))
+        });
+        let mut current = vec![0.0f64; machines];
+        let mut peak = vec![0.0f64; machines];
+        for (_, m, delta) in events {
+            current[m] += delta;
+            peak[m] = peak[m].max(current[m]);
+        }
+        peak
+    }
+
+    /// Stages drawn as `(work class, tasks, output class, output bytes,
+    /// input mask, wiring)`: three work values and up to four tasks, so
+    /// many stages share a duration. A third of the stages (wiring 0) are
+    /// sources, which start together and tie on finish. One output class
+    /// fixes the bytes, so shares tie too.
+    fn arb_dag(specs: &[(usize, usize, usize, f64, u64, usize)]) -> StageDag {
+        const WORK: [f64; 3] = [2.0e6, 3.0e6, 7.5e6];
+        let stages = specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(work, tasks, output_class, output, mask, wiring))| {
+                let inputs = if wiring == 0 {
+                    Vec::new()
+                } else {
+                    (0..i).filter(|j| mask >> j & 1 == 1).map(StageId).collect()
+                };
+                crate::physical::Stage {
+                    id: StageId(i),
+                    op: "Synthetic",
+                    inputs,
+                    work: WORK[work],
+                    est_work: WORK[work],
+                    rows: 1.0,
+                    est_rows: 1.0,
+                    output_bytes: if output_class == 0 { 6400.0 } else { output },
+                    tasks,
+                }
+            })
+            .collect();
+        StageDag::from_stages(stages).unwrap()
+    }
+
+    /// The stages whose bit is set in `mask`.
+    fn subset(dag: &StageDag, mask: u64) -> HashSet<StageId> {
+        (0..dag.len())
+            .filter(|i| mask >> i & 1 == 1)
+            .map(StageId)
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `temp_peaks` equals the event sort bit for bit, whatever the
+        /// DAG, checkpoints, precomputed stages and cluster shape.
+        #[test]
+        fn temp_peaks_match_event_sort_reference(
+            specs in proptest::collection::vec(
+                (0usize..3, 1usize..=4, 0usize..2, 1.0f64..1.0e9, 0u64..(1 << 14), 0usize..3),
+                1..=14,
+            ),
+            masks in (0u64..(1 << 14), 0u64..(1 << 14), 0u64..(1 << 14)),
+            shape in 0usize..4,
+        ) {
+            let (machines, slots_per_machine) = [(16, 4), (2, 1), (1, 1), (3, 5)][shape];
+            let config = ClusterConfig {
+                machines,
+                slots_per_machine,
+                ..Default::default()
+            };
+            let dag = arb_dag(&specs);
+            let options = SimOptions {
+                checkpointed: subset(&dag, masks.0),
+                // About a quarter of the stages, so most runs still execute.
+                precomputed: subset(&dag, masks.1 & masks.2),
+            };
+            let sim = Simulator::with_obs(config, Obs::disabled()).unwrap();
+            let (report, placement) = sim.run_with_placement(&dag, &options).unwrap();
+            let reference = reference_temp_peaks(
+                &dag,
+                &options,
+                &report.stage_finish,
+                &placement,
+                report.latency,
+                machines,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&report.machine_temp_peak), bits(&reference));
+        }
     }
 }
 

@@ -16,6 +16,7 @@ use crate::Result;
 use adas_obs::Obs;
 use adas_workload::plan::{LogicalPlan, PlanKind, Predicate};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Identifier of one rewrite rule (index into [`ALL_RULES`]).
 pub type RuleId = usize;
@@ -252,14 +253,18 @@ impl Rule {
     }
 
     /// Applies the rule at the first (pre-order) node where it fires.
+    /// Each level above the rewrite clones only the siblings of the child
+    /// it replaces.
     pub fn apply_once(self, plan: &LogicalPlan) -> Option<LogicalPlan> {
         if let Some(rewritten) = self.apply_here(plan) {
             return Some(rewritten);
         }
         for (i, child) in plan.children.iter().enumerate() {
             if let Some(new_child) = self.apply_once(child) {
-                let mut children = plan.children.clone();
-                children[i] = new_child;
+                let mut children = Vec::with_capacity(plan.children.len());
+                children.extend_from_slice(&plan.children[..i]);
+                children.push(new_child);
+                children.extend_from_slice(&plan.children[i + 1..]);
                 return Some(LogicalPlan {
                     kind: plan.kind.clone(),
                     children,
@@ -356,7 +361,8 @@ impl Optimizer {
 
     /// Greedy first-improvement rewriting: on each pass, the first enabled
     /// rule whose application strictly lowers the estimated cost is
-    /// accepted; the loop ends at a fixpoint or after `max_passes`.
+    /// accepted; the loop ends at a fixpoint or after `max_passes`. The
+    /// input plan is borrowed until a rewrite is accepted.
     pub fn optimize(
         &self,
         plan: &LogicalPlan,
@@ -364,7 +370,7 @@ impl Optimizer {
         cards: &dyn CardinalityModel,
     ) -> Result<Optimized> {
         let span = self.obs.span_enter("engine.rules", "optimize", 0.0);
-        let mut current = plan.clone();
+        let mut current = Cow::Borrowed(plan);
         let mut current_cost = self.cost_model.total_cost(&current, cards)?;
         let initial_cost = current_cost;
         let mut applied = Vec::new();
@@ -392,7 +398,7 @@ impl Optimizer {
                             &[("rule", rule.name())],
                             1,
                         );
-                        current = candidate;
+                        current = Cow::Owned(candidate);
                         current_cost = cost;
                         applied.push(*rule);
                         improved = true;
@@ -423,7 +429,7 @@ impl Optimizer {
             batch.span_exit(span, 0.0);
         }
         Ok(Optimized {
-            plan: current,
+            plan: current.into_owned(),
             estimated_cost: current_cost,
             applied,
         })
