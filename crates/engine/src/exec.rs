@@ -379,12 +379,10 @@ impl Simulator {
                 .unwrap_or(Ordering::Equal)
                 .then(b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal))
         });
-        let mut current = vec![0.0f64; self.config.machines];
         let mut peak = vec![0.0f64; self.config.machines];
         for (_, share, idx) in allocs {
             for &m in placement.stage(idx) {
-                current[m] += share;
-                peak[m] = peak[m].max(current[m]);
+                peak[m] += share;
             }
         }
         peak
@@ -524,22 +522,19 @@ impl SimStages {
     }
 
     fn inputs(&self, idx: usize) -> &[usize] {
-        let start = if idx == 0 {
-            0
-        } else {
-            self.meta[idx - 1].inputs_end
-        };
-        &self.inputs_flat[start..self.meta[idx].inputs_end]
+        span(&self.inputs_flat, |i| self.meta[i].inputs_end, idx)
     }
 
     fn consumers(&self, idx: usize) -> &[usize] {
-        let start = if idx == 0 {
-            0
-        } else {
-            self.meta[idx - 1].consumers_end
-        };
-        &self.consumers_flat[start..self.meta[idx].consumers_end]
+        span(&self.consumers_flat, |i| self.meta[i].consumers_end, idx)
     }
+}
+
+/// Range `idx` of `flat`, whose ranges lie back to back in index order and
+/// range `i` ends at `end(i)`.
+fn span(flat: &[usize], end: impl Fn(usize) -> usize, idx: usize) -> &[usize] {
+    let start = if idx == 0 { 0 } else { end(idx - 1) };
+    &flat[start..end(idx)]
 }
 
 /// The machine each task ran on: one vector in stage order, with per-stage
@@ -554,8 +549,7 @@ struct Placement {
 impl Placement {
     /// The machines stage `idx`'s tasks ran on, in task order.
     fn stage(&self, idx: usize) -> &[usize] {
-        let start = if idx == 0 { 0 } else { self.ends[idx - 1] };
-        &self.machines[start..self.ends[idx]]
+        span(&self.machines, |i| self.ends[i], idx)
     }
 }
 
