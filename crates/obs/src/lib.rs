@@ -26,9 +26,10 @@
 //!
 //! Always-on recording must be budgeted like any other hot-path cost, so
 //! the recorder ([`Obs::recording`]) never allocates per record: strings
-//! intern to integer ids ([`intern`]), records stage into a preallocated
-//! ring and flush in batches, metric updates land in dense slots, and
-//! strings are only resolved back at snapshot/export time. Golden digests
+//! intern to integer ids ([`intern`]), spans append straight to compact
+//! storage, other records stage into a preallocated ring and flush in
+//! batches, metric updates land in dense slots, and strings are only
+//! resolved back at snapshot/export time. Golden digests
 //! pin the exported canonical JSON, whatever the ring size and wherever
 //! snapshots cut it. Instrumentation sites that emit several records at one
 //! point in time should take one [`Obs::batch`] and record through it — one
@@ -110,8 +111,8 @@ pub struct TraceCursor {
 /// [`Obs::disabled`] carries no recorder at all: every instrumentation call
 /// is a single `Option` branch, which is what keeps the always-on
 /// production configuration within the overhead budget. When recording,
-/// records stage through a preallocated ring with interned strings (see
-/// the crate docs).
+/// strings are interned and every record but a span stages through a
+/// preallocated ring (see the crate docs).
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<Mutex<BatchedRecorder>>>,
@@ -541,6 +542,7 @@ pub struct SpanKey {
 
 impl SpanKey {
     /// Opens a span through an open batch (see [`ObsBatch::span_enter`]).
+    #[inline]
     pub fn enter(&self, batch: &mut ObsBatch<'_>, sim_time: f64) -> SpanId {
         let token = batch.token;
         let Some(rec) = batch.guard.as_deref_mut() else {
@@ -568,6 +570,7 @@ pub struct IndexedSpanKey {
 impl IndexedSpanKey {
     /// Opens a `{base}_{index}` span through an open batch (see
     /// [`ObsBatch::span_enter_indexed`]).
+    #[inline]
     pub fn enter(&self, batch: &mut ObsBatch<'_>, index: usize, sim_time: f64) -> SpanId {
         let token = batch.token;
         let Some(rec) = batch.guard.as_deref_mut() else {
@@ -596,6 +599,7 @@ pub struct CounterHandle(MetricHandle);
 
 impl CounterHandle {
     /// Adds `delta` to the counter through an open batch.
+    #[inline]
     pub fn add(&self, batch: &mut ObsBatch<'_>, delta: u64) {
         let token = batch.token;
         let Some(rec) = batch.guard.as_deref_mut() else {
@@ -627,6 +631,7 @@ pub struct GaugeHandle(MetricHandle);
 
 impl GaugeHandle {
     /// Sets the gauge through an open batch.
+    #[inline]
     pub fn set(&self, batch: &mut ObsBatch<'_>, value: f64) {
         let token = batch.token;
         let Some(rec) = batch.guard.as_deref_mut() else {
@@ -661,6 +666,7 @@ pub struct HistogramHandle {
 
 impl HistogramHandle {
     /// Observes `value` through an open batch.
+    #[inline]
     pub fn observe(&self, batch: &mut ObsBatch<'_>, value: f64) {
         let token = batch.token;
         let Some(rec) = batch.guard.as_deref_mut() else {
@@ -723,6 +729,7 @@ impl ObsBatch<'_> {
     }
 
     /// Batch equivalent of [`Obs::span_exit`].
+    #[inline]
     pub fn span_exit(&mut self, id: SpanId, sim_time: f64) {
         if !id.is_real() {
             return;
@@ -868,6 +875,36 @@ mod tests {
         assert_eq!(trace.spans[2].parent, Some(outer));
         assert_eq!(trace.children_of(outer).count(), 2);
         assert!((trace.spans[1].duration() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn span_exits_land_on_the_stored_span() {
+        let obs = Obs::recording();
+        let outer = obs.span_enter("c", "outer", 0.0);
+        let inner = obs.span_enter("c", "inner", 1.0);
+        // Still open at the cut: `end == start`.
+        assert_eq!(obs.snapshot().spans[1].end, 1.0);
+        obs.span_exit(inner, 2.0);
+        obs.span_exit(outer, 3.0);
+        // A repeated exit moves the end again; an unknown id changes nothing.
+        obs.span_exit(inner, 2.5);
+        obs.span_exit(SpanId(99), 9.0);
+        let ends: Vec<f64> = obs.snapshot().spans.iter().map(|s| s.end).collect();
+        assert_eq!(ends, vec![3.0, 2.5]);
+
+        // Exits of spans the sampler dropped are ignored.
+        let sampled = Obs::recording_sampled(7, 0.5);
+        let ids: Vec<SpanId> = (0..64)
+            .map(|i| sampled.span_enter("c", "s", i as f64))
+            .collect();
+        for (i, &id) in ids.iter().enumerate().rev() {
+            sampled.span_exit(id, 100.0 + i as f64);
+        }
+        let kept = sampled.snapshot().spans;
+        assert!(!kept.is_empty() && kept.len() < ids.len());
+        for s in &kept {
+            assert_eq!(s.end, 100.0 + s.id.0 as f64);
+        }
     }
 
     #[test]

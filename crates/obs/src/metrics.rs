@@ -76,6 +76,7 @@ impl Histogram {
     }
 
     /// Records one observation.
+    #[inline]
     pub fn observe(&mut self, value: f64) {
         let idx = self
             .bounds

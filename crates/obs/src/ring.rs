@@ -5,10 +5,15 @@
 //!
 //! 1. strings intern to `u32` ids ([`crate::intern::Interner`]) — a hash
 //!    plus a content compare on the hit path, no allocation;
-//! 2. the record is staged as a plain-old-data [`Staged`] value into a
-//!    preallocated ring (`Vec` reused across flushes — the push is a bounds
-//!    check and a move);
-//! 3. metrics bypass the ring entirely: each distinct
+//! 2. events, decisions and deployments stage as plain-old-data [`Staged`]
+//!    values into a preallocated ring (`Vec` reused across flushes — the
+//!    push is a bounds check and a move);
+//! 3. spans bypass the ring: entering one appends it straight to compact
+//!    storage with `end == start`, and exiting it overwrites that `end` in
+//!    place. A span is the hottest record (the executor enters and exits
+//!    one per stage) and the only one written twice, so staging it would
+//!    copy both halves through the ring only to join them again at flush;
+//! 4. metrics bypass the ring entirely: each distinct
 //!    `(component, name, labels)` set resolves once to a dense slot index
 //!    and updates land directly in the slot (`u64` add / `f64` store /
 //!    bucket increment) — the canonical `BTreeMap` registry is only
@@ -16,13 +21,16 @@
 //!
 //! When the ring fills (or a snapshot/export forces it), `flush` drains the
 //! staged records *in order* into compact, id-based trace storage — still no
-//! strings. Strings are resolved exactly once, at snapshot or streaming
-//! export, so the canonical JSON is independent of ring size and flush
-//! points: the golden-digest suites pin that.
+//! strings. Each record kind has its own storage vector in record order, so
+//! spans skipping the ring leaves every vector's order as it was. Strings
+//! are resolved exactly once, at snapshot or streaming export, so the
+//! canonical JSON is independent of ring size and flush points: the
+//! golden-digest suites pin that.
 //!
-//! Optional deterministic sampling ([`crate::sample`]) is applied at flush:
-//! sequence numbers and span ids are assigned to every record regardless,
-//! so a sampled trace is a strict filter of the full trace.
+//! Optional deterministic sampling ([`crate::sample`]) is applied at flush
+//! (at entry, for spans): sequence numbers and span ids are assigned to
+//! every record regardless, so a sampled trace is a strict filter of the
+//! full trace.
 
 use crate::export::ChunkSink;
 use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord, Provenance};
@@ -39,10 +47,10 @@ pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
 /// Sentinel in `span_index` for spans dropped by the sampler.
 const SAMPLED_OUT: u32 = u32::MAX;
 
-/// Sentinel for "no enclosing span" in staged records (span ids are
-/// sequential counters, so `u64::MAX` is unreachable). Staged as a bare
-/// `u64` instead of `Option<SpanId>` to keep ring slots small — ring
-/// records are written and read back once per record, so slot size is
+/// Sentinel for "no enclosing span" in staged records and stored spans
+/// (span ids are sequential counters, so `u64::MAX` is unreachable). Kept
+/// as a bare `u64` instead of `Option<SpanId>` to keep ring slots and span
+/// records small — both are written once per record, so their size is
 /// hot-path memory traffic.
 const NO_SPAN: u64 = u64::MAX;
 
@@ -55,19 +63,6 @@ fn unstage_span(raw: u64) -> Option<SpanId> {
 /// stage only an index, so the enum stays at the size of its hot variants.
 #[derive(Debug, Clone, Copy)]
 enum Staged {
-    SpanEnter {
-        seq: u64,
-        id: u64,
-        /// Parent span id or [`NO_SPAN`].
-        parent: u64,
-        component: u32,
-        name: u32,
-        time: f64,
-    },
-    SpanExit {
-        id: u64,
-        time: f64,
-    },
     Event {
         seq: u64,
         /// Enclosing span id or [`NO_SPAN`].
@@ -87,7 +82,8 @@ enum Staged {
 #[derive(Debug, Clone, Copy)]
 struct CompactSpan {
     id: u64,
-    parent: Option<SpanId>,
+    /// Parent span id or [`NO_SPAN`].
+    parent: u64,
     component: u32,
     name: u32,
     start: f64,
@@ -367,18 +363,11 @@ impl BatchedRecorder {
         }
     }
 
+    #[inline]
     fn next_seq(&mut self) -> u64 {
         let s = self.seq;
         self.seq += 1;
         s
-    }
-
-    /// Stages one record, flushing first when the ring is full.
-    fn stage(&mut self, record: Staged) {
-        if self.ring.len() >= self.ring_capacity {
-            self.flush();
-        }
-        self.ring.push(record);
     }
 
     /// Drains the staging ring into compact storage, applying the sampler.
@@ -389,37 +378,6 @@ impl BatchedRecorder {
         let mut ring = std::mem::take(&mut self.ring);
         for staged in ring.drain(..) {
             match staged {
-                Staged::SpanEnter {
-                    seq,
-                    id,
-                    parent,
-                    component,
-                    name,
-                    time,
-                } => {
-                    debug_assert_eq!(self.store.span_index.len() as u64, id);
-                    if self.sampler.map_or(true, |s| s.keeps(id)) {
-                        self.store.span_index.push(self.store.spans.len() as u32);
-                        self.store.spans.push(CompactSpan {
-                            id,
-                            parent: unstage_span(parent),
-                            component,
-                            name,
-                            start: time,
-                            end: time,
-                            seq,
-                        });
-                    } else {
-                        self.store.span_index.push(SAMPLED_OUT);
-                    }
-                }
-                Staged::SpanExit { id, time } => {
-                    if let Some(&ix) = self.store.span_index.get(id as usize) {
-                        if ix != SAMPLED_OUT {
-                            self.store.spans[ix as usize].end = time;
-                        }
-                    }
-                }
                 Staged::Event {
                     seq,
                     span,
@@ -491,6 +449,7 @@ impl BatchedRecorder {
         self.indexed_name_ids(base_id, index)
     }
 
+    #[inline]
     fn indexed_name_ids(&mut self, base_id: u32, index: usize) -> u32 {
         let key = (base_id, index as u64);
         if let Some(&id) = self.indexed.get(&key) {
@@ -503,25 +462,36 @@ impl BatchedRecorder {
     }
 
     /// Span entry from pre-interned ids (the [`crate::SpanKey`] fast path).
+    /// Appends the span to compact storage (see the module docs), open
+    /// until its exit overwrites `end`.
+    #[inline]
     pub(crate) fn span_enter_ids(&mut self, component: u32, name: u32, sim_time: f64) -> SpanId {
         let seq = self.next_seq();
         let id = self.next_span_id;
         self.next_span_id += 1;
         let parent = self.span_stack.last().map_or(NO_SPAN, |s| s.0);
-        self.stage(Staged::SpanEnter {
-            seq,
-            id,
-            parent,
-            component,
-            name,
-            time: sim_time,
-        });
+        debug_assert_eq!(self.store.span_index.len() as u64, id);
+        if self.sampler.map_or(true, |s| s.keeps(id)) {
+            self.store.span_index.push(self.store.spans.len() as u32);
+            self.store.spans.push(CompactSpan {
+                id,
+                parent,
+                component,
+                name,
+                start: sim_time,
+                end: sim_time,
+                seq,
+            });
+        } else {
+            self.store.span_index.push(SAMPLED_OUT);
+        }
         self.span_stack.push(SpanId(id));
         SpanId(id)
     }
 
     /// Indexed span entry from pre-interned ids (the
     /// [`crate::IndexedSpanKey`] fast path).
+    #[inline]
     pub(crate) fn span_enter_indexed_ids(
         &mut self,
         component: u32,
@@ -539,15 +509,15 @@ impl BatchedRecorder {
         (self.strings.intern(component), self.strings.intern(name))
     }
 
+    #[inline]
     pub(crate) fn span_exit(&mut self, id: SpanId, sim_time: f64) {
         if let Some(pos) = self.span_stack.iter().rposition(|&s| s == id) {
             self.span_stack.truncate(pos);
         }
-        if id.0 < self.next_span_id {
-            self.stage(Staged::SpanExit {
-                id: id.0,
-                time: sim_time,
-            });
+        if let Some(&ix) = self.store.span_index.get(id.0 as usize) {
+            if ix != SAMPLED_OUT {
+                self.store.spans[ix as usize].end = sim_time;
+            }
         }
     }
 
@@ -759,6 +729,7 @@ impl BatchedRecorder {
         id
     }
 
+    #[inline]
     pub(crate) fn counter_add_slot(&mut self, id: u32, delta: u64) {
         match &mut self.metrics.slots[id as usize] {
             MetricValue::Counter(c) => *c += delta,
@@ -772,6 +743,7 @@ impl BatchedRecorder {
         id
     }
 
+    #[inline]
     pub(crate) fn gauge_set_slot(&mut self, id: u32, value: f64) {
         self.metrics.slots[id as usize] = MetricValue::Gauge(value);
     }
@@ -787,6 +759,7 @@ impl BatchedRecorder {
         id
     }
 
+    #[inline]
     pub(crate) fn histogram_observe_slot(&mut self, id: u32, value: f64) {
         match &mut self.metrics.slots[id as usize] {
             MetricValue::Histogram(h) => h.observe(value),
@@ -799,7 +772,7 @@ impl BatchedRecorder {
     fn resolve_span(&self, s: &CompactSpan) -> SpanRecord {
         SpanRecord {
             id: SpanId(s.id),
-            parent: s.parent,
+            parent: unstage_span(s.parent),
             component: self.strings.resolve(s.component).to_string(),
             name: self.strings.resolve(s.name).to_string(),
             start: s.start,

@@ -15,8 +15,8 @@ use autonomous_data_services::obs::Obs;
 use golden::{digest, drive_obs_scenario, obs_scenario_dags, Goldens};
 
 /// Fresh recorders: the default ring and a 3-record ring that flushes
-/// inside nearly every job, so flush-ordering bugs cannot hide behind a
-/// large ring.
+/// inside nearly every job that records events (spans skip the ring), so
+/// flush-ordering bugs cannot hide behind a large ring.
 fn backends() -> [(&'static str, Obs); 2] {
     [
         ("default ring", Obs::recording()),
