@@ -68,7 +68,7 @@ pub mod export;
 pub mod flight;
 pub mod intern;
 pub mod metrics;
-mod ring;
+mod recorder;
 pub mod sample;
 pub mod span;
 pub mod trace;
@@ -83,7 +83,7 @@ pub use span::{SpanId, SpanRecord};
 pub use trace::{EventRecord, Trace, TraceQuery};
 
 use parking_lot::Mutex;
-use ring::{BatchedRecorder, MetricIdKey, DEFAULT_RING_CAPACITY};
+use recorder::{MetricIdKey, Recorder, DEFAULT_RING_CAPACITY};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::sync::MutexGuard;
@@ -115,7 +115,7 @@ pub struct TraceCursor {
 /// preallocated ring (see the crate docs).
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
-    inner: Option<Arc<Mutex<BatchedRecorder>>>,
+    inner: Option<Arc<Mutex<Recorder>>>,
 }
 
 impl Obs {
@@ -126,14 +126,14 @@ impl Obs {
 
     /// A live recorder with the default staging-ring capacity.
     pub fn recording() -> Self {
-        Self::from_recorder(BatchedRecorder::new(DEFAULT_RING_CAPACITY, None))
+        Self::from_recorder(Recorder::new(DEFAULT_RING_CAPACITY, None))
     }
 
     /// A live recorder with an explicit staging-ring capacity (records
     /// between forced flushes). Mostly useful in tests that want to force
     /// many flush boundaries.
     pub fn recording_with_ring(capacity: usize) -> Self {
-        Self::from_recorder(BatchedRecorder::new(capacity, None))
+        Self::from_recorder(Recorder::new(capacity, None))
     }
 
     /// A live recorder with deterministic per-seed sampling: whether a
@@ -142,13 +142,13 @@ impl Obs {
     /// sampled trace is a strict filter of the full one (see [`sample`]).
     /// Deployment records and metrics are never sampled out.
     pub fn recording_sampled(seed: u64, keep_ratio: f64) -> Self {
-        Self::from_recorder(BatchedRecorder::new(
+        Self::from_recorder(Recorder::new(
             DEFAULT_RING_CAPACITY,
             Some(SampleConfig::new(seed, keep_ratio)),
         ))
     }
 
-    fn from_recorder(recorder: BatchedRecorder) -> Self {
+    fn from_recorder(recorder: Recorder) -> Self {
         Self {
             inner: Some(Arc::new(Mutex::new(recorder))),
         }
@@ -697,7 +697,7 @@ impl HistogramHandle {
 /// handle; `span_enter*` then return [`SpanId::NONE`].
 pub struct ObsBatch<'a> {
     token: usize,
-    guard: Option<MutexGuard<'a, BatchedRecorder>>,
+    guard: Option<MutexGuard<'a, Recorder>>,
 }
 
 impl ObsBatch<'_> {

@@ -323,7 +323,7 @@ impl MetricTable {
 
 /// The recorder behind [`crate::Obs::recording`].
 #[derive(Debug)]
-pub(crate) struct BatchedRecorder {
+pub(crate) struct Recorder {
     seq: u64,
     next_span_id: u64,
     span_stack: Vec<SpanId>,
@@ -343,7 +343,7 @@ pub(crate) struct BatchedRecorder {
     sampler: Option<SampleConfig>,
 }
 
-impl BatchedRecorder {
+impl Recorder {
     pub(crate) fn new(ring_capacity: usize, sampler: Option<SampleConfig>) -> Self {
         let ring_capacity = ring_capacity.max(1);
         Self {
