@@ -47,7 +47,7 @@ fn main() {
             // A fresh recorder per round keeps the trace from growing without
             // bound across rounds. Its construction stays outside the timed
             // window: the budget tracks steady-state recording cost per run,
-            // not the one-off ring/registry allocation.
+            // not the one-off recorder allocation.
             Config::new("recording", |lap| {
                 let sim = Simulator::with_obs(cluster, Obs::recording()).expect("valid cluster");
                 lap.time(|| {

@@ -119,7 +119,7 @@ impl RunMetrics {
         Self {
             run_span: obs.span_key("engine.exec", "run"),
             stage_span: obs.indexed_span_key("engine.exec", "stage"),
-            stage_latency: obs.histogram_handle("engine.exec", "stage_latency_seconds", &[], None),
+            stage_latency: obs.histogram_handle("engine.exec", "stage_latency_seconds", &[]),
             stages_executed: obs.counter_handle("engine.exec", "stages_executed", &[]),
             stages_skipped: obs.counter_handle("engine.exec", "stages_skipped", &[]),
             hotspot_peak: obs.gauge_handle("engine.exec", "hotspot_peak_bytes", &[]),

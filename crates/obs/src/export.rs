@@ -15,30 +15,17 @@ pub fn to_json(trace: &Trace) -> String {
     serde_json::to_string(trace).expect("trace serialization is infallible")
 }
 
-/// Pretty-printed variant of [`to_json`], for human eyes.
-pub fn to_json_pretty(trace: &Trace) -> String {
-    serde_json::to_string_pretty(trace).expect("trace serialization is infallible")
-}
-
 /// Accumulates serialized output and hands it to `sink` in chunks of at
 /// least `chunk_size` bytes (the final chunk may be shorter). Chunk
 /// boundaries are arbitrary — only the concatenation is meaningful.
-pub(crate) struct ChunkSink<'a> {
+struct ChunkSink<'a> {
     buf: String,
     chunk_size: usize,
     sink: &'a mut dyn FnMut(&str),
 }
 
-impl<'a> ChunkSink<'a> {
-    pub(crate) fn new(chunk_size: usize, sink: &'a mut dyn FnMut(&str)) -> Self {
-        Self {
-            buf: String::with_capacity(chunk_size.clamp(1, 1 << 20) * 2),
-            chunk_size: chunk_size.max(1),
-            sink,
-        }
-    }
-
-    pub(crate) fn raw(&mut self, s: &str) {
+impl ChunkSink<'_> {
+    fn raw(&mut self, s: &str) {
         self.buf.push_str(s);
         if self.buf.len() >= self.chunk_size {
             (self.sink)(&self.buf);
@@ -46,62 +33,65 @@ impl<'a> ChunkSink<'a> {
         }
     }
 
-    pub(crate) fn record<T: Serialize>(&mut self, record: &T) {
-        let s = serde_json::to_string(record).expect("record serialization is infallible");
-        self.raw(&s);
-    }
-
-    pub(crate) fn finish(self) {
-        if !self.buf.is_empty() {
-            (self.sink)(&self.buf);
+    /// Writes `items` as the body of a JSON array, one record at a time.
+    fn records<I>(&mut self, items: I)
+    where
+        I: IntoIterator,
+        I::Item: Serialize,
+    {
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.raw(",");
+            }
+            let s = serde_json::to_string(&item).expect("record serialization is infallible");
+            self.raw(&s);
         }
     }
 }
 
-/// Streams a trace as chunked canonical JSON: each record serializes on its
-/// own, so the peak allocation is one record plus one chunk buffer — the
-/// whole export string never exists in memory. The concatenation of the
-/// chunks handed to `sink` is byte-identical to [`to_json`] of the same
-/// trace.
-pub fn to_json_stream(trace: &Trace, chunk_size: usize, mut sink: impl FnMut(&str)) {
-    let mut w = ChunkSink::new(chunk_size, &mut sink);
+/// Writes the canonical trace document — the layout [`to_json`] produces
+/// for a [`Trace`] — as chunks of at least `chunk_size` bytes (the final
+/// chunk may be shorter). Each record serializes on its own, so the peak
+/// allocation is one record plus one chunk buffer: the whole export string
+/// never exists in memory. [`Trace::export_stream`] passes its vectors;
+/// the recorder passes iterators that resolve one compact record at a time.
+pub(crate) fn write_document<S, E, D, P>(
+    chunk_size: usize,
+    sink: &mut dyn FnMut(&str),
+    spans: S,
+    events: E,
+    decisions: D,
+    deployments: P,
+    metrics: &MetricsRegistry,
+) where
+    S: IntoIterator,
+    S::Item: Serialize,
+    E: IntoIterator,
+    E::Item: Serialize,
+    D: IntoIterator,
+    D::Item: Serialize,
+    P: IntoIterator,
+    P::Item: Serialize,
+{
+    let mut w = ChunkSink {
+        buf: String::with_capacity(chunk_size.clamp(1, 1 << 20) * 2),
+        chunk_size: chunk_size.max(1),
+        sink,
+    };
     w.raw("{\"spans\":[");
-    for (i, s) in trace.spans.iter().enumerate() {
-        if i > 0 {
-            w.raw(",");
-        }
-        w.record(s);
-    }
+    w.records(spans);
     w.raw("],\"events\":[");
-    for (i, e) in trace.events.iter().enumerate() {
-        if i > 0 {
-            w.raw(",");
-        }
-        w.record(e);
-    }
+    w.records(events);
     w.raw("],\"decisions\":[");
-    for (i, d) in trace.decisions.iter().enumerate() {
-        if i > 0 {
-            w.raw(",");
-        }
-        w.record(d);
-    }
+    w.records(decisions);
     w.raw("],\"deployments\":[");
-    for (i, d) in trace.deployments.iter().enumerate() {
-        if i > 0 {
-            w.raw(",");
-        }
-        w.record(d);
-    }
+    w.records(deployments);
     w.raw("],\"metrics\":[");
-    for (i, (key, value)) in trace.metrics.metrics.iter().enumerate() {
-        if i > 0 {
-            w.raw(",");
-        }
-        w.record(&serde::Value::Seq(vec![key.to_value(), value.to_value()]));
-    }
+    w.records(&metrics.metrics);
     w.raw("]}");
-    w.finish();
+    if !w.buf.is_empty() {
+        (w.sink)(&w.buf);
+    }
 }
 
 fn sanitize(name: &str) -> String {

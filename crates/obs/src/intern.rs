@@ -3,10 +3,9 @@
 //! The recorder's hot path must not allocate per record: every
 //! `(component, name)` pair and every metric label string is interned into a
 //! `u32` id on first sight and recorded as that id from then on. Resolution
-//! back to strings happens once, at export/snapshot time, so the canonical
-//! JSON a batched recorder emits is byte-identical to what the old
-//! direct-mutation recorder produced — interning is invisible outside the
-//! crate boundary.
+//! back to strings happens once, at export/snapshot time, so interning is
+//! invisible outside the crate boundary: the canonical JSON depends on the
+//! resolved strings, never on their ids.
 //!
 //! Lookups are allocation-free: strings hash word-at-a-time into buckets
 //! keyed by the raw hash (with an identity re-hash, since the hash is

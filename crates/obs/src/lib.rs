@@ -26,14 +26,13 @@
 //!
 //! Always-on recording must be budgeted like any other hot-path cost, so
 //! the recorder ([`Obs::recording`]) never allocates per record: strings
-//! intern to integer ids ([`intern`]), spans append straight to compact
-//! storage, other records stage into a preallocated ring and flush in
-//! batches, metric updates land in dense slots, and strings are only
-//! resolved back at snapshot/export time. Golden digests
-//! pin the exported canonical JSON, whatever the ring size and wherever
-//! snapshots cut it. Instrumentation sites that emit several records at one
-//! point in time should take one [`Obs::batch`] and record through it — one
-//! lock acquisition for the whole block instead of one per record.
+//! intern to integer ids ([`intern`]), every record appends straight to
+//! compact id-based storage, metric updates land in dense slots, and
+//! strings are only resolved back at snapshot/export time. Golden digests
+//! pin the exported canonical JSON, wherever snapshots cut the recording.
+//! Instrumentation sites that emit several records at one point in time
+//! should take one [`Obs::batch`] and record through it — one lock
+//! acquisition for the whole block instead of one per record.
 //! Fleet-scale runs can bound trace growth with deterministic per-seed
 //! sampling ([`Obs::recording_sampled`], [`sample`]) and export without
 //! ever holding the full JSON in memory ([`Obs::export_stream`]).
@@ -83,7 +82,7 @@ pub use span::{SpanId, SpanRecord};
 pub use trace::{EventRecord, Trace, TraceQuery};
 
 use parking_lot::Mutex;
-use recorder::{MetricIdKey, Recorder, DEFAULT_RING_CAPACITY};
+use recorder::{MetricIdKey, Recorder};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::sync::MutexGuard;
@@ -111,8 +110,8 @@ pub struct TraceCursor {
 /// [`Obs::disabled`] carries no recorder at all: every instrumentation call
 /// is a single `Option` branch, which is what keeps the always-on
 /// production configuration within the overhead budget. When recording,
-/// strings are interned and every record but a span stages through a
-/// preallocated ring (see the crate docs).
+/// strings are interned and every record appends straight to compact
+/// storage (see the crate docs).
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<Mutex<Recorder>>>,
@@ -124,16 +123,9 @@ impl Obs {
         Self { inner: None }
     }
 
-    /// A live recorder with the default staging-ring capacity.
+    /// A live recorder that keeps every record.
     pub fn recording() -> Self {
-        Self::from_recorder(Recorder::new(DEFAULT_RING_CAPACITY, None))
-    }
-
-    /// A live recorder with an explicit staging-ring capacity (records
-    /// between forced flushes). Mostly useful in tests that want to force
-    /// many flush boundaries.
-    pub fn recording_with_ring(capacity: usize) -> Self {
-        Self::from_recorder(Recorder::new(capacity, None))
+        Self::from_recorder(Recorder::new(None))
     }
 
     /// A live recorder with deterministic per-seed sampling: whether a
@@ -142,10 +134,7 @@ impl Obs {
     /// sampled trace is a strict filter of the full one (see [`sample`]).
     /// Deployment records and metrics are never sampled out.
     pub fn recording_sampled(seed: u64, keep_ratio: f64) -> Self {
-        Self::from_recorder(Recorder::new(
-            DEFAULT_RING_CAPACITY,
-            Some(SampleConfig::new(seed, keep_ratio)),
-        ))
+        Self::from_recorder(Recorder::new(Some(SampleConfig::new(seed, keep_ratio))))
     }
 
     fn from_recorder(recorder: Recorder) -> Self {
@@ -234,20 +223,15 @@ impl Obs {
         GaugeHandle(MetricHandle::new(self, component, name, labels))
     }
 
-    /// Creates a pre-resolved histogram handle; `bounds` (used on first
-    /// touch, like [`Obs::histogram_observe_with`]) default to the standard
-    /// latency buckets when `None`. See [`HistogramHandle`].
+    /// Creates a pre-resolved histogram handle over the default latency
+    /// buckets. See [`HistogramHandle`].
     pub fn histogram_handle(
         &self,
         component: &str,
         name: &str,
         labels: &[(&str, &str)],
-        bounds: Option<&[f64]>,
     ) -> HistogramHandle {
-        HistogramHandle {
-            inner: MetricHandle::new(self, component, name, labels),
-            bounds: bounds.map(<[f64]>::to_vec),
-        }
+        HistogramHandle(MetricHandle::new(self, component, name, labels))
     }
 
     /// Opens a span at simulated time `sim_time`, parented to the innermost
@@ -369,23 +353,7 @@ impl Obs {
         let Some(inner) = &self.inner else { return };
         inner
             .lock()
-            .histogram_observe(component, name, labels, None, value);
-    }
-
-    /// Observes into a histogram created with explicit `bounds` on first
-    /// touch.
-    pub fn histogram_observe_with(
-        &self,
-        component: &str,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-        value: f64,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .histogram_observe(component, name, labels, Some(bounds), value);
+            .histogram_observe(component, name, labels, value);
     }
 
     /// An immutable snapshot of everything recorded so far.
@@ -432,11 +400,6 @@ impl Obs {
         export::to_json(&self.snapshot())
     }
 
-    /// Pretty JSON export of the current snapshot.
-    pub fn export_json_pretty(&self) -> String {
-        export::to_json_pretty(&self.snapshot())
-    }
-
     /// Streams the canonical JSON export in chunks of at least `chunk_size`
     /// bytes (the final chunk may be shorter). The concatenation of the
     /// chunks is byte-identical to [`Obs::export_json`], but the recorder
@@ -447,7 +410,7 @@ impl Obs {
     pub fn export_stream(&self, chunk_size: usize, mut sink: impl FnMut(&str)) {
         match &self.inner {
             Some(inner) => inner.lock().export_stream(chunk_size, &mut sink),
-            None => export::to_json_stream(&Trace::default(), chunk_size, sink),
+            None => Trace::default().export_stream(chunk_size, sink),
         }
     }
 
@@ -659,10 +622,7 @@ impl GaugeHandle {
 /// A pre-resolved histogram identity (see [`Obs::histogram_handle`] and the
 /// fast-path/fallback contract on [`CounterHandle`]).
 #[derive(Debug, Clone)]
-pub struct HistogramHandle {
-    inner: MetricHandle,
-    bounds: Option<Vec<f64>>,
-}
+pub struct HistogramHandle(MetricHandle);
 
 impl HistogramHandle {
     /// Observes `value` through an open batch.
@@ -672,21 +632,20 @@ impl HistogramHandle {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return;
         };
-        if let Some(key) = self.inner.key_for(token) {
-            match self.inner.slot.load(Ordering::Relaxed) {
+        if let Some(key) = self.0.key_for(token) {
+            match self.0.slot.load(Ordering::Relaxed) {
                 u32::MAX => {
-                    let slot = rec.histogram_observe_key(key, self.bounds.as_deref(), value);
-                    self.inner.slot.store(slot, Ordering::Relaxed);
+                    let slot = rec.histogram_observe_key(key, value);
+                    self.0.slot.store(slot, Ordering::Relaxed);
                 }
                 slot => rec.histogram_observe_slot(slot, value),
             }
             return;
         }
         rec.histogram_observe(
-            &self.inner.component,
-            &self.inner.name,
-            &self.inner.borrowed_labels(),
-            self.bounds.as_deref(),
+            &self.0.component,
+            &self.0.name,
+            &self.0.borrowed_labels(),
             value,
         );
     }
@@ -819,21 +778,7 @@ impl ObsBatch<'_> {
         value: f64,
     ) {
         if let Some(rec) = &mut self.guard {
-            rec.histogram_observe(component, name, labels, None, value);
-        }
-    }
-
-    /// Batch equivalent of [`Obs::histogram_observe_with`].
-    pub fn histogram_observe_with(
-        &mut self,
-        component: &str,
-        name: &str,
-        labels: &[(&str, &str)],
-        bounds: &[f64],
-        value: f64,
-    ) {
-        if let Some(rec) = &mut self.guard {
-            rec.histogram_observe(component, name, labels, Some(bounds), value);
+            rec.histogram_observe(component, name, labels, value);
         }
     }
 }
@@ -1126,7 +1071,7 @@ mod tests {
         let drive_handles = |obs: &Obs| {
             let hits = obs.counter_handle("c", "hits", &[("shard", "0")]);
             let depth = obs.gauge_handle("c", "depth", &[]);
-            let lat = obs.histogram_handle("c", "lat", &[], None);
+            let lat = obs.histogram_handle("c", "lat", &[]);
             let mut b = obs.batch();
             hits.add(&mut b, 3);
             depth.set(&mut b, 2.5);
@@ -1168,7 +1113,7 @@ mod tests {
 
         // An unused handle creates no metric slot.
         let obs = Obs::recording();
-        let _unused = obs.histogram_handle("c", "never_touched", &[], None);
+        let _unused = obs.histogram_handle("c", "never_touched", &[]);
         assert!(obs.snapshot().metrics.metrics.is_empty());
     }
 

@@ -1,38 +1,29 @@
-//! The recorder behind [`crate::Obs`]: preallocated ring staging, interned
-//! label sets, and batched flush into compact trace storage.
+//! The recorder behind [`crate::Obs`]: interned strings, compact id-based
+//! trace storage, and a dense metric table.
 //!
 //! Hot-path anatomy (what one `span_enter`/`counter_add` costs):
 //!
 //! 1. strings intern to `u32` ids ([`crate::intern::Interner`]) — a hash
 //!    plus a content compare on the hit path, no allocation;
-//! 2. events, decisions and deployments stage as plain-old-data [`Staged`]
-//!    values into a preallocated ring (`Vec` reused across flushes — the
-//!    push is a bounds check and a move);
-//! 3. spans bypass the ring: entering one appends it straight to compact
-//!    storage with `end == start`, and exiting it overwrites that `end` in
-//!    place. A span is the hottest record (the executor enters and exits
-//!    one per stage) and the only one written twice, so staging it would
-//!    copy both halves through the ring only to join them again at flush;
-//! 4. metrics bypass the ring entirely: each distinct
-//!    `(component, name, labels)` set resolves once to a dense slot index
-//!    and updates land directly in the slot (`u64` add / `f64` store /
-//!    bucket increment) — the canonical `BTreeMap` registry is only
-//!    materialized at snapshot time.
+//! 2. every record appends straight to compact storage as plain old data,
+//!    ids only, one vector per record kind in record order. A span is the
+//!    one record written twice: entering it appends it with `end == start`,
+//!    and exiting it overwrites that `end` in place;
+//! 3. metrics resolve each distinct `(component, name, labels)` set once
+//!    to a dense slot index, and updates land directly in the slot (`u64`
+//!    add / `f64` store / bucket increment) — the canonical `BTreeMap`
+//!    registry is only materialized at snapshot time.
 //!
-//! When the ring fills (or a snapshot/export forces it), `flush` drains the
-//! staged records *in order* into compact, id-based trace storage — still no
-//! strings. Each record kind has its own storage vector in record order, so
-//! spans skipping the ring leaves every vector's order as it was. Strings
-//! are resolved exactly once, at snapshot or streaming export, so the
-//! canonical JSON is independent of ring size and flush points: the
-//! golden-digest suites pin that.
+//! Strings are resolved exactly once, at snapshot or streaming export, so
+//! the canonical JSON is independent of where snapshots cut the recording:
+//! the golden-digest suites pin that.
 //!
-//! Optional deterministic sampling ([`crate::sample`]) is applied at flush
-//! (at entry, for spans): sequence numbers and span ids are assigned to
-//! every record regardless, so a sampled trace is a strict filter of the
-//! full trace.
+//! Optional deterministic sampling ([`crate::sample`]) is applied as each
+//! record arrives: sequence numbers and span ids are assigned to every
+//! record regardless, so a sampled trace is a strict filter of the full
+//! trace.
 
-use crate::export::ChunkSink;
+use crate::export;
 use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord, Provenance};
 use crate::intern::{IdentityBuild, Interner, KeyHash, MixBuild};
 use crate::metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
@@ -41,43 +32,14 @@ use crate::span::{SpanId, SpanRecord};
 use crate::trace::{EventRecord, Trace};
 use std::collections::HashMap;
 
-/// Default staging-ring capacity (records between forced flushes).
-pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
-
 /// Sentinel in `span_index` for spans dropped by the sampler.
 const SAMPLED_OUT: u32 = u32::MAX;
 
-/// Sentinel for "no enclosing span" in staged records and stored spans
-/// (span ids are sequential counters, so `u64::MAX` is unreachable). Kept
-/// as a bare `u64` instead of `Option<SpanId>` to keep ring slots and span
-/// records small — both are written once per record, so their size is
-/// hot-path memory traffic.
+/// Sentinel for "no parent span" in stored spans (span ids are sequential
+/// counters, so `u64::MAX` is unreachable). Kept as a bare `u64` instead of
+/// `Option<SpanId>` to keep span records small — one is written per stage,
+/// so its size is hot-path memory traffic.
 const NO_SPAN: u64 = u64::MAX;
-
-fn unstage_span(raw: u64) -> Option<SpanId> {
-    (raw != NO_SPAN).then_some(SpanId(raw))
-}
-
-/// One staged record: plain old data, interned ids only. Rare, wide record
-/// kinds (decisions, deployments) keep their payloads in side arenas and
-/// stage only an index, so the enum stays at the size of its hot variants.
-#[derive(Debug, Clone, Copy)]
-enum Staged {
-    Event {
-        seq: u64,
-        /// Enclosing span id or [`NO_SPAN`].
-        span: u64,
-        time: f64,
-        component: u32,
-        name: u32,
-        fields_start: u32,
-        fields_len: u32,
-    },
-    /// Index into `staged_decisions`.
-    Decision(u32),
-    /// Index into `staged_deployments`.
-    Deployment(u32),
-}
 
 #[derive(Debug, Clone, Copy)]
 struct CompactSpan {
@@ -131,9 +93,9 @@ struct CompactDeployment {
     cause: u32,
 }
 
-/// Flushed, id-based trace storage. Event fields live in one shared arena
-/// (`event_fields`) addressed by `(fields_start, fields_len)` so flushing an
-/// event never allocates.
+/// Id-based trace storage, one vector per record kind in record order.
+/// Event fields live in one shared arena (`event_fields`) addressed by
+/// `(fields_start, fields_len)`, so an event costs no allocation of its own.
 #[derive(Debug, Default)]
 struct CompactStore {
     spans: Vec<CompactSpan>,
@@ -146,27 +108,48 @@ struct CompactStore {
 }
 
 /// How a metric slot is created on first touch.
-enum SlotInit<'a> {
+enum SlotInit {
     Counter,
     Gauge(f64),
-    Histogram(Option<&'a [f64]>),
+    Histogram,
 }
 
-/// Interned metric identity: ids into the shared string interner, labels in
-/// canonical (sorted-by-string) order.
-#[derive(Debug)]
-struct CompactMetricKey {
-    component: u32,
-    name: u32,
-    labels: Vec<(u32, u32)>,
+/// Sorts `order` into canonical label order — indices into `labels`,
+/// ordered by the `(key, value)` string pair exactly like `MetricKey::new`
+/// sorts its owned pairs — and returns the word-at-a-time hash of the
+/// canonical identity. `order` must be `labels.len()` long; its contents
+/// are overwritten.
+fn canonical_hash(
+    component: &str,
+    name: &str,
+    labels: &[(&str, &str)],
+    order: &mut [usize],
+) -> u64 {
+    for (i, o) in order.iter_mut().enumerate() {
+        *o = i;
+    }
+    order.sort_unstable_by(|&a, &b| labels[a].cmp(&labels[b]));
+    let mut kh = KeyHash::new();
+    kh.write(component.as_bytes());
+    kh.sep();
+    kh.write(name.as_bytes());
+    kh.sep();
+    for &i in order.iter() {
+        kh.write(labels[i].0.as_bytes());
+        kh.sep();
+        kh.write(labels[i].1.as_bytes());
+        kh.sep();
+    }
+    kh.finish()
 }
 
-/// A pre-resolved metric identity for handle-based recording
-/// ([`crate::CounterHandle`] and friends): the canonical-order hash plus
-/// interned ids, computed once at handle creation so hot-path updates skip
-/// string hashing and comparison entirely. Ids index this recorder's
+/// An interned metric identity: its [`canonical_hash`] plus ids into the
+/// recorder's string interner, labels in canonical order. The metric table
+/// keys its slots by it, and handle-based recording ([`crate::CounterHandle`]
+/// and friends) resolves one once at handle creation, so hot-path updates
+/// skip string hashing and comparison entirely. Ids index this recorder's
 /// interner — the handle layer guards against cross-recorder use.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MetricIdKey {
     hash: u64,
     component: u32,
@@ -174,11 +157,27 @@ pub(crate) struct MetricIdKey {
     labels: Vec<(u32, u32)>,
 }
 
+impl MetricIdKey {
+    fn new(strings: &mut Interner, component: &str, name: &str, labels: &[(&str, &str)]) -> Self {
+        let mut order = vec![0; labels.len()];
+        let hash = canonical_hash(component, name, labels, &mut order);
+        Self {
+            hash,
+            component: strings.intern(component),
+            name: strings.intern(name),
+            labels: order
+                .iter()
+                .map(|&i| (strings.intern(labels[i].0), strings.intern(labels[i].1)))
+                .collect(),
+        }
+    }
+}
+
 /// Dense metric table: one slot per distinct `(component, name, labels)`
 /// set, found via a word-at-a-time hash over the canonicalized strings.
 #[derive(Debug, Default)]
 struct MetricTable {
-    keys: Vec<CompactMetricKey>,
+    keys: Vec<MetricIdKey>,
     slots: Vec<MetricValue>,
     buckets: HashMap<u64, Vec<u32>, IdentityBuild>,
 }
@@ -192,36 +191,17 @@ impl MetricTable {
         component: &str,
         name: &str,
         labels: &[(&str, &str)],
-        init: SlotInit<'_>,
+        init: SlotInit,
     ) -> u32 {
-        // Canonical label order: sort indices by the (key, value) string
-        // pair, exactly like `MetricKey::new` sorts its owned pairs.
         let mut order_stack = [0usize; 16];
         let mut order_heap;
         let order: &mut [usize] = if labels.len() <= order_stack.len() {
-            let s = &mut order_stack[..labels.len()];
-            for (i, o) in s.iter_mut().enumerate() {
-                *o = i;
-            }
-            s
+            &mut order_stack[..labels.len()]
         } else {
-            order_heap = (0..labels.len()).collect::<Vec<_>>();
-            &mut order_heap[..]
+            order_heap = vec![0; labels.len()];
+            &mut order_heap
         };
-        order.sort_unstable_by(|&a, &b| labels[a].cmp(&labels[b]));
-
-        let mut kh = KeyHash::new();
-        kh.write(component.as_bytes());
-        kh.sep();
-        kh.write(name.as_bytes());
-        kh.sep();
-        for &i in order.iter() {
-            kh.write(labels[i].0.as_bytes());
-            kh.sep();
-            kh.write(labels[i].1.as_bytes());
-            kh.sep();
-        }
-        let hash = kh.finish();
+        let hash = canonical_hash(component, name, labels, order);
 
         if let Some(bucket) = self.buckets.get(&hash) {
             'candidate: for &id in bucket {
@@ -240,57 +220,35 @@ impl MetricTable {
                 return id;
             }
         }
+        self.push_slot(MetricIdKey::new(strings, component, name, labels), init)
+    }
 
-        let key = CompactMetricKey {
-            component: strings.intern(component),
-            name: strings.intern(name),
-            labels: order
-                .iter()
-                .map(|&i| (strings.intern(labels[i].0), strings.intern(labels[i].1)))
-                .collect(),
-        };
+    /// Resolves an interned key to a dense slot index, creating the slot
+    /// with `init` on first touch. Probing compares interned ids — equal
+    /// ids are equal strings by interner construction, so this finds
+    /// exactly the slot [`MetricTable::slot_id`] would.
+    fn slot_for_key(&mut self, key: &MetricIdKey, init: SlotInit) -> u32 {
+        let found = self
+            .buckets
+            .get(&key.hash)
+            .and_then(|bucket| bucket.iter().find(|&&id| self.keys[id as usize] == *key));
+        match found {
+            Some(&id) => id,
+            None => self.push_slot(key.clone(), init),
+        }
+    }
+
+    fn push_slot(&mut self, key: MetricIdKey, init: SlotInit) -> u32 {
         let id = u32::try_from(self.keys.len()).expect("metric table capacity exceeded");
+        self.buckets.entry(key.hash).or_default().push(id);
         self.keys.push(key);
         self.slots.push(match init {
             SlotInit::Counter => MetricValue::Counter(0),
             SlotInit::Gauge(v) => MetricValue::Gauge(v),
-            SlotInit::Histogram(bounds) => MetricValue::Histogram(match bounds {
-                Some(b) => Histogram::new(b),
-                None => Histogram::new(&Histogram::default_bounds()),
-            }),
-        });
-        self.buckets.entry(hash).or_default().push(id);
-        id
-    }
-
-    /// Resolves a pre-hashed, pre-interned key to a dense slot index,
-    /// creating the slot with `init` on first touch. Probing compares
-    /// interned ids — equal ids are equal strings by interner construction,
-    /// so this finds exactly the slot [`MetricTable::slot_id`] would.
-    fn slot_for_key(&mut self, key: &MetricIdKey, init: SlotInit<'_>) -> u32 {
-        if let Some(bucket) = self.buckets.get(&key.hash) {
-            for &id in bucket {
-                let k = &self.keys[id as usize];
-                if k.component == key.component && k.name == key.name && k.labels == key.labels {
-                    return id;
-                }
+            SlotInit::Histogram => {
+                MetricValue::Histogram(Histogram::new(&Histogram::default_bounds()))
             }
-        }
-        let id = u32::try_from(self.keys.len()).expect("metric table capacity exceeded");
-        self.keys.push(CompactMetricKey {
-            component: key.component,
-            name: key.name,
-            labels: key.labels.clone(),
         });
-        self.slots.push(match init {
-            SlotInit::Counter => MetricValue::Counter(0),
-            SlotInit::Gauge(v) => MetricValue::Gauge(v),
-            SlotInit::Histogram(bounds) => MetricValue::Histogram(match bounds {
-                Some(b) => Histogram::new(b),
-                None => Histogram::new(&Histogram::default_bounds()),
-            }),
-        });
-        self.buckets.entry(key.hash).or_default().push(id);
         id
     }
 
@@ -322,7 +280,7 @@ impl MetricTable {
 }
 
 /// The recorder behind [`crate::Obs::recording`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Recorder {
     seq: u64,
     next_span_id: u64,
@@ -334,32 +292,15 @@ pub(crate) struct Recorder {
     /// hash is safe.
     indexed: HashMap<(u32, u64), u32, MixBuild>,
     metrics: MetricTable,
-    ring: Vec<Staged>,
-    ring_capacity: usize,
-    staged_fields: Vec<(u32, u32)>,
-    staged_decisions: Vec<CompactDecision>,
-    staged_deployments: Vec<CompactDeployment>,
     store: CompactStore,
     sampler: Option<SampleConfig>,
 }
 
 impl Recorder {
-    pub(crate) fn new(ring_capacity: usize, sampler: Option<SampleConfig>) -> Self {
-        let ring_capacity = ring_capacity.max(1);
+    pub(crate) fn new(sampler: Option<SampleConfig>) -> Self {
         Self {
-            seq: 0,
-            next_span_id: 0,
-            span_stack: Vec::with_capacity(16),
-            strings: Interner::new(),
-            indexed: HashMap::default(),
-            metrics: MetricTable::default(),
-            ring: Vec::with_capacity(ring_capacity),
-            ring_capacity,
-            staged_fields: Vec::with_capacity(64),
-            staged_decisions: Vec::new(),
-            staged_deployments: Vec::new(),
-            store: CompactStore::default(),
             sampler,
+            ..Self::default()
         }
     }
 
@@ -370,58 +311,11 @@ impl Recorder {
         s
     }
 
-    /// Drains the staging ring into compact storage, applying the sampler.
-    pub(crate) fn flush(&mut self) {
-        if self.ring.is_empty() {
-            return;
-        }
-        let mut ring = std::mem::take(&mut self.ring);
-        for staged in ring.drain(..) {
-            match staged {
-                Staged::Event {
-                    seq,
-                    span,
-                    time,
-                    component,
-                    name,
-                    fields_start,
-                    fields_len,
-                } => {
-                    if self.sampler.map_or(true, |s| s.keeps(seq)) {
-                        let start = self.store.event_fields.len() as u32;
-                        let range = fields_start as usize..(fields_start + fields_len) as usize;
-                        self.store
-                            .event_fields
-                            .extend_from_slice(&self.staged_fields[range]);
-                        self.store.events.push(CompactEvent {
-                            seq,
-                            span: unstage_span(span),
-                            time,
-                            component,
-                            name,
-                            fields_start: start,
-                            fields_len,
-                        });
-                    }
-                }
-                Staged::Decision(index) => {
-                    let d = self.staged_decisions[index as usize];
-                    if self.sampler.map_or(true, |s| s.keeps(d.seq)) {
-                        self.store.decisions.push(d);
-                    }
-                }
-                Staged::Deployment(index) => {
-                    // Deployments are audit-critical and rare: never sampled.
-                    self.store
-                        .deployments
-                        .push(self.staged_deployments[index as usize]);
-                }
-            }
-        }
-        self.ring = ring;
-        self.staged_fields.clear();
-        self.staged_decisions.clear();
-        self.staged_deployments.clear();
+    /// Whether the sampler keeps the record with sampling id `id` (always,
+    /// without a sampler).
+    #[inline]
+    fn keeps(&self, id: u64) -> bool {
+        self.sampler.map_or(true, |s| s.keeps(id))
     }
 
     // -- recording ops -----------------------------------------------------
@@ -471,7 +365,7 @@ impl Recorder {
         self.next_span_id += 1;
         let parent = self.span_stack.last().map_or(NO_SPAN, |s| s.0);
         debug_assert_eq!(self.store.span_index.len() as u64, id);
-        if self.sampler.map_or(true, |s| s.keeps(id)) {
+        if self.keeps(id) {
             self.store.span_index.push(self.store.spans.len() as u32);
             self.store.spans.push(CompactSpan {
                 id,
@@ -529,23 +423,20 @@ impl Recorder {
         fields: &[(&str, &str)],
     ) {
         let seq = self.next_seq();
-        let span = self.span_stack.last().map_or(NO_SPAN, |s| s.0);
-        let component = self.strings.intern(component);
-        let name = self.strings.intern(name);
-        if self.ring.len() >= self.ring_capacity {
-            self.flush();
+        if !self.keeps(seq) {
+            return;
         }
-        let fields_start = self.staged_fields.len() as u32;
+        let fields_start = self.store.event_fields.len() as u32;
         for (k, v) in fields {
             let pair = (self.strings.intern(k), self.strings.intern(v));
-            self.staged_fields.push(pair);
+            self.store.event_fields.push(pair);
         }
-        self.ring.push(Staged::Event {
+        self.store.events.push(CompactEvent {
             seq,
-            span,
+            span: self.span_stack.last().copied(),
             time: sim_time,
-            component,
-            name,
+            component: self.strings.intern(component),
+            name: self.strings.intern(name),
             fields_start,
             fields_len: fields.len() as u32,
         });
@@ -565,35 +456,27 @@ impl Recorder {
         sim_time: f64,
     ) {
         let seq = self.next_seq();
-        let span = self.span_stack.last().copied();
-        let component = self.strings.intern(component);
-        let decision = self.strings.intern(decision);
-        let model_id = self.strings.intern(provenance.model_id);
-        let verdict = self.strings.intern(verdict);
-        // Flush check before touching the side arena: staged indices must
-        // stay within the current flush epoch.
-        if self.ring.len() >= self.ring_capacity {
-            self.flush();
+        if !self.keeps(seq) {
+            return;
         }
-        let index = self.staged_decisions.len() as u32;
-        self.staged_decisions.push(CompactDecision {
+        self.store.decisions.push(CompactDecision {
             seq,
-            span,
+            span: self.span_stack.last().copied(),
             time: sim_time,
-            component,
-            decision,
-            model_id,
+            component: self.strings.intern(component),
+            decision: self.strings.intern(decision),
+            model_id: self.strings.intern(provenance.model_id),
             model_version: provenance.model_version,
             features_digest: provenance.features_digest,
             predicted,
             observed,
-            verdict,
+            verdict: self.strings.intern(verdict),
             vetoed,
             feedback_latency_ticks,
         });
-        self.ring.push(Staged::Decision(index));
     }
 
+    /// Deployments are audit-critical and rare: never sampled.
     pub(crate) fn record_deployment(
         &mut self,
         component: &str,
@@ -604,25 +487,16 @@ impl Recorder {
         sim_time: f64,
     ) {
         let seq = self.next_seq();
-        let span = self.span_stack.last().copied();
-        let component = self.strings.intern(component);
-        let model_id = self.strings.intern(model_id);
-        let cause = self.strings.intern(cause);
-        if self.ring.len() >= self.ring_capacity {
-            self.flush();
-        }
-        let index = self.staged_deployments.len() as u32;
-        self.staged_deployments.push(CompactDeployment {
+        self.store.deployments.push(CompactDeployment {
             seq,
-            span,
+            span: self.span_stack.last().copied(),
             time: sim_time,
-            component,
+            component: self.strings.intern(component),
             kind,
-            model_id,
+            model_id: self.strings.intern(model_id),
             version,
-            cause,
+            cause: self.strings.intern(cause),
         });
-        self.ring.push(Staged::Deployment(index));
     }
 
     pub(crate) fn counter_add(
@@ -639,10 +513,7 @@ impl Recorder {
             labels,
             SlotInit::Counter,
         );
-        match &mut self.metrics.slots[id as usize] {
-            MetricValue::Counter(c) => *c += delta,
-            _ => debug_assert!(false, "metric kind mismatch: expected counter"),
-        }
+        self.counter_add_slot(id, delta);
     }
 
     pub(crate) fn gauge_set(
@@ -659,9 +530,7 @@ impl Recorder {
             labels,
             SlotInit::Gauge(value),
         );
-        // Matches the registry's insert semantics: a gauge write replaces
-        // whatever value (of whatever kind) was there.
-        self.metrics.slots[id as usize] = MetricValue::Gauge(value);
+        self.gauge_set_slot(id, value);
     }
 
     pub(crate) fn histogram_observe(
@@ -669,7 +538,6 @@ impl Recorder {
         component: &str,
         name: &str,
         labels: &[(&str, &str)],
-        bounds: Option<&[f64]>,
         value: f64,
     ) {
         let id = self.metrics.slot_id(
@@ -677,50 +545,20 @@ impl Recorder {
             component,
             name,
             labels,
-            SlotInit::Histogram(bounds),
+            SlotInit::Histogram,
         );
-        match &mut self.metrics.slots[id as usize] {
-            MetricValue::Histogram(h) => h.observe(value),
-            _ => debug_assert!(false, "metric kind mismatch: expected histogram"),
-        }
+        self.histogram_observe_slot(id, value);
     }
 
-    /// Builds a pre-resolved key for handle-based recording: canonical label
-    /// order, the same hash sequence [`MetricTable::slot_id`] computes, and
-    /// interned ids. Paid once at handle creation.
+    /// Builds an interned key for handle-based recording. Paid once at
+    /// handle creation.
     pub(crate) fn make_metric_key(
         &mut self,
         component: &str,
         name: &str,
         labels: &[(&str, &str)],
     ) -> MetricIdKey {
-        let mut order: Vec<usize> = (0..labels.len()).collect();
-        order.sort_unstable_by(|&a, &b| labels[a].cmp(&labels[b]));
-        let mut kh = KeyHash::new();
-        kh.write(component.as_bytes());
-        kh.sep();
-        kh.write(name.as_bytes());
-        kh.sep();
-        for &i in &order {
-            kh.write(labels[i].0.as_bytes());
-            kh.sep();
-            kh.write(labels[i].1.as_bytes());
-            kh.sep();
-        }
-        MetricIdKey {
-            hash: kh.finish(),
-            component: self.strings.intern(component),
-            name: self.strings.intern(name),
-            labels: order
-                .iter()
-                .map(|&i| {
-                    (
-                        self.strings.intern(labels[i].0),
-                        self.strings.intern(labels[i].1),
-                    )
-                })
-                .collect(),
-        }
+        MetricIdKey::new(&mut self.strings, component, name, labels)
     }
 
     pub(crate) fn counter_add_key(&mut self, key: &MetricIdKey, delta: u64) -> u32 {
@@ -743,18 +581,15 @@ impl Recorder {
         id
     }
 
+    /// Matches the registry's insert semantics: a gauge write replaces
+    /// whatever value (of whatever kind) was there.
     #[inline]
     pub(crate) fn gauge_set_slot(&mut self, id: u32, value: f64) {
         self.metrics.slots[id as usize] = MetricValue::Gauge(value);
     }
 
-    pub(crate) fn histogram_observe_key(
-        &mut self,
-        key: &MetricIdKey,
-        bounds: Option<&[f64]>,
-        value: f64,
-    ) -> u32 {
-        let id = self.metrics.slot_for_key(key, SlotInit::Histogram(bounds));
+    pub(crate) fn histogram_observe_key(&mut self, key: &MetricIdKey, value: f64) -> u32 {
+        let id = self.metrics.slot_for_key(key, SlotInit::Histogram);
         self.histogram_observe_slot(id, value);
         id
     }
@@ -772,7 +607,7 @@ impl Recorder {
     fn resolve_span(&self, s: &CompactSpan) -> SpanRecord {
         SpanRecord {
             id: SpanId(s.id),
-            parent: unstage_span(s.parent),
+            parent: (s.parent != NO_SPAN).then_some(SpanId(s.parent)),
             component: self.strings.resolve(s.component).to_string(),
             name: self.strings.resolve(s.name).to_string(),
             start: s.start,
@@ -832,85 +667,47 @@ impl Recorder {
         }
     }
 
-    pub(crate) fn snapshot(&mut self) -> Trace {
-        self.flush();
+    pub(crate) fn snapshot(&self) -> Trace {
+        let s = &self.store;
         Trace {
-            spans: self
-                .store
-                .spans
-                .iter()
-                .map(|s| self.resolve_span(s))
-                .collect(),
-            events: self
-                .store
-                .events
-                .iter()
-                .map(|e| self.resolve_event(e))
-                .collect(),
-            decisions: self
-                .store
+            spans: s.spans.iter().map(|r| self.resolve_span(r)).collect(),
+            events: s.events.iter().map(|r| self.resolve_event(r)).collect(),
+            decisions: s
                 .decisions
                 .iter()
-                .map(|d| self.resolve_decision(d))
+                .map(|r| self.resolve_decision(r))
                 .collect(),
-            deployments: self
-                .store
+            deployments: s
                 .deployments
                 .iter()
-                .map(|d| self.resolve_deployment(d))
+                .map(|r| self.resolve_deployment(r))
                 .collect(),
             metrics: self.metrics.to_registry(&self.strings),
         }
     }
 
-    pub(crate) fn last_event_json(&mut self) -> Option<String> {
-        self.flush();
-        self.store.events.last().copied().map(|e| {
-            serde_json::to_string(&self.resolve_event(&e))
+    pub(crate) fn last_event_json(&self) -> Option<String> {
+        self.store.events.last().map(|e| {
+            serde_json::to_string(&self.resolve_event(e))
                 .expect("event serialization is infallible")
         })
     }
 
     /// Streams the flight record as chunked canonical JSON, resolving one
     /// record at a time — the full `Trace` (and the full output string) are
-    /// never materialized. Concatenated chunks are byte-identical to
-    /// [`crate::export::to_json`] of the snapshot.
-    pub(crate) fn export_stream(&mut self, chunk_size: usize, sink: &mut dyn FnMut(&str)) {
-        self.flush();
-        let mut w = ChunkSink::new(chunk_size, sink);
-        w.raw("{\"spans\":[");
-        for (i, s) in self.store.spans.iter().enumerate() {
-            if i > 0 {
-                w.raw(",");
-            }
-            w.record(&self.resolve_span(s));
-        }
-        w.raw("],\"events\":[");
-        for (i, e) in self.store.events.iter().enumerate() {
-            if i > 0 {
-                w.raw(",");
-            }
-            w.record(&self.resolve_event(e));
-        }
-        w.raw("],\"decisions\":[");
-        for (i, d) in self.store.decisions.iter().enumerate() {
-            if i > 0 {
-                w.raw(",");
-            }
-            w.record(&self.resolve_decision(d));
-        }
-        w.raw("],\"deployments\":[");
-        for (i, d) in self.store.deployments.iter().enumerate() {
-            if i > 0 {
-                w.raw(",");
-            }
-            w.record(&self.resolve_deployment(d));
-        }
-        w.raw("],\"metrics\":");
-        // Distinct metric identities are few; materializing the sorted
-        // registry here is O(metrics), not O(trace).
-        w.record(&self.metrics.to_registry(&self.strings));
-        w.raw("}");
-        w.finish();
+    /// never materialized.
+    pub(crate) fn export_stream(&self, chunk_size: usize, sink: &mut dyn FnMut(&str)) {
+        let s = &self.store;
+        export::write_document(
+            chunk_size,
+            sink,
+            s.spans.iter().map(|r| self.resolve_span(r)),
+            s.events.iter().map(|r| self.resolve_event(r)),
+            s.decisions.iter().map(|r| self.resolve_decision(r)),
+            s.deployments.iter().map(|r| self.resolve_deployment(r)),
+            // Distinct metric identities are few; materializing the sorted
+            // registry here is O(metrics), not O(trace).
+            &self.metrics.to_registry(&self.strings),
+        );
     }
 }

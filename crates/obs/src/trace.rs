@@ -85,8 +85,16 @@ impl Trace {
     /// of at least `chunk_size` bytes whose concatenation is byte-identical
     /// to [`crate::export::to_json`] of the same trace, without the full
     /// export string ever being materialized.
-    pub fn export_stream(&self, chunk_size: usize, sink: impl FnMut(&str)) {
-        crate::export::to_json_stream(self, chunk_size, sink);
+    pub fn export_stream(&self, chunk_size: usize, mut sink: impl FnMut(&str)) {
+        crate::export::write_document(
+            chunk_size,
+            &mut sink,
+            &self.spans,
+            &self.events,
+            &self.decisions,
+            &self.deployments,
+            &self.metrics,
+        );
     }
 
     /// Deployment records concerning model `model_id`, in sequence order.

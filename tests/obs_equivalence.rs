@@ -1,73 +1,56 @@
-//! Replay equivalence for the flight recorder's batched backend.
+//! Replay equivalence for the flight recorder.
 //!
-//! The batched recorder (`Obs::recording`) earns its speed with ring
-//! staging, string interning and pre-resolved handles — none of which may
-//! change a single exported byte. This suite drives seeded scenarios
-//! through the default staging ring and a tiny ring (forcing many flush
-//! boundaries mid-scenario), takes snapshots at arbitrary points, and pins
-//! the exported canonical JSON to the golden digests in
-//! `tests/fixtures/golden_digests.json`.
+//! The recorder (`Obs::recording`) earns its speed with compact id-based
+//! storage, string interning and pre-resolved handles — none of which may
+//! change a single exported byte. This suite drives seeded scenarios, cuts
+//! snapshots at arbitrary points, and pins the exported canonical JSON to
+//! the golden digests in `tests/fixtures/golden_digests.json`.
 
 mod golden;
 
 use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
-use autonomous_data_services::obs::Obs;
+use autonomous_data_services::obs::{Obs, TraceCursor};
 use golden::{digest, drive_obs_scenario, obs_scenario_dags, Goldens};
 
-/// Fresh recorders: the default ring and a 3-record ring that flushes
-/// inside nearly every job that records events (spans skip the ring), so
-/// flush-ordering bugs cannot hide behind a large ring.
-fn backends() -> [(&'static str, Obs); 2] {
-    [
-        ("default ring", Obs::recording()),
-        ("3-slot ring", Obs::recording_with_ring(3)),
-    ]
-}
-
 #[test]
-fn backends_agree_across_interleaved_snapshots() {
-    // Snapshots force flushes at arbitrary points; taking one mid-scenario
-    // must not perturb what either ring size ultimately exports.
+fn snapshot_points_do_not_change_the_export() {
+    // Full and incremental snapshots resolve the recording mid-scenario;
+    // taking them must not perturb what the recorder ultimately exports.
     let dags = obs_scenario_dags();
-    let mut exports = Vec::new();
-    for (_, obs) in backends() {
+    let run = |cut: bool| {
+        let obs = Obs::recording();
         let sim = Simulator::with_obs(ClusterConfig::default(), obs.clone()).expect("valid");
+        let mut cursor = TraceCursor::default();
         for (i, dag) in dags.iter().enumerate() {
             sim.run(dag, &SimOptions::default()).expect("simulates");
-            if i % 3 == 0 {
+            if cut && i % 3 == 0 {
                 let _ = obs.snapshot();
+                let _ = obs.snapshot_since(&mut cursor);
             }
         }
-        exports.push(obs.export_json());
-    }
-    assert_eq!(exports[0], exports[1]);
+        obs.export_json()
+    };
+    let cut = run(true);
+    assert_eq!(cut, run(false));
     let mut goldens = Goldens::new("obs_interleaved_snapshots");
-    goldens.record("trace", &exports[0]);
+    goldens.record("trace", &cut);
     goldens.assert_all();
 }
 
 #[test]
-fn same_seed_replays_are_byte_identical_per_backend() {
+fn same_seed_replays_are_byte_identical() {
     let dags = obs_scenario_dags();
     let pinned = golden::expected("obs_scenario/seed=21/trace").expect("pinned in the fixture");
-    for ((name, a), (_, b)) in backends().into_iter().zip(backends()) {
-        drive_obs_scenario(&a, &dags, 21);
-        drive_obs_scenario(&b, &dags, 21);
-        let first = a.export_json();
-        assert_eq!(first, b.export_json(), "{name}: same-seed replay diverged");
-        assert_eq!(
-            digest(&first),
-            pinned,
-            "{name}: replay left the golden trace"
-        );
-    }
-    let a = Obs::recording();
-    let b = Obs::recording();
+    let [a, b, c] = [Obs::recording(), Obs::recording(), Obs::recording()];
     drive_obs_scenario(&a, &dags, 21);
-    drive_obs_scenario(&b, &dags, 42);
+    drive_obs_scenario(&b, &dags, 21);
+    drive_obs_scenario(&c, &dags, 42);
+    let first = a.export_json();
+    assert_eq!(first, b.export_json(), "same-seed replay diverged");
+    assert_eq!(digest(&first), pinned, "replay left the golden trace");
     assert_ne!(
-        a.export_json(),
-        b.export_json(),
+        first,
+        c.export_json(),
         "different fault seeds must diverge in the trace"
     );
 }

@@ -2,7 +2,9 @@
 //! string interning (invisible in exports) and deterministic sampling (a
 //! strict, replayable filter).
 
-use autonomous_data_services::obs::{sample_keeps, Interner, Obs, SampleConfig};
+use autonomous_data_services::obs::{
+    sample_keeps, DeploymentKind, Interner, Obs, Provenance, SampleConfig,
+};
 use proptest::prelude::*;
 
 /// Maps a small integer to a short identifier-ish string, including empties
@@ -116,6 +118,21 @@ proptest! {
                 let s = obs.span_enter("props", "work", t);
                 obs.event("props", "tick", t, &[("i", "v")]);
                 obs.counter_add("props", "ticks", &[], 1);
+                obs.record_decision(
+                    "props",
+                    "route",
+                    &Provenance::new("m", 1, i as u64),
+                    1.0,
+                    Some(1.5),
+                    "allow",
+                    false,
+                    1,
+                    t,
+                );
+                if i % 5 == 0 {
+                    let kind = DeploymentKind::Publish;
+                    obs.record_deployment("props", kind, "m", i as u64, "drift", t);
+                }
                 obs.span_exit(s, t + 0.1);
             }
         };
@@ -133,6 +150,12 @@ proptest! {
         for e in &sampled.events {
             prop_assert!(full.events.contains(e), "sampled event not in full trace");
         }
+        for d in &sampled.decisions {
+            prop_assert!(full.decisions.contains(d), "sampled decision not in full trace");
+        }
+        prop_assert_eq!(full.decisions.len(), n);
+        prop_assert_eq!(full.deployments.len(), n.div_ceil(5));
+        prop_assert_eq!(&sampled.deployments, &full.deployments);
         prop_assert_eq!(&sampled.metrics, &full.metrics);
     }
 
