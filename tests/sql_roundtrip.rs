@@ -8,9 +8,11 @@ use autonomous_data_services::reuse::{replay, ReplayConfig};
 use autonomous_data_services::sql::parser::MAX_NESTING_DEPTH;
 use autonomous_data_services::sql::{Frontend, QueryRule, RuleOutcome};
 use autonomous_data_services::workload::analyze::WorkloadAnalysis;
+use autonomous_data_services::workload::catalog::Catalog;
 use autonomous_data_services::workload::gen::{
     GeneratedWorkload, GeneratorConfig, WorkloadGenerator,
 };
+use autonomous_data_services::workload::interchange::{export_plan, import_plan};
 use autonomous_data_services::workload::job::Trace;
 use autonomous_data_services::workload::signature::{strict_signature, template_signature};
 use autonomous_data_services::workload::sqltext::{to_sql, to_sql_template};
@@ -174,4 +176,38 @@ fn generator_sql_nests_well_below_the_parser_limit() {
         4 * deepest <= MAX_NESTING_DEPTH,
         "generator SQL nests {deepest} deep against a limit of {MAX_NESTING_DEPTH}"
     );
+}
+
+/// The deepest queries the parser accepts — the longest `UNION ALL` chain
+/// and the deepest stack of filtering derived tables — lower to plans whose
+/// interchange JSON nests 132–133 levels deep, past upstream `serde_json`'s
+/// 128-level limit; `import_plan` must still read them back exactly.
+#[test]
+fn deepest_accepted_plans_round_trip_through_interchange() {
+    let catalog = Catalog::standard();
+    let frontend = Frontend::new(&catalog);
+    let union_chain = |terms: usize| vec!["SELECT * FROM events"; terms].join(" UNION ALL ");
+    let derived = |levels: usize| {
+        (0..levels).fold("SELECT * FROM events".to_string(), |inner, i| {
+            format!("SELECT * FROM ({inner}) WHERE event_type != {i}")
+        })
+    };
+    for (longest, too_long) in [
+        (
+            union_chain(MAX_NESTING_DEPTH + 1),
+            union_chain(MAX_NESTING_DEPTH + 2),
+        ),
+        (derived(MAX_NESTING_DEPTH), derived(MAX_NESTING_DEPTH + 1)),
+    ] {
+        assert!(
+            frontend.compile(&too_long, &[]).is_err(),
+            "one level past the deepest"
+        );
+        let plan = frontend
+            .compile(&longest, &[])
+            .unwrap_or_else(|e| panic!("{}", e.render(&longest)))
+            .plan;
+        let json = export_plan("adas-sql", &plan).expect("exports");
+        assert_eq!(import_plan(&json).expect("imports"), plan);
+    }
 }
