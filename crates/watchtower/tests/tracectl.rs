@@ -5,10 +5,10 @@
 
 use adas_obs::{DeploymentKind, Obs, Provenance};
 use adas_watchtower::{analyze, default_specs, to_canonical_json};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-fn tracectl(command: &str, path: &PathBuf) -> Output {
+fn tracectl(command: &str, path: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_tracectl"))
         .arg(command)
         .arg(path)
