@@ -94,8 +94,9 @@ use std::sync::MutexGuard;
 pub const DEFAULT_EXPORT_CHUNK: usize = 64 * 1024;
 
 /// Position in a recording for [`Obs::snapshot_since`]: how many records of
-/// each kind the caller has already consumed. A fresh (default) cursor
-/// makes the first incremental snapshot equal to a full [`Obs::snapshot`].
+/// each kind the caller has already consumed. A fresh (default) cursor's
+/// delta holds the full snapshot's records (and, like every delta, no
+/// metrics).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCursor {
     spans: usize,
@@ -364,11 +365,15 @@ impl Obs {
         inner.lock().snapshot()
     }
 
-    /// Incremental snapshot: everything recorded since `cursor` last saw
-    /// this handle, advancing the cursor. The delta's record vectors hold
-    /// only new entries (all four are append-only in record order), while
-    /// `metrics` is always the full cumulative registry — counters and
-    /// histograms are running totals, not deltas.
+    /// Incremental snapshot: the records appended since `cursor` last saw
+    /// this handle, advancing the cursor past them. All four record vectors
+    /// are append-only in record order, so each is resolved straight from
+    /// the cursor's index on and a cut costs O(new records), not
+    /// O(everything recorded so far).
+    ///
+    /// The delta carries records only: its `metrics` registry is empty.
+    /// Counters and histograms are running totals, not per-window deltas,
+    /// so read them from a full [`Obs::snapshot`].
     ///
     /// Spans are included in the delta when they are *entered*; a span
     /// still open at the cut keeps `end == start` in that delta and is not
@@ -376,18 +381,10 @@ impl Obs {
     /// analysis (watchtower's SLO engine) should therefore take their cuts
     /// after the spans they care about have exited.
     pub fn snapshot_since(&self, cursor: &mut TraceCursor) -> Trace {
-        let mut full = self.snapshot();
-        let delta = Trace {
-            spans: full.spans.split_off(cursor.spans.min(full.spans.len())),
-            events: full.events.split_off(cursor.events.min(full.events.len())),
-            decisions: full
-                .decisions
-                .split_off(cursor.decisions.min(full.decisions.len())),
-            deployments: full
-                .deployments
-                .split_off(cursor.deployments.min(full.deployments.len())),
-            metrics: full.metrics,
+        let Some(inner) = &self.inner else {
+            return Trace::default();
         };
+        let delta = inner.lock().records_from(cursor);
         cursor.spans += delta.spans.len();
         cursor.events += delta.events.len();
         cursor.decisions += delta.decisions.len();
@@ -1136,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_since_returns_disjoint_deltas_and_cumulative_metrics() {
+    fn snapshot_since_partitions_records_and_carries_no_metrics() {
         let obs = Obs::recording();
         let mut cursor = TraceCursor::default();
 
@@ -1145,12 +1142,11 @@ mod tests {
         let d1 = obs.snapshot_since(&mut cursor);
         assert_eq!(d1.events.len(), 1);
         assert_eq!(d1.events[0].name, "first");
-        assert_eq!(d1.metrics.counter("c", "n", &[]), 1);
+        assert!(d1.metrics.metrics.is_empty(), "deltas carry records only");
 
-        // Nothing new: the delta is empty, metrics still cumulative.
+        // Nothing new: the delta is empty.
         let d2 = obs.snapshot_since(&mut cursor);
-        assert!(d2.events.is_empty() && d2.spans.is_empty());
-        assert_eq!(d2.metrics.counter("c", "n", &[]), 1);
+        assert_eq!(d2, Trace::default());
 
         let s = obs.span_enter("c", "s", 1.0);
         obs.event("c", "second", 1.5, &[]);
@@ -1172,18 +1168,36 @@ mod tests {
         assert_eq!(d3.events[0].name, "second");
         assert_eq!(d3.spans.len(), 1);
         assert_eq!(d3.decisions.len(), 1);
-        assert_eq!(d3.metrics.counter("c", "n", &[]), 3);
+        assert!(d3.metrics.metrics.is_empty());
 
-        // Deltas partition the full snapshot.
+        // Deltas partition the full snapshot's records; the full snapshot
+        // keeps the cumulative registry.
         let full = obs.snapshot();
-        assert_eq!(
-            full.events.len(),
-            d1.events.len() + d3.events.len(),
-            "deltas must be disjoint and exhaustive"
-        );
-        // A fresh cursor replays everything.
+        let mut joined = d1.clone();
+        for d in [&d2, &d3] {
+            joined.spans.extend(d.spans.iter().cloned());
+            joined.events.extend(d.events.iter().cloned());
+            joined.decisions.extend(d.decisions.iter().cloned());
+            joined.deployments.extend(d.deployments.iter().cloned());
+        }
+        joined.metrics = full.metrics.clone();
+        assert_eq!(joined, full, "deltas must be disjoint and exhaustive");
+        assert_eq!(full.metrics.counter("c", "n", &[]), 3);
+
+        // A fresh cursor's delta holds every record of the full snapshot.
         let mut fresh = TraceCursor::default();
         let all = obs.snapshot_since(&mut fresh);
-        assert_eq!(serde_json::to_string(&all), serde_json::to_string(&full));
+        assert_eq!(
+            Trace {
+                metrics: full.metrics.clone(),
+                ..all
+            },
+            full
+        );
+        assert_eq!(fresh, cursor);
+
+        // A disabled handle yields empty deltas and leaves the cursor alone.
+        assert_eq!(Obs::disabled().snapshot_since(&mut fresh), Trace::default());
+        assert_eq!(fresh, cursor);
     }
 }

@@ -30,6 +30,7 @@ use crate::metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
 use crate::sample::SampleConfig;
 use crate::span::{SpanId, SpanRecord};
 use crate::trace::{EventRecord, Trace};
+use crate::TraceCursor;
 use std::collections::HashMap;
 
 /// Sentinel in `span_index` for spans dropped by the sampler.
@@ -667,22 +668,37 @@ impl Recorder {
         }
     }
 
-    pub(crate) fn snapshot(&self) -> Trace {
+    /// Every record from `from` on: each compact vector is resolved from
+    /// the cursor's index (a plain slice; a cursor past the end resolves
+    /// nothing), so the cost is O(records resolved), not O(trace). The
+    /// metrics registry is left empty.
+    pub(crate) fn records_from(&self, from: &TraceCursor) -> Trace {
+        /// `v` from index `from` on.
+        fn tail<T>(v: &[T], from: usize) -> std::slice::Iter<'_, T> {
+            v.get(from..).unwrap_or_default().iter()
+        }
         let s = &self.store;
         Trace {
-            spans: s.spans.iter().map(|r| self.resolve_span(r)).collect(),
-            events: s.events.iter().map(|r| self.resolve_event(r)).collect(),
-            decisions: s
-                .decisions
-                .iter()
+            spans: tail(&s.spans, from.spans)
+                .map(|r| self.resolve_span(r))
+                .collect(),
+            events: tail(&s.events, from.events)
+                .map(|r| self.resolve_event(r))
+                .collect(),
+            decisions: tail(&s.decisions, from.decisions)
                 .map(|r| self.resolve_decision(r))
                 .collect(),
-            deployments: s
-                .deployments
-                .iter()
+            deployments: tail(&s.deployments, from.deployments)
                 .map(|r| self.resolve_deployment(r))
                 .collect(),
+            metrics: MetricsRegistry::default(),
+        }
+    }
+
+    pub(crate) fn snapshot(&self) -> Trace {
+        Trace {
             metrics: self.metrics.to_registry(&self.strings),
+            ..self.records_from(&TraceCursor::default())
         }
     }
 
