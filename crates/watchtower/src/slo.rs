@@ -17,6 +17,12 @@
 //! windows — those the trace's clock has fully passed — are reported, so a
 //! half-filled trailing window never skews a burn rate.
 //!
+//! Online, one window step costs O(new records + specs): ingesting a delta
+//! touches only its records, and [`SloEngine::health_signal`] reads only
+//! each spec's trailing windows. [`SloEngine::report`] is the at-rest
+//! view: it materializes every complete window of every spec up to the
+//! trace's clock, empty ones included.
+//!
 //! [`Obs::snapshot_since`]: adas_obs::Obs::snapshot_since
 
 use adas_obs::{Histogram, Trace};
@@ -222,6 +228,26 @@ struct WindowAccum {
     hist: Option<Histogram>,
 }
 
+/// The accumulator of a window no record landed in.
+const EMPTY_WINDOW: WindowAccum = WindowAccum {
+    total: 0,
+    bad: 0,
+    hist: None,
+};
+
+impl WindowAccum {
+    /// The window's bad fraction (0 when empty) and burn rate under
+    /// `spec`'s budget.
+    fn burn(&self, spec: &SloSpec) -> (f64, f64) {
+        let bad_fraction = if self.total == 0 {
+            0.0
+        } else {
+            self.bad as f64 / self.total as f64
+        };
+        (bad_fraction, bad_fraction / spec.budget())
+    }
+}
+
 /// Incremental SLO evaluator. Feed disjoint trace deltas (or one full
 /// trace) through [`SloEngine::ingest`], then read [`SloEngine::report`]
 /// or [`SloEngine::health_signal`] at any point; both consider only
@@ -251,7 +277,7 @@ impl SloEngine {
 
     /// Folds a trace (or an [`Obs::snapshot_since`] delta) into the window
     /// accumulators. Records must not be fed twice; metrics are ignored
-    /// (they are cumulative, not per-window).
+    /// (they are cumulative, not per-window, and deltas carry none).
     ///
     /// [`Obs::snapshot_since`]: adas_obs::Obs::snapshot_since
     pub fn ingest(&mut self, delta: &Trace) {
@@ -327,6 +353,11 @@ impl SloEngine {
         self.specs[i].window().complete_before(self.max_time)
     }
 
+    /// Spec `i`'s accumulator for window `idx`.
+    fn accum(&self, i: usize, idx: u64) -> &WindowAccum {
+        self.acc[i].get(&idx).unwrap_or(&EMPTY_WINDOW)
+    }
+
     /// The full evaluation: per-spec windows (empty ones included) and
     /// multi-window burn alerts.
     pub fn report(&self) -> SloReport {
@@ -339,27 +370,22 @@ impl SloEngine {
                 let complete = self.complete_windows(i);
                 let windows: Vec<WindowReport> = (0..complete)
                     .map(|idx| {
-                        let accum = self.acc[i].get(&idx);
-                        let total = accum.map_or(0, |a| a.total);
-                        let bad = accum.map_or(0, |a| a.bad);
-                        let bad_fraction = if total == 0 {
-                            0.0
-                        } else {
-                            bad as f64 / total as f64
-                        };
+                        let accum = self.accum(i, idx);
+                        let (bad_fraction, burn) = accum.burn(spec);
                         let quantile_estimate = match &spec.objective {
                             SloObjective::Latency { quantile, .. } => accum
-                                .and_then(|a| a.hist.as_ref())
+                                .hist
+                                .as_ref()
                                 .and_then(|h| histogram_quantile(h, *quantile)),
                             _ => None,
                         };
                         WindowReport {
                             index: idx,
                             start: win.start(idx),
-                            total,
-                            bad,
+                            total: accum.total,
+                            bad: accum.bad,
                             bad_fraction,
-                            burn: bad_fraction / spec.budget(),
+                            burn,
                             quantile_estimate,
                         }
                     })
@@ -376,29 +402,37 @@ impl SloEngine {
     }
 
     /// The controller-facing health signal: the worst spec's trailing burn
-    /// averages at the latest complete window. `windows` is the smallest
-    /// complete-window count across specs, so warm-up gating is
-    /// conservative.
+    /// averages at the latest complete window (the first spec wins a tie).
+    /// `windows` is the smallest complete-window count across specs, so
+    /// warm-up gating is conservative.
+    ///
+    /// O(specs): each spec reads only its last `max(fast_windows,
+    /// slow_windows)` complete windows from the accumulators, summed in
+    /// the same order [`SloEngine::report`]'s alerts use, so the signal is
+    /// bit-identical to one derived from the full report.
     pub fn health_signal(&self) -> HealthSignal {
-        let report = self.report();
         let mut fast = 0.0f64;
         let mut slow = 0.0f64;
         let mut worst = f64::NEG_INFINITY;
         let mut min_windows = u64::MAX;
-        for sr in &report.specs {
-            let n = sr.windows.len();
-            min_windows = min_windows.min(n as u64);
+        for (i, spec) in self.specs.iter().enumerate() {
+            let n = self.complete_windows(i);
+            min_windows = min_windows.min(n);
             if n == 0 {
                 continue;
             }
-            let (f, s) = trailing_burns(&sr.spec, &sr.windows, n - 1);
+            let trailing = u64::from(spec.fast_windows.max(spec.slow_windows).max(1)).min(n);
+            let burns: Vec<f64> = (n - trailing..n)
+                .map(|idx| self.accum(i, idx).burn(spec).1)
+                .collect();
+            let (f, s) = trailing_burns(spec, &burns, burns.len() - 1);
             if f.min(s) > worst {
                 worst = f.min(s);
                 fast = f;
                 slow = s;
             }
         }
-        if report.specs.is_empty() || min_windows == u64::MAX {
+        if min_windows == u64::MAX {
             min_windows = 0;
         }
         HealthSignal {
@@ -409,25 +443,25 @@ impl SloEngine {
     }
 }
 
-/// Average burn over the trailing `count` windows ending at `at`
-/// (inclusive), using however many exist.
-fn trailing_avg(windows: &[WindowReport], at: usize, count: u32) -> f64 {
+/// Average of the trailing `count` burns ending at `at` (inclusive), using
+/// however many exist.
+fn trailing_avg(burns: &[f64], at: usize, count: u32) -> f64 {
     let count = (count.max(1) as usize).min(at + 1);
-    let slice = &windows[at + 1 - count..=at];
-    slice.iter().map(|w| w.burn).sum::<f64>() / count as f64
+    burns[at + 1 - count..=at].iter().sum::<f64>() / count as f64
 }
 
-fn trailing_burns(spec: &SloSpec, windows: &[WindowReport], at: usize) -> (f64, f64) {
+fn trailing_burns(spec: &SloSpec, burns: &[f64], at: usize) -> (f64, f64) {
     (
-        trailing_avg(windows, at, spec.fast_windows),
-        trailing_avg(windows, at, spec.slow_windows),
+        trailing_avg(burns, at, spec.fast_windows),
+        trailing_avg(burns, at, spec.slow_windows),
     )
 }
 
 fn burn_alerts(spec: &SloSpec, windows: &[WindowReport]) -> Vec<BurnAlert> {
+    let burns: Vec<f64> = windows.iter().map(|w| w.burn).collect();
     (0..windows.len())
         .filter_map(|at| {
-            let (fast_burn, slow_burn) = trailing_burns(spec, windows, at);
+            let (fast_burn, slow_burn) = trailing_burns(spec, &burns, at);
             (fast_burn.min(slow_burn) >= spec.alert_burn).then(|| BurnAlert {
                 window: windows[at].index,
                 sim_time: spec.window().end(windows[at].index),
