@@ -1,7 +1,9 @@
 //! The `tracectl` binary end to end: every analysis over an exported trace
 //! exits 0, and a file that is not a trace exits 1 with a parse error —
 //! including one nested far deeper than the JSON parser's recursion could
-//! survive without its depth limit.
+//! survive without its depth limit. A trace whose clock would need more SLO
+//! windows than `tracectl` allows exits 1 too, instead of aborting on the
+//! allocation.
 
 use adas_obs::{DeploymentKind, Obs, Provenance};
 use adas_watchtower::{analyze, default_specs, to_canonical_json};
@@ -100,5 +102,54 @@ fn non_traces_exit_1_with_a_parse_error() {
         assert_eq!(out.status.code(), Some(1), "{name}: exit status");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("tracectl: parse"), "{name}: {stderr}");
+    }
+}
+
+/// An exported one-event trace whose clock is the JSON number `clock`.
+fn clock_trace(clock: &str) -> Vec<u8> {
+    let obs = Obs::recording();
+    obs.event("clock", "tick", 1.0, &[]);
+    let exported = obs.export_json();
+    assert!(exported.contains("\"sim_time\":1.0,"), "{exported}");
+    exported
+        .replace("\"sim_time\":1.0,", &format!("\"sim_time\":{clock},"))
+        .into_bytes()
+}
+
+#[test]
+fn clocks_past_the_window_limit_exit_1() {
+    // The limit is 1,000,000 complete windows per spec; the default specs'
+    // narrowest window is 50 ticks, so it falls at clock 5e7.
+    for clock in ["1e12", "1e308", "1e309", "50000050.0"] {
+        let path = input(&format!("clock-{clock}.json"), &clock_trace(clock));
+        for command in ["slo", "summary", "incidents", "critpath"] {
+            let out = tracectl(command, &path);
+            assert_eq!(out.status.code(), Some(1), "{command} at {clock}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("trace clock") && out.stdout.is_empty(),
+                "{command} at {clock}: {stderr}"
+            );
+            if clock != "1e309" {
+                assert!(
+                    stderr.contains("spec `gateway-availability` needs"),
+                    "{command} at {clock}: {stderr}"
+                );
+            }
+        }
+    }
+    // Just under and exactly at the limit, every command runs. `incidents`
+    // and `critpath` stand in for the whole set: the clock check precedes
+    // every analysis, and `slo` there would print ~2.5M windows.
+    for clock in ["49999999.0", "5e7"] {
+        let path = input(&format!("clock-{clock}.json"), &clock_trace(clock));
+        for command in ["incidents", "critpath"] {
+            let out = tracectl(command, &path);
+            assert!(
+                out.status.success(),
+                "{command} at {clock}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
     }
 }
