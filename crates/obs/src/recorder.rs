@@ -12,11 +12,12 @@
 //! 3. metrics resolve each distinct `(component, name, labels)` set once
 //!    to a dense slot index, and updates land directly in the slot (`u64`
 //!    add / `f64` store / bucket increment) — the canonical `BTreeMap`
-//!    registry is only materialized at snapshot time.
+//!    registry is only materialized by a full snapshot or an export.
 //!
-//! Strings are resolved exactly once, at snapshot or streaming export, so
-//! the canonical JSON is independent of where snapshots cut the recording:
-//! the golden-digest suites pin that.
+//! Strings are resolved only when records leave the recorder: a full
+//! snapshot, a delta (which resolves only the records past its cursor) or
+//! a streaming export. So the canonical JSON is independent of where
+//! snapshots cut the recording: the golden-digest suites pin that.
 //!
 //! Optional deterministic sampling ([`crate::sample`]) is applied as each
 //! record arrives: sequence numbers and span ids are assigned to every

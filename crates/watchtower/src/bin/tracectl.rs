@@ -32,8 +32,9 @@ const USAGE: &str = "usage: tracectl <slo|incidents|critpath|summary> <trace.jso
 /// included, so a one-event trace at tick `1e12` would ask for 2·10¹⁰
 /// 50-tick windows and abort on the allocation. The largest clock a trace
 /// from this repo reaches is a traced `drift` pass of the lifecycle
-/// benchmark, whose wall-clock spans end near 6.1·10⁶ µs (~122k 50-tick
-/// windows); the limit sits at 5·10⁷ ticks for those specs.
+/// benchmark, whose wall-clock spans end near 1.9·10⁶ µs on a shared
+/// 2-vCPU Xeon host (~38k 50-tick windows; 6.3·10⁶ µs before incremental
+/// snapshots); the limit sits at 5·10⁷ ticks for those specs.
 const MAX_WINDOWS: u64 = 1_000_000;
 
 fn load_trace(path: &str) -> Result<Trace, String> {
