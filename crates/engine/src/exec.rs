@@ -101,7 +101,7 @@ impl ExecReport {
     }
 }
 
-/// Pre-resolved metric identities for [`Simulator::record_run`] — the
+/// Pre-resolved metric identities for [`Simulator::record`] — the
 /// recorder's hottest call site. Resolved once per simulator (lazily, so
 /// disabled simulators never pay for it) and hash-free on every run after.
 #[derive(Debug, Clone)]
@@ -175,10 +175,11 @@ impl Simulator {
         required
     }
 
-    /// Runs the DAG to completion and reports the schedule.
+    /// Runs the DAG to completion, records the run through
+    /// [`Simulator::record`] and returns its report.
     pub fn run(&self, dag: &StageDag, options: &SimOptions) -> Result<ExecReport> {
         let report = self.schedule(dag, options)?.0;
-        self.record_run(&report);
+        self.record(&report);
         Ok(report)
     }
 
@@ -195,11 +196,18 @@ impl Simulator {
     /// stage's simulated start/finish), plus execution counters, the
     /// hotspot gauge and a stage-latency histogram.
     ///
+    /// [`Simulator::run`] is the schedule followed by this. The schedule is
+    /// a pure function of the DAG, the cluster and the [`SimOptions`], so a
+    /// caller that already holds the report of a run with the same inputs
+    /// records that report here instead of simulating it again, and the
+    /// trace is the same either way. `adas_faultsim`'s `ChaosRunner` does
+    /// this when a restart's inputs equal the previous attempt's.
+    ///
     /// This is the recorder's hottest call site (obs_bench measures it), so
     /// the whole replay records through a single [`Obs::batch`] — one lock
     /// acquisition per run — and stage spans use the interned indexed-name
     /// path instead of formatting `stage_{idx}` per stage.
-    fn record_run(&self, report: &ExecReport) {
+    pub fn record(&self, report: &ExecReport) {
         if !self.obs.is_enabled() {
             return;
         }
@@ -309,7 +317,7 @@ impl Simulator {
             precomputed: HashSet::new(),
         };
         let (original, placement) = self.schedule(dag, &options)?;
-        self.record_run(&original);
+        self.record(&original);
         let failure_time = original.latency * failure_at.clamp(0.0, 1.0);
         let surviving: HashSet<StageId> = dag
             .stages()

@@ -217,6 +217,17 @@ impl ChaosRunner {
     /// The fault schedule is replayed as `simkern` events: each strike is
     /// an event whose fire time is the accumulated wall-clock at which it
     /// lands, so the kernel clock *is* the `total_latency` accumulator.
+    ///
+    /// Each distinct attempt is simulated once. An attempt's schedule is a
+    /// pure function of the DAG, the cluster and its `checkpointed` and
+    /// `precomputed` sets, and within a job `checkpointed` is fixed while
+    /// `precomputed` only grows. So when a fault cannot fire, or every
+    /// stage it leaves surviving was already precomputed (a task crash in a
+    /// job that checkpoints nothing), the next attempt reuses the previous
+    /// attempt's schedule instead of simulating it again. The final run,
+    /// reused or simulated, is recorded through [`Simulator::record`]. The
+    /// outcome and the trace are the same as when every attempt is
+    /// simulated.
     pub fn run_job(
         &self,
         dag: &StageDag,
@@ -262,6 +273,7 @@ impl ChaosRunner {
             final_report: None,
             total_latency: 0.0,
             error: None,
+            kept: None,
         }));
         let mut sim = Simulation::new(0);
         let id = sim.add_component(drill.clone());
@@ -341,24 +353,39 @@ struct ChaosSim {
     final_report: Option<ExecReport>,
     total_latency: f64,
     error: Option<adas_engine::EngineError>,
+    /// The latest attempt's `(report, placement)`, kept while the next
+    /// attempt's simulator inputs equal its own. `checkpointed` is fixed
+    /// and `precomputed` only grows, so a set of inputs can repeat only
+    /// straight after itself and this one slot misses no repeat.
+    kept: Option<(ExecReport, Vec<Vec<usize>>)>,
 }
 
 impl ChaosSim {
-    /// Runs scheduled fault `k` against a fresh attempt. Returns the next
-    /// event to emit: the following strike at the accumulated latency, or
-    /// at the unchanged clock when the fault could not fire.
-    fn strike(&mut self, k: usize, now: f64) -> Option<(ChaosEvent, f64)> {
+    /// The schedule of the attempt about to run: the kept one when its
+    /// inputs have not changed since, else a fresh simulation. `None` once
+    /// the simulator has returned an error, which is stored in `error`.
+    fn attempt(&mut self) -> Option<(ExecReport, Vec<Vec<usize>>)> {
+        if let Some(kept) = self.kept.take() {
+            return Some(kept);
+        }
         let options = SimOptions {
             checkpointed: self.checkpointed.clone(),
             precomputed: self.precomputed.clone(),
         };
-        let (report, placement) = match self.runner.sim.run_with_placement(&self.dag, &options) {
-            Ok(r) => r,
+        match self.runner.sim.run_with_placement(&self.dag, &options) {
+            Ok(r) => Some(r),
             Err(e) => {
                 self.error = Some(e);
-                return None;
+                None
             }
-        };
+        }
+    }
+
+    /// Runs scheduled fault `k` against the next attempt. Returns the next
+    /// event to emit: the following strike at the accumulated latency, or
+    /// at the unchanged clock when the fault could not fire.
+    fn strike(&mut self, k: usize, now: f64) -> Option<(ChaosEvent, f64)> {
+        let (report, placement) = self.attempt()?;
         self.recomputed_checkpointed += self
             .persisted
             .iter()
@@ -379,7 +406,8 @@ impl ChaosSim {
 
         let Some((survivors, cause)) = survivors else {
             // Fault could not fire: no latency accrues, next strike lands
-            // at the same instant.
+            // at the same instant, on the same inputs.
+            self.kept = Some((report, placement));
             return Some((ChaosEvent::Attempt(k + 1), now));
         };
         self.injected += 1;
@@ -415,6 +443,11 @@ impl ChaosSim {
         );
         batch.counter_add("faultsim.chaos", "restarts", &[], 1);
         drop(batch);
+        if survivors.is_subset(&self.precomputed) {
+            // Nothing new survived, so the next attempt runs on this one's
+            // inputs and would recompute this schedule.
+            self.kept = Some((report, placement));
+        }
         self.persisted.extend(
             survivors
                 .iter()
@@ -426,19 +459,12 @@ impl ChaosSim {
 
     /// The final (successful) run, at the accumulated clock.
     fn finish(&mut self, now: f64) {
-        let options = SimOptions {
-            checkpointed: self.checkpointed.clone(),
-            precomputed: std::mem::take(&mut self.precomputed),
+        let Some((final_report, _)) = self.attempt() else {
+            return;
         };
-        // Goes through `Simulator::run` so its per-stage spans land in the
+        // Recorded through the simulator so its per-stage spans land in the
         // same trace as the fault events above.
-        let final_report = match self.runner.sim.run(&self.dag, &options) {
-            Ok(r) => r,
-            Err(e) => {
-                self.error = Some(e);
-                return;
-            }
-        };
+        self.runner.sim.record(&final_report);
         self.recomputed_checkpointed += self
             .persisted
             .iter()

@@ -49,6 +49,7 @@ pub use seed::{channel_rng, Channel};
 pub use telemetry::{TelemetryFaults, TelemetryPerturbation};
 
 use serde::Serialize;
+use std::fmt;
 
 /// Fault intensities for every channel. `FaultConfig::disabled()` turns the
 /// whole layer off; the injection paths then add no work beyond a branch
@@ -123,7 +124,81 @@ impl FaultConfig {
             feedback_delay: 5,
         }
     }
+
+    /// Checks every numeric field against the range its channel can use.
+    /// Without this, an out-of-range rate is silently clamped and a NaN
+    /// rate silently turns its channel off. Rejects a rate that is not a
+    /// finite probability in `[0, 1]`, a NaN or non-positive
+    /// `temp_capacity_bytes` (`f64::INFINITY` is valid: the channel is
+    /// off), a non-finite `outlier_magnitude`, and a non-finite or
+    /// non-positive `poison_factor`. Reports the first bad field, rates
+    /// first.
+    pub fn validate(&self) -> Result<(), FaultConfigError> {
+        let check = |field, value, ok, expected| {
+            if ok {
+                Ok(())
+            } else {
+                Err(FaultConfigError {
+                    field,
+                    value,
+                    expected,
+                })
+            }
+        };
+        for (field, rate) in [
+            ("task_crash_rate", self.task_crash_rate),
+            ("machine_loss_rate", self.machine_loss_rate),
+            ("telemetry_dropout", self.telemetry_dropout),
+            ("outlier_burst_rate", self.outlier_burst_rate),
+            ("staleness", self.staleness),
+            ("timeout_rate", self.timeout_rate),
+        ] {
+            let ok = (0.0..=1.0).contains(&rate);
+            check(field, rate, ok, "a finite probability in [0, 1]")?;
+        }
+        let capacity = self.temp_capacity_bytes;
+        check(
+            "temp_capacity_bytes",
+            capacity,
+            capacity > 0.0,
+            "a positive size (infinity turns the channel off)",
+        )?;
+        let magnitude = self.outlier_magnitude;
+        check(
+            "outlier_magnitude",
+            magnitude,
+            magnitude.is_finite(),
+            "finite",
+        )?;
+        let poison = self.poison_factor;
+        let ok = poison.is_finite() && poison > 0.0;
+        check("poison_factor", poison, ok, "finite and positive")
+    }
 }
+
+/// A [`FaultConfig`] field outside its valid range, returned by
+/// [`FaultConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FaultConfigError {
+    /// The rejected field's name.
+    pub field: &'static str,
+    /// The rejected value.
+    pub value: f64,
+    /// What the field must be.
+    pub expected: &'static str,
+}
+
+impl fmt::Display for FaultConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "FaultConfig.{} = {} is invalid: must be {}",
+            self.field, self.value, self.expected
+        )
+    }
+}
+
+impl std::error::Error for FaultConfigError {}
 
 /// The top-level injector: owns the master seed and derives per-channel,
 /// per-job fault sources from it.
@@ -252,6 +327,64 @@ mod tests {
         let injector = FaultInjector::new(9, FaultConfig::disabled());
         for j in 0..32 {
             assert!(injector.schedule_for(j, 16).events.is_empty());
+        }
+    }
+
+    #[test]
+    fn presets_are_valid() {
+        assert_eq!(FaultConfig::standard().validate(), Ok(()));
+        assert_eq!(FaultConfig::disabled().validate(), Ok(()));
+        let edges = FaultConfig {
+            task_crash_rate: 1.0,
+            machine_loss_rate: 0.0,
+            temp_capacity_bytes: 1.0,
+            outlier_magnitude: -3.0,
+            poison_factor: 1e-9,
+            ..FaultConfig::standard()
+        };
+        assert_eq!(edges.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_names_each_bad_field() {
+        type Set = fn(&mut FaultConfig, f64);
+        let rates: [(&str, Set); 6] = [
+            ("task_crash_rate", |c, v| c.task_crash_rate = v),
+            ("machine_loss_rate", |c, v| c.machine_loss_rate = v),
+            ("telemetry_dropout", |c, v| c.telemetry_dropout = v),
+            ("outlier_burst_rate", |c, v| c.outlier_burst_rate = v),
+            ("staleness", |c, v| c.staleness = v),
+            ("timeout_rate", |c, v| c.timeout_rate = v),
+        ];
+        let mut cases: Vec<(&str, Set, f64)> = Vec::new();
+        for (field, set) in rates {
+            for bad in [f64::NAN, f64::INFINITY, -0.1, 1.5] {
+                cases.push((field, set, bad));
+            }
+        }
+        let capacity: Set = |c, v| c.temp_capacity_bytes = v;
+        for bad in [f64::NAN, 0.0, -1.0, f64::NEG_INFINITY] {
+            cases.push(("temp_capacity_bytes", capacity, bad));
+        }
+        let magnitude: Set = |c, v| c.outlier_magnitude = v;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            cases.push(("outlier_magnitude", magnitude, bad));
+        }
+        let poison: Set = |c, v| c.poison_factor = v;
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -2.0] {
+            cases.push(("poison_factor", poison, bad));
+        }
+        for (field, set, bad) in cases {
+            let mut config = FaultConfig::standard();
+            set(&mut config, bad);
+            let err = config.validate().unwrap_err();
+            assert_eq!(err.field, field);
+            assert_eq!(err.value.to_bits(), bad.to_bits(), "{field}");
+            let text = err.to_string();
+            assert!(
+                text.contains(field) && text.contains(&bad.to_string()),
+                "{text}"
+            );
         }
     }
 

@@ -8,17 +8,22 @@
 //!    from poisoned models;
 //! 4. graceful degradation — no fault schedule, however hostile or
 //!    malformed, panics the stack.
+//!
+//! Beside them, a restart reference property: `ChaosRunner::run_job`
+//! equals, bit for bit, a reference written out below that simulates every
+//! attempt anew, so reusing an unchanged attempt's schedule cannot change
+//! an outcome.
 
 use autonomous_data_services::core::feedback::{
     FeedbackLoop, LoopConfig, ModelRegistry, MonitorVerdict,
 };
 use autonomous_data_services::core::guardrails::{Decision, GuardrailSet, Verdict};
 use autonomous_data_services::engine::cost::CostModel;
-use autonomous_data_services::engine::exec::ClusterConfig;
+use autonomous_data_services::engine::exec::{ClusterConfig, ExecReport, SimOptions, Simulator};
 use autonomous_data_services::engine::physical::{StageDag, StageId};
 use autonomous_data_services::faultsim::{
-    ChaosRunner, DelayedFeedback, FaultCause, FaultConfig, FaultEvent, FaultInjector,
-    FaultSchedule, ModelFaults, Served,
+    AttemptFailure, ChaosOutcome, ChaosRunner, DelayedFeedback, FaultCause, FaultConfig,
+    FaultEvent, FaultInjector, FaultSchedule, ModelFaults, Served,
 };
 use autonomous_data_services::infra::machine::{MachineFleet, SkuSpec};
 use autonomous_data_services::learned::cost::{CostEnsemble, CostTrainConfig};
@@ -28,6 +33,7 @@ use autonomous_data_services::telemetry::TelemetryStore;
 use autonomous_data_services::workload::gen::{GeneratorConfig, WorkloadGenerator};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 fn workload() -> autonomous_data_services::workload::gen::GeneratedWorkload {
     WorkloadGenerator::new(GeneratorConfig {
@@ -50,6 +56,15 @@ fn dags(w: &autonomous_data_services::workload::gen::GeneratedWorkload, n: usize
         .collect()
 }
 
+/// Every fault config the suite builds passes through here, so each one is
+/// checked by `FaultConfig::validate` before it injects anything.
+fn valid_injector(seed: u64, config: FaultConfig) -> FaultInjector {
+    config
+        .validate()
+        .expect("the suite's fault configs are valid");
+    FaultInjector::new(seed, config)
+}
+
 // ---------------------------------------------------------------- property 1
 
 /// Same seed ⇒ identical `ExecReport`s, down to the serialized bytes; a
@@ -63,7 +78,7 @@ fn chaos_same_seed_produces_identical_exec_reports() {
         ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
 
     let run_all = |seed: u64| -> Vec<String> {
-        let injector = FaultInjector::new(seed, FaultConfig::standard());
+        let injector = valid_injector(seed, FaultConfig::standard());
         dags.iter()
             .enumerate()
             .map(|(i, dag)| {
@@ -100,7 +115,7 @@ fn chaos_checkpointed_stages_never_recompute_after_restarts() {
     let runner =
         ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
     for seed in 0..8u64 {
-        let injector = FaultInjector::new(seed, config);
+        let injector = valid_injector(seed, config);
         for (i, dag) in dags.iter().enumerate() {
             let schedule = injector.schedule_for(i as u64, cluster.machines);
             // All checkpointed, half checkpointed, none checkpointed.
@@ -141,7 +156,7 @@ fn chaos_attempt_failures_carry_typed_causes() {
     };
     let runner =
         ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
-    let injector = FaultInjector::new(11, config);
+    let injector = valid_injector(11, config);
     let mut causes_seen: HashSet<&'static str> = HashSet::new();
     for (i, dag) in dags.iter().enumerate() {
         let schedule = injector.schedule_for(i as u64, cluster.machines);
@@ -181,7 +196,7 @@ fn chaos_full_checkpointing_never_hurts_under_faults() {
     let cluster = ClusterConfig::default();
     let runner =
         ChaosRunner::with_obs(cluster, f64::INFINITY, Obs::disabled()).expect("valid cluster");
-    let injector = FaultInjector::new(
+    let injector = valid_injector(
         5,
         FaultConfig {
             task_crash_rate: 1.0,
@@ -196,6 +211,223 @@ fn chaos_full_checkpointing_never_hurts_under_faults() {
             .run_job(dag, &HashSet::new(), &schedule)
             .expect("runs");
         assert!(ckpt.total_latency <= bare.total_latency + 1e-9, "job {i}");
+    }
+}
+
+// ------------------------------------------------------- restart reference
+
+/// The restart rules written out plainly: every attempt is simulated anew
+/// through `Simulator::run_with_placement`, and the final run through
+/// `Simulator::run`.
+/// - A task crash keeps the first `floor(n·at)` stages by stable finish
+///   order, if checkpointed or precomputed.
+/// - A machine loss, or a temp exhaustion that fires (hotspot peak above
+///   capacity; the hotspot is the last machine with the highest peak),
+///   keeps the stages finished by `latency·at` that are checkpointed,
+///   precomputed, or ran entirely off the lost machine.
+///
+/// Machine indices clamp into the cluster and `at` into `[0, 1]`.
+fn reference_outcome(
+    sim: &Simulator,
+    machines: usize,
+    temp_capacity: f64,
+    dag: &StageDag,
+    checkpointed: &HashSet<StageId>,
+    schedule: &FaultSchedule,
+) -> ChaosOutcome {
+    let mut precomputed: HashSet<StageId> = HashSet::new();
+    let mut persisted: HashSet<StageId> = HashSet::new();
+    let mut recomputed_checkpointed = 0;
+    let mut clock = 0.0;
+    let mut attempt_failures = Vec::new();
+    for &event in &schedule.events {
+        let options = SimOptions {
+            checkpointed: checkpointed.clone(),
+            precomputed: precomputed.clone(),
+        };
+        let (report, placement) = sim.run_with_placement(dag, &options).expect("runs");
+        recomputed_checkpointed += persisted.iter().filter(|id| report.executed[id.0]).count();
+        let at = event.strike_fraction().clamp(0.0, 1.0);
+        let stored = |id: &StageId| checkpointed.contains(id) || precomputed.contains(id);
+        let losing = |machine: usize| -> HashSet<StageId> {
+            (0..dag.len())
+                .map(StageId)
+                .filter(|id| report.stage_finish[id.0] <= report.latency * at)
+                .filter(|id| stored(id) || !placement[id.0].contains(&machine))
+                .collect()
+        };
+        let (survivors, cause) = match event {
+            FaultEvent::TaskCrash { .. } => {
+                let mut order: Vec<usize> = (0..dag.len()).collect();
+                order.sort_by(|&a, &b| {
+                    report.stage_finish[a]
+                        .partial_cmp(&report.stage_finish[b])
+                        .expect("finish times are numbers")
+                });
+                let completed = (dag.len() as f64 * at).floor() as usize;
+                let kept = order[..completed].iter().map(|&i| StageId(i));
+                (kept.filter(stored).collect(), FaultCause::TaskCrash)
+            }
+            FaultEvent::MachineLoss { machine, .. } => {
+                let machine = machine.min(machines - 1);
+                (losing(machine), FaultCause::MachineLoss { machine })
+            }
+            FaultEvent::TempExhaustion { .. } => {
+                if report.hotspot_peak() <= temp_capacity {
+                    continue;
+                }
+                let mut hotspot = 0;
+                for (m, &peak) in report.machine_temp_peak.iter().enumerate() {
+                    if peak >= report.machine_temp_peak[hotspot] {
+                        hotspot = m;
+                    }
+                }
+                (losing(hotspot), FaultCause::TempExhaustion { hotspot })
+            }
+        };
+        clock += report.latency * at;
+        attempt_failures.push(AttemptFailure {
+            attempt: attempt_failures.len() + 1,
+            cause,
+            at,
+            surviving_stages: survivors.len(),
+        });
+        persisted.extend(survivors.iter().filter(|id| checkpointed.contains(id)));
+        precomputed.extend(survivors);
+    }
+    let final_report = sim
+        .run(
+            dag,
+            &SimOptions {
+                checkpointed: checkpointed.clone(),
+                precomputed,
+            },
+        )
+        .expect("runs");
+    recomputed_checkpointed += persisted
+        .iter()
+        .filter(|id| final_report.executed[id.0])
+        .count();
+    ChaosOutcome {
+        total_latency: clock + final_report.latency,
+        final_report,
+        attempts: attempt_failures.len() + 1,
+        injected: attempt_failures.len(),
+        recomputed_checkpointed,
+        attempt_failures,
+    }
+}
+
+/// A report with every float replaced by its bits, so `-0.0` and `0.0`
+/// differ and a NaN equals only its own bits.
+type ReportBits = (u64, u64, Vec<u64>, Vec<u64>, Vec<u64>, Vec<bool>);
+
+fn report_bits(report: &ExecReport) -> ReportBits {
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    (
+        report.latency.to_bits(),
+        report.total_cpu_seconds.to_bits(),
+        bits(&report.stage_start),
+        bits(&report.stage_finish),
+        bits(&report.machine_temp_peak),
+        report.executed.clone(),
+    )
+}
+
+fn failure_bits(failures: &[AttemptFailure]) -> Vec<(usize, FaultCause, u64, usize)> {
+    failures
+        .iter()
+        .map(|f| (f.attempt, f.cause, f.at.to_bits(), f.surviving_stages))
+        .collect()
+}
+
+/// The suite's generated workload, compiled once for every case.
+fn suite_dags() -> &'static [StageDag] {
+    static DAGS: OnceLock<Vec<StageDag>> = OnceLock::new();
+    DAGS.get_or_init(|| dags(&workload(), 24))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `run_job` equals the reference above on every `ChaosOutcome` field,
+    /// floats by their bits. The inputs make a repeated attempt certain
+    /// (nothing checkpointed and a task crash) as well as attempts that
+    /// change the inputs (machine loss with survivors, temp exhaustion that
+    /// fires), on clusters where the fault machine is often out of range.
+    #[test]
+    fn chaos_restarts_match_a_reference_that_simulates_every_attempt(
+        job in 0usize..24,
+        checkpoint_kind in 0u8..4,
+        checkpoint_mask in 0u64..u64::MAX,
+        small_cluster in 0u8..2,
+        capacity_kind in 0u8..3,
+        events in proptest::collection::vec(
+            prop_oneof![
+                (-0.3f64..1.3).prop_map(|at| FaultEvent::TaskCrash { at }),
+                (0usize..24, -0.3f64..1.3)
+                    .prop_map(|(machine, at)| FaultEvent::MachineLoss { machine, at }),
+                (-0.3f64..1.3).prop_map(|at| FaultEvent::TempExhaustion { at }),
+            ],
+            0..7,
+        ),
+    ) {
+        let dag = &suite_dags()[job];
+        let checkpointed: HashSet<StageId> = dag
+            .stages()
+            .iter()
+            .map(|s| s.id)
+            .filter(|id| match checkpoint_kind {
+                0 => false,
+                1 => true,
+                2 => id.0 % 2 == 0,
+                _ => checkpoint_mask >> (id.0 % 64) & 1 == 1,
+            })
+            .collect();
+        let cluster = if small_cluster == 1 {
+            ClusterConfig {
+                machines: 3,
+                slots_per_machine: 2,
+                ..ClusterConfig::default()
+            }
+        } else {
+            ClusterConfig::default()
+        };
+        let sim = Simulator::with_obs(cluster, Obs::disabled()).expect("valid cluster");
+        // The middle capacity sits at half the fault-free hotspot, so
+        // exhaustion fires on a first attempt and may stop firing once
+        // survivors shrink the later attempts.
+        let temp_capacity = match capacity_kind {
+            0 => 1.0,
+            1 => f64::INFINITY,
+            _ => {
+                let plain = sim
+                    .run(dag, &SimOptions { checkpointed: checkpointed.clone(), ..SimOptions::default() })
+                    .expect("runs");
+                plain.hotspot_peak() / 2.0
+            }
+        };
+        let schedule = FaultSchedule { events };
+        let runner = ChaosRunner::with_obs(cluster, temp_capacity, Obs::disabled())
+            .expect("valid cluster");
+        let outcome = runner.run_job(dag, &checkpointed, &schedule).expect("runs");
+        let expected = reference_outcome(
+            &sim,
+            cluster.machines,
+            temp_capacity,
+            dag,
+            &checkpointed,
+            &schedule,
+        );
+        prop_assert_eq!(report_bits(&outcome.final_report), report_bits(&expected.final_report));
+        prop_assert_eq!(outcome.attempts, expected.attempts);
+        prop_assert_eq!(outcome.injected, expected.injected);
+        prop_assert_eq!(outcome.recomputed_checkpointed, expected.recomputed_checkpointed);
+        prop_assert_eq!(outcome.total_latency.to_bits(), expected.total_latency.to_bits());
+        prop_assert_eq!(
+            failure_bits(&outcome.attempt_failures),
+            failure_bits(&expected.attempt_failures)
+        );
     }
 }
 
@@ -352,7 +584,7 @@ proptest! {
     ) {
         let fleet = MachineFleet::new(SkuSpec::standard_fleet(), 3);
         let clean = fleet.generate_telemetry(24, 0.05, seed);
-        let injector = FaultInjector::new(
+        let injector = valid_injector(
             seed,
             FaultConfig {
                 telemetry_dropout: dropout,
