@@ -1,5 +1,7 @@
 //! The `tracectl` binary end to end: every analysis over an exported trace
-//! exits 0, and a file that is not a trace exits 1 with a parse error —
+//! exits 0, also when a string in it escapes a character past the Basic
+//! Multilingual Plane as a UTF-16 surrogate pair, and a file that is not a
+//! trace exits 1 with a parse error —
 //! including one nested far deeper than the JSON parser's recursion could
 //! survive without its depth limit. A trace whose clock would need more SLO
 //! windows than `tracectl` allows exits 1 too, instead of aborting on the
@@ -102,6 +104,36 @@ fn non_traces_exit_1_with_a_parse_error() {
         assert_eq!(out.status.code(), Some(1), "{name}: exit status");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("tracectl: parse"), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn escaped_surrogate_pairs_in_a_trace_parse() {
+    // One span name ends in 🦀, written once as the raw character and once
+    // as the UTF-16 surrogate-pair escape that Python's `json.dumps` emits.
+    let exported = recorded().export_json();
+    let span = "\"name\":\"stage_1\"";
+    assert!(exported.contains(span), "{exported}");
+    let raw = input(
+        "raw-pair.json",
+        exported
+            .replacen(span, "\"name\":\"stage_1🦀\"", 1)
+            .as_bytes(),
+    );
+    let escaped = input(
+        "escaped-pair.json",
+        exported
+            .replacen(span, r#""name":"stage_1\ud83e\udd80""#, 1)
+            .as_bytes(),
+    );
+    for command in ["incidents", "critpath", "summary"] {
+        let out = tracectl(command, &escaped);
+        assert!(
+            out.status.success(),
+            "{command}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.stdout, tracectl(command, &raw).stdout, "{command}");
     }
 }
 
