@@ -16,6 +16,7 @@ use crate::Result;
 use adas_obs::Obs;
 use adas_workload::plan::{LogicalPlan, PlanKind, Predicate};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Identifier of one rewrite rule (index into [`ALL_RULES`]).
 pub type RuleId = usize;
@@ -230,11 +231,12 @@ impl Rule {
 
     /// Rewrites `plan` in place at the first (pre-order) node where the
     /// rule fires, then asks `keep` about the rewritten plan. If it says
-    /// no, the rewrite is undone and `plan` is again what it was. Returns
-    /// `None` if the rule fires nowhere, else whether the rewrite was kept.
+    /// no, the rewrite is undone and `plan` is again equal to what it was.
+    /// Returns `None` if the rule fires nowhere, else whether the rewrite
+    /// was kept. A borrowed `plan` is copied only when the rule fires.
     fn rewrite_in_place(
         self,
-        plan: &mut LogicalPlan,
+        plan: &mut Cow<'_, LogicalPlan>,
         keep: impl FnOnce(&LogicalPlan) -> bool,
     ) -> Option<bool> {
         // The undo record: the path to the rewritten node, the node it
@@ -242,11 +244,17 @@ impl Rule {
         // Undoing is the same for every rule: move each subtree back, then
         // put the old node back in place.
         let mut path = Vec::new();
-        let (mut old, moves) = self.rewrite_at(plan, &mut path)?;
+        let (new, moves) = self.first_match(plan, &mut path)?;
+        path.reverse();
+        let node = at(plan.to_mut(), &path);
+        let mut old = std::mem::replace(node, new);
+        for &(new_pos, old_pos) in moves {
+            *at(node, new_pos) = take(&mut old, old_pos);
+        }
         if keep(plan) {
             return Some(true);
         }
-        let node = at(plan, &path);
+        let node = at(plan.to_mut(), &path);
         for &(new_pos, old_pos) in moves {
             *at(&mut old, old_pos) = take(node, new_pos);
         }
@@ -254,27 +262,23 @@ impl Rule {
         Some(false)
     }
 
-    /// Rewrites the first pre-order match at or below `node`, pushing the
-    /// child indices that lead to it onto `path`. Returns the replaced
-    /// node, with a hole at each moved subtree, and the moves.
-    fn rewrite_at(
+    /// The [`Rule::skeleton`] of the first pre-order match at or below
+    /// `node`. Pushes the child indices that lead to it onto `path`,
+    /// deepest first, and only once the match is found, so a search that
+    /// finds nothing allocates nothing.
+    fn first_match(
         self,
-        node: &mut LogicalPlan,
+        node: &LogicalPlan,
         path: &mut Vec<usize>,
     ) -> Option<(LogicalPlan, Moves)> {
-        if let Some((new, moves)) = self.skeleton(node) {
-            let mut old = std::mem::replace(node, new);
-            for &(new_pos, old_pos) in moves {
-                *at(node, new_pos) = take(&mut old, old_pos);
-            }
-            return Some((old, moves));
+        if let Some(found) = self.skeleton(node) {
+            return Some(found);
         }
-        for (i, child) in node.children.iter_mut().enumerate() {
-            path.push(i);
-            if let Some(done) = self.rewrite_at(child, path) {
-                return Some(done);
+        for (i, child) in node.children.iter().enumerate() {
+            if let Some(found) = self.first_match(child, path) {
+                path.push(i);
+                return Some(found);
             }
-            path.pop();
         }
         None
     }
@@ -285,9 +289,9 @@ impl Rule {
     /// rule's pattern inspects must have as many children as its operator
     /// takes, so a malformed node is skipped rather than read past.
     pub fn apply_once(self, plan: &LogicalPlan) -> Option<LogicalPlan> {
-        let mut rewritten = plan.clone();
+        let mut rewritten = Cow::Borrowed(plan);
         self.rewrite_in_place(&mut rewritten, |_| true)?;
-        Some(rewritten)
+        Some(rewritten.into_owned())
     }
 }
 
@@ -411,11 +415,11 @@ impl Optimizer {
     /// rule whose application strictly lowers the estimated cost is
     /// accepted; the loop ends at a fixpoint or after `max_passes`.
     ///
-    /// The input plan is cloned once, after it is costed. Each candidate is
-    /// that working plan rewritten in place at the rule's first pre-order
-    /// match, and a rejected candidate is reverted by moving the subtrees
-    /// back. So `cards` sees the same plans, in the same order, as it would
-    /// if every candidate were a fresh copy.
+    /// The input plan is borrowed until the first rule fires, then copied
+    /// once. Each candidate is that working plan rewritten in place at the
+    /// rule's first pre-order match, and a rejected candidate is reverted
+    /// by moving the subtrees back. So `cards` sees the same plans, in the
+    /// same order, as it would if every candidate were a fresh copy.
     pub fn optimize(
         &self,
         plan: &LogicalPlan,
@@ -423,9 +427,9 @@ impl Optimizer {
         cards: &dyn CardinalityModel,
     ) -> Result<Optimized> {
         let span = self.obs.span_enter("engine.rules", "optimize", 0.0);
+        let mut current = Cow::Borrowed(plan);
         let mut current_cost = self.cost_model.total_cost(plan, cards)?;
         let initial_cost = current_cost;
-        let mut current = plan.clone();
         let mut applied = Vec::new();
         for _ in 0..self.max_passes {
             let mut improved = false;
@@ -485,7 +489,7 @@ impl Optimizer {
             batch.span_exit(span, 0.0);
         }
         Ok(Optimized {
-            plan: current,
+            plan: current.into_owned(),
             estimated_cost: current_cost,
             applied,
         })
@@ -1025,10 +1029,10 @@ mod tests {
             for rule in ALL_RULES {
                 let expected = reference::apply_once(rule, &plan);
                 proptest::prop_assert_eq!(rule.apply_once(&plan), expected.clone(), "{:?}", rule);
-                let mut reverted = plan.clone();
+                let mut reverted = Cow::Borrowed(&plan);
                 let fired = rule.rewrite_in_place(&mut reverted, |_| false);
                 proptest::prop_assert_eq!(fired, expected.map(|_| false), "{:?}", rule);
-                proptest::prop_assert_eq!(&reverted, &plan, "{:?}", rule);
+                proptest::prop_assert_eq!(&*reverted, &plan, "{:?}", rule);
             }
         }
 
