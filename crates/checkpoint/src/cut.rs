@@ -9,9 +9,10 @@
 //! same optimum.
 
 use crate::predict::StageForecast;
-use adas_engine::exec::{ClusterConfig, SimOptions, Simulator};
+use adas_engine::exec::{ClusterConfig, SimOptions};
 use adas_engine::physical::{Stage, StageDag, StageId};
 use adas_engine::Result;
+use adas_faultsim::{ChaosRunner, FaultEvent, FaultSchedule};
 use adas_obs::Obs;
 use serde::Serialize;
 use std::collections::HashSet;
@@ -264,10 +265,14 @@ fn charge_ckpt_io(dag: &StageDag, plan: &CheckpointPlan, work_per_byte: f64) -> 
 }
 
 /// Runs the full with/without comparison on the cluster simulator, with a
-/// failure injected after `failure_at` of the stages completed.
+/// task crash injected after `failure_at` of the stages completed.
 ///
-/// The comparison runs on a [`Simulator`] recording into `obs` (so exec
-/// spans land in the trace), which also receives the headline Phoebe
+/// Each recovery is the final run of a [`ChaosRunner::run_job`] under a
+/// one-crash schedule, so it restarts under the same survivor rule as a
+/// chaos drill: only completed checkpointed stages survive the crash.
+///
+/// The comparison records into `obs` (so exec spans and the injected
+/// crashes land in the trace), which also receives the headline Phoebe
 /// gauges: hotspot reduction, slowdown and restart speedup.
 pub fn evaluate(
     dag: &StageDag,
@@ -276,9 +281,13 @@ pub fn evaluate(
     failure_at: f64,
     obs: &Obs,
 ) -> Result<PhoebeReport> {
-    let sim = Simulator::with_obs(cluster, obs.clone())?;
+    let runner = ChaosRunner::with_obs(cluster, f64::INFINITY, obs.clone())?;
+    let sim = runner.simulator();
+    let crash = FaultSchedule {
+        events: vec![FaultEvent::TaskCrash { at: failure_at }],
+    };
     let baseline = sim.run(dag, &SimOptions::default())?;
-    let (_, baseline_recovery) = sim.run_with_failure(dag, &HashSet::new(), failure_at)?;
+    let baseline_recovery = runner.run_job(dag, &HashSet::new(), &crash)?.final_report;
 
     let charged = charge_ckpt_io(dag, plan, plan_cost_rate(plan))?;
     let ckpt_set = plan.stage_set();
@@ -289,33 +298,10 @@ pub fn evaluate(
             precomputed: HashSet::new(),
         },
     )?;
-    let (_, ckpt_recovery) = sim.run_with_failure(&charged, &ckpt_set, failure_at)?;
+    let ckpt_recovery = runner.run_job(&charged, &ckpt_set, &crash)?.final_report;
 
     let rel = |from: f64, to: f64| if from > 0.0 { (from - to) / from } else { 0.0 };
-    if obs.is_enabled() {
-        // The simulators above record through the same handle, so the batch
-        // opens only after they finish.
-        let mut batch = obs.batch();
-        batch.gauge_set(
-            "checkpoint.cut",
-            "hotspot_reduction",
-            &[],
-            rel(baseline.hotspot_peak(), ckpt.hotspot_peak()),
-        );
-        batch.gauge_set(
-            "checkpoint.cut",
-            "slowdown",
-            &[],
-            rel(ckpt.latency, baseline.latency).abs(),
-        );
-        batch.gauge_set(
-            "checkpoint.cut",
-            "restart_speedup",
-            &[],
-            rel(baseline_recovery.latency, ckpt_recovery.latency),
-        );
-    }
-    Ok(PhoebeReport {
+    let report = PhoebeReport {
         baseline_hotspot: baseline.hotspot_peak(),
         ckpt_hotspot: ckpt.hotspot_peak(),
         hotspot_reduction: rel(baseline.hotspot_peak(), ckpt.hotspot_peak()),
@@ -325,7 +311,20 @@ pub fn evaluate(
         baseline_recovery: baseline_recovery.latency,
         ckpt_recovery: ckpt_recovery.latency,
         restart_speedup: rel(baseline_recovery.latency, ckpt_recovery.latency),
-    })
+    };
+    if obs.is_enabled() {
+        // The runs above record through the same handle, so the batch opens
+        // only after they finish.
+        let mut batch = obs.batch();
+        for (name, value) in [
+            ("hotspot_reduction", report.hotspot_reduction),
+            ("slowdown", report.slowdown),
+            ("restart_speedup", report.restart_speedup),
+        ] {
+            batch.gauge_set("checkpoint.cut", name, &[], value);
+        }
+    }
+    Ok(report)
 }
 
 /// The I/O rate used by [`evaluate`]: stored on the plan via the default
@@ -340,7 +339,7 @@ mod tests {
     use super::*;
     use crate::predict::StagePredictor;
     use adas_engine::cost::CostModel;
-    use adas_engine::exec::ExecReport;
+    use adas_engine::exec::{ExecReport, Simulator};
     use adas_workload::catalog::Catalog;
     use adas_workload::plan::{CmpOp, LogicalPlan, Predicate};
 

@@ -294,62 +294,6 @@ impl Simulator {
         Ok((report, per_stage))
     }
 
-    /// Simulates a *machine* failure: at `failure_at` of the baseline
-    /// latency, `failed_machine` dies, losing every temp output it holds.
-    /// Completed stages survive only if checkpointed (global store) or if
-    /// none of their tasks ran on the failed machine; everything else
-    /// re-runs. Returns `(original, recovery)` reports.
-    pub fn run_with_machine_failure(
-        &self,
-        dag: &StageDag,
-        checkpointed: &HashSet<StageId>,
-        failed_machine: usize,
-        failure_at: f64,
-    ) -> Result<(ExecReport, ExecReport)> {
-        if failed_machine >= self.config.machines {
-            return Err(EngineError::InvalidCluster(format!(
-                "machine {failed_machine} out of range (cluster has {})",
-                self.config.machines
-            )));
-        }
-        let options = SimOptions {
-            checkpointed: checkpointed.clone(),
-            precomputed: HashSet::new(),
-        };
-        let (original, placement) = self.schedule(dag, &options)?;
-        self.record(&original);
-        let failure_time = original.latency * failure_at.clamp(0.0, 1.0);
-        let surviving: HashSet<StageId> = dag
-            .stages()
-            .iter()
-            .filter(|s| original.stage_finish[s.id.0] <= failure_time)
-            .filter(|s| {
-                checkpointed.contains(&s.id) || !placement.stage(s.id.0).contains(&failed_machine)
-            })
-            .map(|s| s.id)
-            .collect();
-        let mut batch = self.obs.batch();
-        batch.event(
-            "engine.exec",
-            "machine_failure",
-            failure_time,
-            &[
-                ("machine", &failed_machine.to_string()),
-                ("surviving_stages", &surviving.len().to_string()),
-            ],
-        );
-        batch.counter_add("engine.exec", "restarts", &[], 1);
-        drop(batch);
-        let recovery = self.run(
-            dag,
-            &SimOptions {
-                checkpointed: checkpointed.clone(),
-                precomputed: surviving,
-            },
-        )?;
-        Ok((original, recovery))
-    }
-
     /// Computes per-machine peak local temp storage.
     ///
     /// Each task of a placed stage holds an equal share of the stage's
@@ -394,59 +338,6 @@ impl Simulator {
             }
         }
         peak
-    }
-
-    /// Simulates a mid-flight failure and restart.
-    ///
-    /// The job fails once a `failure_at` fraction of stages (by finish
-    /// order) has completed. Completed *checkpointed* stages survive; the
-    /// restarted run treats them as precomputed. Returns
-    /// `(original_report, recovery_report)`.
-    pub fn run_with_failure(
-        &self,
-        dag: &StageDag,
-        checkpointed: &HashSet<StageId>,
-        failure_at: f64,
-    ) -> Result<(ExecReport, ExecReport)> {
-        let original = self.run(
-            dag,
-            &SimOptions {
-                checkpointed: checkpointed.clone(),
-                precomputed: HashSet::new(),
-            },
-        )?;
-        let mut order: Vec<usize> = (0..dag.len()).collect();
-        order.sort_by(|&a, &b| {
-            original.stage_finish[a]
-                .partial_cmp(&original.stage_finish[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let completed_count = ((dag.len() as f64) * failure_at.clamp(0.0, 1.0)).floor() as usize;
-        let surviving: HashSet<StageId> = order[..completed_count]
-            .iter()
-            .map(|&i| StageId(i))
-            .filter(|id| checkpointed.contains(id))
-            .collect();
-        let mut batch = self.obs.batch();
-        batch.event(
-            "engine.exec",
-            "job_failure",
-            original.latency * failure_at.clamp(0.0, 1.0),
-            &[
-                ("completed_stages", &completed_count.to_string()),
-                ("surviving_stages", &surviving.len().to_string()),
-            ],
-        );
-        batch.counter_add("engine.exec", "restarts", &[], 1);
-        drop(batch);
-        let recovery = self.run(
-            dag,
-            &SimOptions {
-                checkpointed: checkpointed.clone(),
-                precomputed: surviving,
-            },
-        )?;
-        Ok((original, recovery))
     }
 }
 
@@ -813,19 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn failure_recovery_faster_with_checkpoints() {
-        let dag = dag_for(&big_plan());
-        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
-        // No checkpoints: recovery re-runs everything.
-        let (orig, recovery_none) = sim.run_with_failure(&dag, &HashSet::new(), 0.8).unwrap();
-        assert!((recovery_none.latency - orig.latency).abs() < 1e-9);
-        // Checkpoint everything: recovery skips all completed stages.
-        let all: HashSet<StageId> = dag.stages().iter().map(|s| s.id).collect();
-        let (_, recovery_all) = sim.run_with_failure(&dag, &all, 0.8).unwrap();
-        assert!(recovery_all.latency < orig.latency);
-    }
-
-    #[test]
     fn precomputed_stages_finish_at_zero() {
         let dag = dag_for(&big_plan());
         let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
@@ -1022,79 +900,5 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             proptest::prop_assert_eq!(bits(&report.machine_temp_peak), bits(&reference));
         }
-    }
-}
-
-#[cfg(test)]
-mod machine_failure_tests {
-    use super::*;
-    use crate::cost::CostModel;
-    use crate::physical::StageDag;
-    use adas_workload::catalog::Catalog;
-    use adas_workload::plan::{CmpOp, LogicalPlan, Predicate};
-
-    fn dag() -> StageDag {
-        let catalog = Catalog::standard();
-        let plan = LogicalPlan::join(
-            LogicalPlan::scan("events").filter(Predicate::single(2, CmpOp::Le, 300)),
-            LogicalPlan::scan("users"),
-            0,
-            0,
-        )
-        .aggregate(vec![1]);
-        StageDag::compile(&plan, &catalog, &CostModel::default()).unwrap()
-    }
-
-    #[test]
-    fn machine_failure_recovery_bounded_by_full_rerun() {
-        let dag = dag();
-        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
-        let (orig, recovery) = sim
-            .run_with_machine_failure(&dag, &HashSet::new(), 0, 0.9)
-            .unwrap();
-        // Recovery never exceeds a full re-run, and losing one machine of 16
-        // late in the job should leave some work salvageable... unless every
-        // early stage touched machine 0 — either way the bound holds.
-        assert!(recovery.latency <= orig.latency + 1e-9);
-    }
-
-    #[test]
-    fn checkpointed_outputs_survive_machine_loss() {
-        let dag = dag();
-        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
-        let all: HashSet<StageId> = dag.stages().iter().map(|s| s.id).collect();
-        let (_, ckpt_recovery) = sim.run_with_machine_failure(&dag, &all, 0, 0.9).unwrap();
-        let (_, bare_recovery) = sim
-            .run_with_machine_failure(&dag, &HashSet::new(), 0, 0.9)
-            .unwrap();
-        assert!(
-            ckpt_recovery.latency <= bare_recovery.latency + 1e-9,
-            "checkpoints must not hurt machine-failure recovery"
-        );
-        // With everything checkpointed, only unfinished work re-runs.
-        let plain = sim.run(&dag, &SimOptions::default()).unwrap();
-        assert!(ckpt_recovery.latency < plain.latency);
-    }
-
-    #[test]
-    fn out_of_range_machine_rejected() {
-        let dag = dag();
-        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
-        assert!(sim
-            .run_with_machine_failure(&dag, &HashSet::new(), 999, 0.5)
-            .is_err());
-    }
-
-    #[test]
-    fn early_failure_loses_more_than_late_failure() {
-        let dag = dag();
-        let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled()).unwrap();
-        let (_, early) = sim
-            .run_with_machine_failure(&dag, &HashSet::new(), 0, 0.1)
-            .unwrap();
-        let (_, late) = sim
-            .run_with_machine_failure(&dag, &HashSet::new(), 0, 0.95)
-            .unwrap();
-        assert!(late.latency <= early.latency + 1e-9);
     }
 }

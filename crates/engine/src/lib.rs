@@ -19,8 +19,8 @@
 //!   per-stage work, parallelism and temp-storage footprints (the structure
 //!   Phoebe's checkpoint optimizer cuts).
 //! * [`exec`] — an event-driven cluster execution simulator: machines with
-//!   task slots and bounded local temp storage, list scheduling, and
-//!   restart accounting.
+//!   task slots and bounded local temp storage, list scheduling, and the
+//!   precomputed stages a restart skips (`adas_faultsim` owns the restarts).
 //! * [`feedback`] — the Peregrine-style workload feedback mechanism:
 //!   per-template runtime observations recorded at execution time, the
 //!   label source the learned components train from.

@@ -7,17 +7,18 @@
 //! runner never panics on any schedule — indices and fractions are
 //! clamped, and a fault that cannot fire (temp exhaustion below capacity)
 //! is simply skipped.
+//!
+//! This is the one place the restart rule lives: `adas_checkpoint`'s
+//! Phoebe evaluation measures recovery by running a one-crash schedule
+//! through [`ChaosRunner::run_job`] as well.
 
 use crate::schedule::{FaultEvent, FaultSchedule};
 use adas_engine::exec::{ClusterConfig, ExecReport, SimOptions, Simulator};
 use adas_engine::physical::{StageDag, StageId};
 use adas_engine::Result;
 use adas_obs::Obs;
-use adas_simkern::{Component, Ctx, Simulation};
 use serde::Serialize;
-use std::cell::RefCell;
 use std::collections::HashSet;
-use std::rc::Rc;
 
 /// The resolved cause of one aborted attempt. Unlike the scheduled
 /// [`FaultEvent`], this records what *actually* struck: a temp-exhaustion
@@ -121,23 +122,14 @@ impl ChaosRunner {
         &self.sim
     }
 
-    /// Streams this runner's flight record as chunked canonical JSON (see
-    /// [`Obs::export_stream`]): a long chaos campaign can ship its trace
-    /// without ever materializing the full export string.
-    pub fn export_trace_stream(&self, chunk_size: usize, sink: impl FnMut(&str)) {
-        self.obs.export_stream(chunk_size, sink);
-    }
-
-    /// Resolves what a scheduled fault does to the attempt described by
-    /// `report`/`placement`: the surviving stage outputs and the concrete
-    /// [`FaultCause`], or `None` when the fault cannot fire (temp
-    /// exhaustion below capacity).
-    #[allow(clippy::too_many_arguments)]
+    /// Resolves what a scheduled fault does to the attempt that ran on
+    /// `options` and is described by `report`/`placement`: the surviving
+    /// stage outputs and the concrete [`FaultCause`], or `None` when the
+    /// fault cannot fire (temp exhaustion below capacity).
     fn resolve_fault(
         &self,
         dag: &StageDag,
-        checkpointed: &HashSet<StageId>,
-        precomputed: &HashSet<StageId>,
+        options: &SimOptions,
         report: &ExecReport,
         placement: &[Vec<usize>],
         event: FaultEvent,
@@ -159,7 +151,9 @@ impl ChaosRunner {
                     order[..completed.min(dag.len())]
                         .iter()
                         .map(|&i| StageId(i))
-                        .filter(|id| checkpointed.contains(id) || precomputed.contains(id))
+                        .filter(|id| {
+                            options.checkpointed.contains(id) || options.precomputed.contains(id)
+                        })
                         .collect(),
                     FaultCause::TaskCrash,
                 ))
@@ -167,15 +161,7 @@ impl ChaosRunner {
             FaultEvent::MachineLoss { machine, .. } => {
                 let clamped = machine.min(self.machines.saturating_sub(1));
                 Some((
-                    self.machine_loss_survivors(
-                        dag,
-                        checkpointed,
-                        precomputed,
-                        report,
-                        placement,
-                        clamped,
-                        at,
-                    ),
+                    machine_loss_survivors(dag, options, report, placement, clamped, at),
                     FaultCause::MachineLoss { machine: clamped },
                 ))
             }
@@ -191,15 +177,7 @@ impl ChaosRunner {
                         .map(|(m, _)| m)
                         .unwrap_or(0);
                     Some((
-                        self.machine_loss_survivors(
-                            dag,
-                            checkpointed,
-                            precomputed,
-                            report,
-                            placement,
-                            hotspot,
-                            at,
-                        ),
+                        machine_loss_survivors(dag, options, report, placement, hotspot, at),
                         FaultCause::TempExhaustion { hotspot },
                     ))
                 } else {
@@ -214,9 +192,11 @@ impl ChaosRunner {
     /// and are never executed twice; non-checkpointed temp outputs survive
     /// a machine loss only when they avoided the dead machine.
     ///
-    /// The fault schedule is replayed as `simkern` events: each strike is
-    /// an event whose fire time is the accumulated wall-clock at which it
-    /// lands, so the kernel clock *is* the `total_latency` accumulator.
+    /// The attempts run one after another in a plain loop over the
+    /// schedule. The wall-clock is a local accumulator: a fault that fires
+    /// moves it to `now + latency·at` (never backwards), one that cannot
+    /// fire leaves it where it is, and the final run adds its full latency.
+    /// An empty schedule is exactly one [`Simulator::run`].
     ///
     /// Each distinct attempt is simulated once. An attempt's schedule is a
     /// pure function of the DAG, the cluster and its `checkpointed` and
@@ -224,10 +204,9 @@ impl ChaosRunner {
     /// `precomputed` only grows. So when a fault cannot fire, or every
     /// stage it leaves surviving was already precomputed (a task crash in a
     /// job that checkpoints nothing), the next attempt reuses the previous
-    /// attempt's schedule instead of simulating it again. The final run,
-    /// reused or simulated, is recorded through [`Simulator::record`]. The
-    /// outcome and the trace are the same as when every attempt is
-    /// simulated.
+    /// attempt's schedule instead of simulating it again. A reused final
+    /// run is recorded through [`Simulator::record`]; the outcome and the
+    /// trace are the same as when every attempt is simulated.
     pub fn run_job(
         &self,
         dag: &StageDag,
@@ -235,261 +214,137 @@ impl ChaosRunner {
         schedule: &FaultSchedule,
     ) -> Result<ChaosOutcome> {
         let job_span = self.obs.span_enter("faultsim.chaos", "run_job", 0.0);
-        if schedule.events.is_empty() {
-            // No scheduled faults means no kernel events to replay: the
-            // drill is exactly one clean attempt at clock zero. Taking it
-            // directly skips the per-job simulation setup (dag/checkpoint
-            // clones, event queue) that the disabled-path budget would
-            // otherwise pay for. Bit-identical to the event-driven path
-            // below: with an empty schedule `Attempt(0)` goes straight to
-            // the final run.
-            let options = SimOptions {
-                checkpointed: checkpointed.clone(),
-                precomputed: HashSet::new(),
-            };
-            let final_report = self.sim.run(dag, &options)?;
-            let total_latency = final_report.latency;
-            self.obs.span_exit(job_span, total_latency);
-            return Ok(ChaosOutcome {
-                final_report,
-                attempts: 1,
-                injected: 0,
-                recomputed_checkpointed: 0,
-                total_latency,
-                attempt_failures: Vec::new(),
-            });
-        }
-        let drill = Rc::new(RefCell::new(ChaosSim {
-            runner: self.clone(),
-            dag: dag.clone(),
-            checkpointed: checkpointed.clone(),
-            events: schedule.events.clone(),
-            precomputed: HashSet::new(),
-            persisted: HashSet::new(),
-            attempts: 0,
-            injected: 0,
-            recomputed_checkpointed: 0,
-            attempt_failures: Vec::new(),
-            final_report: None,
-            total_latency: 0.0,
-            error: None,
-            kept: None,
-        }));
-        let mut sim = Simulation::new(0);
-        let id = sim.add_component(drill.clone());
-        sim.schedule(0.0, id, ChaosEvent::Attempt(0));
-        sim.run();
-        drop(sim);
-        let state = Rc::try_unwrap(drill)
-            .unwrap_or_else(|_| unreachable!("simulation still holds the component"))
-            .into_inner();
-        if let Some(err) = state.error {
-            return Err(err);
-        }
-        self.obs.span_exit(job_span, state.total_latency);
-        Ok(ChaosOutcome {
-            final_report: state.final_report.expect("final attempt ran"),
-            attempts: state.attempts,
-            injected: state.injected,
-            recomputed_checkpointed: state.recomputed_checkpointed,
-            total_latency: state.total_latency,
-            attempt_failures: state.attempt_failures,
-        })
+        let outcome = self.replay(dag, checkpointed, schedule);
+        // Closed on an error too, so the span never parents later records.
+        self.obs
+            .span_exit(job_span, outcome.as_ref().map_or(0.0, |o| o.total_latency));
+        outcome
     }
 
-    /// Survivors of losing `machine` at latency fraction `at`: stages that
-    /// finished in time AND whose output is either globally stored or held
-    /// entirely off the dead machine. The index is clamped so arbitrary
-    /// schedules cannot panic.
-    #[allow(clippy::too_many_arguments)]
-    fn machine_loss_survivors(
+    /// The attempts of [`ChaosRunner::run_job`], inside its span.
+    fn replay(
         &self,
         dag: &StageDag,
         checkpointed: &HashSet<StageId>,
-        precomputed: &HashSet<StageId>,
-        report: &ExecReport,
-        placement: &[Vec<usize>],
-        machine: usize,
-        at: f64,
-    ) -> HashSet<StageId> {
-        let machine = machine.min(self.machines.saturating_sub(1));
-        let failure_time = report.latency * at;
-        dag.stages()
-            .iter()
-            .filter(|s| report.stage_finish[s.id.0] <= failure_time)
-            .filter(|s| {
-                checkpointed.contains(&s.id)
-                    || precomputed.contains(&s.id)
-                    || !placement[s.id.0].contains(&machine)
-            })
-            .map(|s| s.id)
-            .collect()
-    }
-}
-
-/// The chaos drill as simulation events: `Attempt(k)` fires at the
-/// accumulated wall-clock at which attempt `k` begins.
-enum ChaosEvent {
-    /// Start attempt `k`: run the simulator, resolve scheduled fault `k`
-    /// (or, past the end of the schedule, the final successful run).
-    Attempt(usize),
-}
-
-/// Component state for one [`ChaosRunner::run_job`] drill. Owns clones of
-/// the inputs so the component satisfies the kernel's `'static` bound; the
-/// runner clone shares the same `Obs` handle, so everything it records
-/// lands in the caller's trace.
-struct ChaosSim {
-    runner: ChaosRunner,
-    dag: StageDag,
-    checkpointed: HashSet<StageId>,
-    events: Vec<FaultEvent>,
-    precomputed: HashSet<StageId>,
-    persisted: HashSet<StageId>,
-    attempts: usize,
-    injected: usize,
-    recomputed_checkpointed: usize,
-    attempt_failures: Vec<AttemptFailure>,
-    final_report: Option<ExecReport>,
-    total_latency: f64,
-    error: Option<adas_engine::EngineError>,
-    /// The latest attempt's `(report, placement)`, kept while the next
-    /// attempt's simulator inputs equal its own. `checkpointed` is fixed
-    /// and `precomputed` only grows, so a set of inputs can repeat only
-    /// straight after itself and this one slot misses no repeat.
-    kept: Option<(ExecReport, Vec<Vec<usize>>)>,
-}
-
-impl ChaosSim {
-    /// The schedule of the attempt about to run: the kept one when its
-    /// inputs have not changed since, else a fresh simulation. `None` once
-    /// the simulator has returned an error, which is stored in `error`.
-    fn attempt(&mut self) -> Option<(ExecReport, Vec<Vec<usize>>)> {
-        if let Some(kept) = self.kept.take() {
-            return Some(kept);
-        }
-        let options = SimOptions {
-            checkpointed: self.checkpointed.clone(),
-            precomputed: self.precomputed.clone(),
+        schedule: &FaultSchedule,
+    ) -> Result<ChaosOutcome> {
+        let mut options = SimOptions {
+            checkpointed: checkpointed.clone(),
+            precomputed: HashSet::new(),
         };
-        match self.runner.sim.run_with_placement(&self.dag, &options) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
-        }
-    }
-
-    /// Runs scheduled fault `k` against the next attempt. Returns the next
-    /// event to emit: the following strike at the accumulated latency, or
-    /// at the unchanged clock when the fault could not fire.
-    fn strike(&mut self, k: usize, now: f64) -> Option<(ChaosEvent, f64)> {
-        let (report, placement) = self.attempt()?;
-        self.recomputed_checkpointed += self
-            .persisted
-            .iter()
-            .filter(|id| report.executed[id.0])
-            .count();
-
-        let event = self.events[k];
-        let at = event.strike_fraction().clamp(0.0, 1.0);
-        let survivors = self.runner.resolve_fault(
-            &self.dag,
-            &self.checkpointed,
-            &self.precomputed,
-            &report,
-            &placement,
-            event,
-            at,
-        );
-
-        let Some((survivors, cause)) = survivors else {
-            // Fault could not fire: no latency accrues, next strike lands
-            // at the same instant, on the same inputs.
-            self.kept = Some((report, placement));
-            return Some((ChaosEvent::Attempt(k + 1), now));
-        };
-        self.injected += 1;
-        self.attempts += 1;
-        // The kernel clock is the `total_latency` accumulator: this strike
-        // lands at `now + latency·at`, a left-to-right sum over attempts.
-        let strike_time = now + report.latency * at;
-        self.attempt_failures.push(AttemptFailure {
-            attempt: self.attempts,
-            cause,
-            at,
-            surviving_stages: survivors.len(),
-        });
-        // One lock for the injection triple; `run_with_placement` above
-        // records through the same handle, so the batch stays scoped here.
-        let mut batch = self.runner.obs.batch();
-        batch.event(
-            "faultsim.chaos",
-            "fault_injected",
-            strike_time,
-            &[
-                ("kind", cause.kind()),
-                ("attempt", &self.attempts.to_string()),
-                ("at", &format!("{at:.6}")),
-                ("surviving_stages", &survivors.len().to_string()),
-            ],
-        );
-        batch.counter_add(
-            "faultsim.chaos",
-            "faults_injected",
-            &[("kind", cause.kind())],
-            1,
-        );
-        batch.counter_add("faultsim.chaos", "restarts", &[], 1);
-        drop(batch);
-        if survivors.is_subset(&self.precomputed) {
-            // Nothing new survived, so the next attempt runs on this one's
-            // inputs and would recompute this schedule.
-            self.kept = Some((report, placement));
-        }
-        self.persisted.extend(
-            survivors
+        // Checkpointed stages the attempt executed although they survived
+        // an earlier fault.
+        let recomputed = |report: &ExecReport, precomputed: &HashSet<StageId>| {
+            precomputed
                 .iter()
-                .filter(|id| self.checkpointed.contains(*id)),
-        );
-        self.precomputed.extend(survivors);
-        Some((ChaosEvent::Attempt(k + 1), strike_time))
-    }
-
-    /// The final (successful) run, at the accumulated clock.
-    fn finish(&mut self, now: f64) {
-        let Some((final_report, _)) = self.attempt() else {
-            return;
+                .filter(|id| checkpointed.contains(*id) && report.executed[id.0])
+                .count()
         };
-        // Recorded through the simulator so its per-stage spans land in the
-        // same trace as the fault events above.
-        self.runner.sim.record(&final_report);
-        self.recomputed_checkpointed += self
-            .persisted
-            .iter()
-            .filter(|id| final_report.executed[id.0])
-            .count();
-        self.total_latency = now + final_report.latency;
-        self.attempts += 1;
-        self.final_report = Some(final_report);
+        let mut recomputed_checkpointed = 0;
+        let mut attempt_failures: Vec<AttemptFailure> = Vec::new();
+        // The latest attempt's `(report, placement)`, kept while the next
+        // attempt's simulator inputs equal its own. `checkpointed` is fixed
+        // and `precomputed` only grows, so a set of inputs can repeat only
+        // straight after itself and this one slot misses no repeat.
+        let mut kept: Option<(ExecReport, Vec<Vec<usize>>)> = None;
+        let mut now = 0.0f64;
+        for &event in &schedule.events {
+            let (report, placement) = match kept.take() {
+                Some(attempt) => attempt,
+                None => self.sim.run_with_placement(dag, &options)?,
+            };
+            recomputed_checkpointed += recomputed(&report, &options.precomputed);
+            let at = event.strike_fraction().clamp(0.0, 1.0);
+            let Some((survivors, cause)) =
+                self.resolve_fault(dag, &options, &report, &placement, event, at)
+            else {
+                // The fault could not fire: no latency accrues, and the
+                // next attempt runs on the same inputs.
+                kept = Some((report, placement));
+                continue;
+            };
+            let attempt = attempt_failures.len() + 1;
+            attempt_failures.push(AttemptFailure {
+                attempt,
+                cause,
+                at,
+                surviving_stages: survivors.len(),
+            });
+            let strike_time = now + report.latency * at;
+            // One lock for the injection triple; `run_with_placement` above
+            // records through the same handle, so the batch stays scoped here.
+            let mut batch = self.obs.batch();
+            batch.event(
+                "faultsim.chaos",
+                "fault_injected",
+                strike_time,
+                &[
+                    ("kind", cause.kind()),
+                    ("attempt", &attempt.to_string()),
+                    ("at", &format!("{at:.6}")),
+                    ("surviving_stages", &survivors.len().to_string()),
+                ],
+            );
+            batch.counter_add(
+                "faultsim.chaos",
+                "faults_injected",
+                &[("kind", cause.kind())],
+                1,
+            );
+            batch.counter_add("faultsim.chaos", "restarts", &[], 1);
+            drop(batch);
+            if survivors.is_subset(&options.precomputed) {
+                // Nothing new survived, so the next attempt runs on this one's
+                // inputs and would recompute this schedule.
+                kept = Some((report, placement));
+            }
+            options.precomputed.extend(survivors);
+            // `max` leaves the clock where it is on a NaN strike time.
+            now = now.max(strike_time);
+        }
+        // The final (successful) run, recorded through the simulator so its
+        // per-stage spans land in the same trace as the fault events above.
+        let final_report = match kept {
+            Some((report, _)) => {
+                self.sim.record(&report);
+                report
+            }
+            None => self.sim.run(dag, &options)?,
+        };
+        recomputed_checkpointed += recomputed(&final_report, &options.precomputed);
+        Ok(ChaosOutcome {
+            attempts: attempt_failures.len() + 1,
+            injected: attempt_failures.len(),
+            recomputed_checkpointed,
+            total_latency: now + final_report.latency,
+            final_report,
+            attempt_failures,
+        })
     }
 }
 
-impl Component<ChaosEvent> for ChaosSim {
-    fn on_event(&mut self, event: &ChaosEvent, ctx: &mut Ctx<'_, ChaosEvent>) {
-        let ChaosEvent::Attempt(k) = *event;
-        if self.error.is_some() {
-            return;
-        }
-        if k < self.events.len() {
-            if let Some((next, time)) = self.strike(k, ctx.time()) {
-                ctx.emit_self_at(next, time);
-            }
-        } else {
-            self.finish(ctx.time());
-        }
-    }
+/// Survivors of losing `machine` at latency fraction `at` of the attempt
+/// that ran on `options`: stages that finished in time AND whose output is
+/// either globally stored or held entirely off the dead machine.
+fn machine_loss_survivors(
+    dag: &StageDag,
+    options: &SimOptions,
+    report: &ExecReport,
+    placement: &[Vec<usize>],
+    machine: usize,
+    at: f64,
+) -> HashSet<StageId> {
+    let failure_time = report.latency * at;
+    dag.stages()
+        .iter()
+        .filter(|s| report.stage_finish[s.id.0] <= failure_time)
+        .filter(|s| {
+            options.checkpointed.contains(&s.id)
+                || options.precomputed.contains(&s.id)
+                || !placement[s.id.0].contains(&machine)
+        })
+        .map(|s| s.id)
+        .collect()
 }
 
 #[cfg(test)]
@@ -546,6 +401,73 @@ mod tests {
         assert_eq!(ckpt.attempts, 2);
         assert_eq!(ckpt.recomputed_checkpointed, 0);
         assert!(ckpt.total_latency <= bare.total_latency + 1e-9);
+    }
+
+    /// Latency of the run that recovers from the single fault `event`.
+    fn recovery(dag: &StageDag, checkpointed: &HashSet<StageId>, event: FaultEvent) -> f64 {
+        let schedule = FaultSchedule {
+            events: vec![event],
+        };
+        runner(f64::INFINITY)
+            .run_job(dag, checkpointed, &schedule)
+            .unwrap()
+            .final_report
+            .latency
+    }
+
+    fn plain_latency(dag: &StageDag) -> f64 {
+        runner(f64::INFINITY)
+            .simulator()
+            .run(dag, &SimOptions::default())
+            .unwrap()
+            .latency
+    }
+
+    #[test]
+    fn failure_recovery_faster_with_checkpoints() {
+        let dag = dag();
+        let crash = FaultEvent::TaskCrash { at: 0.8 };
+        // No checkpoints: recovery re-runs everything.
+        assert_eq!(recovery(&dag, &HashSet::new(), crash), plain_latency(&dag));
+        // Checkpoint everything: recovery skips all completed stages.
+        let all: HashSet<StageId> = dag.stages().iter().map(|s| s.id).collect();
+        assert!(recovery(&dag, &all, crash) < plain_latency(&dag));
+    }
+
+    #[test]
+    fn machine_failure_recovery_bounded_by_full_rerun() {
+        let dag = dag();
+        let loss = FaultEvent::MachineLoss {
+            machine: 0,
+            at: 0.9,
+        };
+        assert!(recovery(&dag, &HashSet::new(), loss) <= plain_latency(&dag) + 1e-9);
+    }
+
+    #[test]
+    fn checkpointed_outputs_survive_machine_loss() {
+        let dag = dag();
+        let loss = FaultEvent::MachineLoss {
+            machine: 0,
+            at: 0.9,
+        };
+        let all: HashSet<StageId> = dag.stages().iter().map(|s| s.id).collect();
+        let ckpt = recovery(&dag, &all, loss);
+        assert!(
+            ckpt <= recovery(&dag, &HashSet::new(), loss) + 1e-9,
+            "checkpoints must not hurt machine-failure recovery"
+        );
+        // With everything checkpointed, only unfinished work re-runs.
+        assert!(ckpt < plain_latency(&dag));
+    }
+
+    #[test]
+    fn early_failure_loses_more_than_late_failure() {
+        let dag = dag();
+        let loss = |at| FaultEvent::MachineLoss { machine: 0, at };
+        let early = recovery(&dag, &HashSet::new(), loss(0.1));
+        let late = recovery(&dag, &HashSet::new(), loss(0.95));
+        assert!(late <= early + 1e-9);
     }
 
     #[test]

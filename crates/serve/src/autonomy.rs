@@ -336,13 +336,6 @@ impl AutonomyController {
         &self.gateway
     }
 
-    /// Streams the autonomy loop's flight record as chunked canonical JSON
-    /// (see [`Obs::export_stream`]) — the full decision/deployment audit
-    /// trail without ever materializing the whole export in memory.
-    pub fn export_trace_stream(&self, chunk_size: usize, sink: impl FnMut(&str)) {
-        self.obs.export_stream(chunk_size, sink);
-    }
-
     /// Puts a model under supervision with `config`, using `retrainer` to
     /// produce replacement models when drift or incidents demand one.
     pub fn supervise(&mut self, handle: ModelHandle, config: AutonomyConfig, retrainer: Retrainer) {

@@ -350,14 +350,6 @@ impl Gateway {
         &self.inner.config
     }
 
-    /// Streams the gateway's flight record as chunked canonical JSON (see
-    /// [`Obs::export_stream`]): the concatenated chunks match the full
-    /// export byte-for-byte without the whole trace ever being held in
-    /// memory — the shape a long-lived serving process needs.
-    pub fn export_trace_stream(&self, chunk_size: usize, sink: impl FnMut(&str)) {
-        self.inner.obs.export_stream(chunk_size, sink);
-    }
-
     /// Registers a model by name with its degraded-mode heuristic fallback
     /// (e.g. the engine's default cardinality estimate). Idempotent: a
     /// second registration under the same name returns the existing handle

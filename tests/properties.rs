@@ -107,6 +107,7 @@ mod exec_properties {
     use autonomous_data_services::engine::cost::CostModel;
     use autonomous_data_services::engine::exec::{ClusterConfig, SimOptions, Simulator};
     use autonomous_data_services::engine::physical::StageDag;
+    use autonomous_data_services::faultsim::{ChaosRunner, FaultEvent, FaultSchedule};
     use autonomous_data_services::obs::Obs;
     use autonomous_data_services::workload::catalog::Catalog;
     use proptest::prelude::*;
@@ -162,15 +163,17 @@ mod exec_properties {
             }
         }
 
-        /// Checkpointing every stage never increases the hotspot and never
-        /// slows recovery.
+        /// Checkpointing every stage never increases the hotspot, and a task
+        /// crash never makes the recovery run slower than the checkpointed run.
         #[test]
         fn full_checkpointing_dominates(plan in super::arb_plan()) {
             use std::collections::HashSet;
             let catalog = Catalog::standard();
             prop_assume!(plan.validate(&catalog).is_ok());
-            let sim = Simulator::with_obs(ClusterConfig::default(), Obs::disabled())
-                .expect("valid");
+            let runner =
+                ChaosRunner::with_obs(ClusterConfig::default(), f64::INFINITY, Obs::disabled())
+                    .expect("valid");
+            let sim = runner.simulator();
             let dag = StageDag::compile(&plan, &catalog, &CostModel::default()).expect("compiles");
             let all: HashSet<_> = dag.stages().iter().map(|s| s.id).collect();
             let plain = sim.run(&dag, &SimOptions::default()).expect("simulates");
@@ -178,8 +181,9 @@ mod exec_properties {
                 .run(&dag, &SimOptions { checkpointed: all.clone(), precomputed: HashSet::new() })
                 .expect("simulates");
             prop_assert!(ckpt.hotspot_peak() <= plain.hotspot_peak() + 1e-6);
-            let (orig, recovery) = sim.run_with_failure(&dag, &all, 0.7).expect("simulates");
-            prop_assert!(recovery.latency <= orig.latency + 1e-6);
+            let crash = FaultSchedule { events: vec![FaultEvent::TaskCrash { at: 0.7 }] };
+            let recovery = runner.run_job(&dag, &all, &crash).expect("simulates").final_report;
+            prop_assert!(recovery.latency <= ckpt.latency + 1e-6);
         }
     }
 }
