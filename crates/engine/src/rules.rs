@@ -428,7 +428,14 @@ impl Optimizer {
     ) -> Result<Optimized> {
         let span = self.obs.span_enter("engine.rules", "optimize", 0.0);
         let mut current = Cow::Borrowed(plan);
-        let mut current_cost = self.cost_model.total_cost(plan, cards)?;
+        let mut current_cost = match self.cost_model.total_cost(plan, cards) {
+            Ok(cost) => cost,
+            Err(err) => {
+                // Closed here too, so the span never parents later records.
+                self.obs.span_exit(span, 0.0);
+                return Err(err);
+            }
+        };
         let initial_cost = current_cost;
         let mut applied = Vec::new();
         for _ in 0..self.max_passes {
@@ -615,6 +622,25 @@ mod tests {
         let result = opt.optimize(&plan, RuleSet::none(), &est).unwrap();
         assert_eq!(result.plan, plan);
         assert!(result.applied.is_empty());
+    }
+
+    #[test]
+    fn costing_error_closes_the_optimize_span() {
+        let c = catalog();
+        let est = DefaultEstimator::new(&c);
+        // `regions` has two columns, so costing the input plan fails.
+        let plan = LogicalPlan::scan("regions").filter(Predicate::single(3, CmpOp::Eq, 1));
+        let obs = Obs::recording();
+        let opt = Optimizer::with_obs(CostModel::default(), 32, obs.clone());
+        assert!(opt.optimize(&plan, RuleSet::all(), &est).is_err());
+        obs.span_enter("test", "after_optimize", 0.0);
+        let trace = obs.snapshot();
+        let after = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "after_optimize")
+            .unwrap();
+        assert_eq!(after.parent, None);
     }
 
     #[test]
