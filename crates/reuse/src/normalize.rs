@@ -14,20 +14,20 @@ use adas_workload::plan::{LogicalPlan, PlanKind, Predicate};
 use adas_workload::signature::{strict_signature, Signature};
 
 /// Rewrites a plan into canonical form.
+///
+/// A node whose child count differs from its operator's arity (which
+/// `import_plan` accepts) keeps its shape: only its children are
+/// canonicalized, and it is never merged into a filter above it.
 pub fn canonicalize(plan: &LogicalPlan) -> LogicalPlan {
-    let children: Vec<LogicalPlan> = plan.children.iter().map(canonicalize).collect();
+    let mut children: Vec<LogicalPlan> = plan.children.iter().map(canonicalize).collect();
     match &plan.kind {
-        PlanKind::Filter { predicate } => {
-            let child = children.into_iter().next().expect("filter has one child");
+        PlanKind::Filter { predicate } if children.len() == 1 => {
             // Merge with an immediately-below filter.
-            let (mut clauses, grand) = match child {
+            let (mut clauses, grand) = match children.remove(0) {
                 LogicalPlan {
                     kind: PlanKind::Filter { predicate: inner },
                     children: mut gc,
-                } => {
-                    let grand = gc.pop().expect("filter has one child");
-                    (inner.clauses.clone(), grand)
-                }
+                } if gc.len() == 1 => (inner.clauses, gc.remove(0)),
                 other => (Vec::new(), other),
             };
             clauses.extend(predicate.clauses.iter().copied());
@@ -35,15 +35,12 @@ pub fn canonicalize(plan: &LogicalPlan) -> LogicalPlan {
             clauses.dedup();
             grand.filter(Predicate::new(clauses))
         }
-        PlanKind::Union => {
-            let mut kids = children;
-            kids.sort_by_key(strict_signature);
-            let mut it = kids.into_iter();
-            let (a, b) = (
-                it.next().expect("two children"),
-                it.next().expect("two children"),
-            );
-            LogicalPlan::union(a, b)
+        PlanKind::Union if children.len() == 2 => {
+            children.sort_by_key(strict_signature);
+            LogicalPlan {
+                kind: PlanKind::Union,
+                children,
+            }
         }
         kind => LogicalPlan {
             kind: kind.clone(),
@@ -60,6 +57,7 @@ pub fn normalized_signature(plan: &LogicalPlan) -> Signature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adas_workload::interchange::{export_plan, import_plan};
     use adas_workload::plan::{CmpOp, Comparison};
 
     #[test]
@@ -134,5 +132,42 @@ mod tests {
             0,
         );
         assert_ne!(normalized_signature(&a), normalized_signature(&b));
+    }
+
+    #[test]
+    fn wrong_child_counts_keep_their_shape() {
+        let scan = || LogicalPlan::scan("events");
+        let node = |kind, children| LogicalPlan { kind, children };
+        let filter = || PlanKind::Filter {
+            predicate: Predicate::single(1, CmpOp::Eq, 3),
+        };
+        let malformed = [
+            node(PlanKind::Union, vec![scan()]),
+            node(filter(), vec![]),
+            // Under a filter that would merge a well-formed one.
+            node(filter(), vec![]).filter(Predicate::single(2, CmpOp::Le, 10)),
+            node(
+                PlanKind::Union,
+                vec![scan(), scan(), node(filter(), vec![scan(), scan()])],
+            ),
+        ];
+        for plan in malformed {
+            let json = export_plan("normalize-test", &plan).unwrap();
+            let imported = import_plan(&json).unwrap();
+            assert_eq!(normalized_signature(&imported), strict_signature(&plan));
+        }
+        // The children of a malformed node are still canonicalized.
+        let stacked = scan()
+            .filter(Predicate::single(2, CmpOp::Le, 10))
+            .filter(Predicate::single(1, CmpOp::Eq, 3));
+        let merged = scan().filter(Predicate::new(vec![
+            Comparison::new(1, CmpOp::Eq, 3),
+            Comparison::new(2, CmpOp::Le, 10),
+        ]));
+        let json = export_plan("normalize-test", &node(PlanKind::Union, vec![stacked])).unwrap();
+        assert_eq!(
+            normalized_signature(&import_plan(&json).unwrap()),
+            strict_signature(&node(PlanKind::Union, vec![merged]))
+        );
     }
 }
