@@ -2,21 +2,20 @@
 //!
 //! Three numbers, recorded into `BENCH_des.json` at the repo root:
 //!
-//! 1. **Kernel throughput** — events/second driving a synthetic
-//!    10k-machine fleet through 100k job arrival/finish events on a raw
-//!    [`Simulation`]. Recorded, not gated: it is the scale headline the
-//!    refactor exists for (one event loop instead of four blocking loops).
+//! 1. **Kernel throughput** — events/second of a raw [`Simulation`] that
+//!    owns a synthetic 10k-machine fleet, through 100k job arrival/finish
+//!    events. Recorded, not gated: it is the kernel's dispatch cost alone.
 //! 2. **Pipelined speedup** — makespan ratio of [`OptimizerMode::Serial`]
 //!    (the legacy one-loop shape where optimization and execution never
 //!    overlap) to [`OptimizerMode::Pipelined`] on a backlog replay of a
 //!    generated multi-job workload. Gated ≥ 1.3×.
 //! 3. **Single-job exec throughput** — runs/second of
-//!    `engine::exec::Simulator::run` on the workload's largest DAG.
-//!    Recorded, not gated: the lifecycle benchmark's end-to-end latency
-//!    bounds catch an exec slowdown on the per-job path.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//!    `engine::exec::Simulator::run` on the workload's largest DAG, under
+//!    the key `kernel_exec`. The executor is a plain loop over the stages,
+//!    not a kernel simulation; the key keeps its name so `BENCH_des.json`
+//!    stays comparable across versions. Recorded, not gated: the lifecycle
+//!    benchmark's end-to-end latency bounds catch an exec slowdown on the
+//!    per-job path.
 
 use adas_bench::harness::{Config, Gate, Report};
 use adas_engine::cost::CostModel;
@@ -66,18 +65,17 @@ impl Component<FleetEvent> for Fleet {
 
 /// One fleet run, set-up included.
 fn fleet_run() {
-    let fleet = Rc::new(RefCell::new(Fleet {
+    let fleet = Fleet {
         machine_free: vec![0.0; FLEET_MACHINES],
         completed: 0,
-    }));
-    let mut sim: Simulation<FleetEvent> = Simulation::new(42);
-    let id = sim.add_component(fleet.clone());
+    };
+    let mut sim = Simulation::new(42, fleet);
     for job in 0..FLEET_JOBS as u32 {
         // Arrivals staggered so the queue holds a realistic mixed horizon.
-        sim.schedule_at(job as f64 * 0.01, id, FleetEvent::Arrive(job));
+        sim.schedule_at(job as f64 * 0.01, FleetEvent::Arrive(job));
     }
     assert_eq!(sim.run(), FLEET_EVENTS);
-    assert_eq!(fleet.borrow().completed as usize, FLEET_JOBS);
+    assert_eq!(sim.into_component().completed as usize, FLEET_JOBS);
 }
 
 // --------------------------------------------------------------- scenarios

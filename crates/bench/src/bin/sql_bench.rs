@@ -133,7 +133,7 @@ fn main() {
                         let dag =
                             StageDag::compile(&optimized.plan, &workload.catalog, &cost_model)
                                 .expect("compiles to stages");
-                        black_box(cluster.run_unobserved(&dag, &options).expect("executes"));
+                        black_box(cluster.run_unobserved(&dag, &options));
                     }
                 })
             }),

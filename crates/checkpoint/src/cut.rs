@@ -27,9 +27,6 @@ pub struct PhoebeConfig {
     pub max_progress: f64,
     /// Maximum number of cuts to place (each in its own progress band).
     pub max_cuts: usize,
-    /// Simulated checkpoint-write cost, in work units per byte persisted
-    /// (charged to the checkpointed stage).
-    pub ckpt_work_per_byte: f64,
     /// Hotspot relief: any non-sink stage whose predicted output exceeds
     /// this fraction of the largest stage output is checkpointed as well —
     /// the "free the temporary storage on hotspots" objective of Phoebe's
@@ -43,7 +40,6 @@ impl Default for PhoebeConfig {
             min_progress: 0.25,
             max_progress: 0.9,
             max_cuts: 1,
-            ckpt_work_per_byte: 0.0005,
             hotspot_threshold: 0.1,
         }
     }
@@ -246,9 +242,13 @@ pub struct PhoebeReport {
     pub restart_speedup: f64,
 }
 
+/// Simulated checkpoint-write cost that [`evaluate`] charges, in work
+/// units per byte persisted (charged to the checkpointed stage).
+const CKPT_WORK_PER_BYTE: f64 = 0.0005;
+
 /// Returns a copy of the DAG with checkpoint-write work charged to the
 /// checkpointed stages.
-fn charge_ckpt_io(dag: &StageDag, plan: &CheckpointPlan, work_per_byte: f64) -> Result<StageDag> {
+fn charge_ckpt_io(dag: &StageDag, plan: &CheckpointPlan) -> Result<StageDag> {
     let set = plan.stage_set();
     let stages: Vec<Stage> = dag
         .stages()
@@ -256,7 +256,7 @@ fn charge_ckpt_io(dag: &StageDag, plan: &CheckpointPlan, work_per_byte: f64) -> 
         .map(|s| {
             let mut s = s.clone();
             if set.contains(&s.id) {
-                s.work += s.output_bytes * work_per_byte;
+                s.work += s.output_bytes * CKPT_WORK_PER_BYTE;
             }
             s
         })
@@ -289,7 +289,7 @@ pub fn evaluate(
     let baseline = sim.run(dag, &SimOptions::default())?;
     let baseline_recovery = runner.run_job(dag, &HashSet::new(), &crash)?.final_report;
 
-    let charged = charge_ckpt_io(dag, plan, plan_cost_rate(plan))?;
+    let charged = charge_ckpt_io(dag, plan)?;
     let ckpt_set = plan.stage_set();
     let ckpt = sim.run(
         &charged,
@@ -325,13 +325,6 @@ pub fn evaluate(
         }
     }
     Ok(report)
-}
-
-/// The I/O rate used by [`evaluate`]: stored on the plan via the default
-/// config (kept as a function so the ablation bench can override by calling
-/// [`charge_ckpt_io`]-equivalent paths through a custom config).
-fn plan_cost_rate(_plan: &CheckpointPlan) -> f64 {
-    PhoebeConfig::default().ckpt_work_per_byte
 }
 
 #[cfg(test)]

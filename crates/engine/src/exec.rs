@@ -1,4 +1,4 @@
-//! Event-driven cluster execution simulator.
+//! Cluster execution simulator.
 //!
 //! Models the runtime behaviour the paper's Phoebe work reacts to: stage
 //! tasks scheduled onto machines with bounded slots, local temp storage that
@@ -9,12 +9,10 @@
 use crate::physical::{StageDag, StageId};
 use crate::{EngineError, Result};
 use adas_obs::{CounterHandle, GaugeHandle, HistogramHandle, IndexedSpanKey, Obs, SpanKey};
-use adas_simkern::{Component, Ctx, OrderedTick, Simulation};
+use adas_simkern::OrderedTick;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
-use std::rc::Rc;
 use std::sync::OnceLock;
 
 /// Cluster parameters.
@@ -158,18 +156,21 @@ impl Simulator {
     /// stage. Stages fully shielded by precomputed outputs are skipped —
     /// this is what makes checkpoint-based recovery cheaper than a full
     /// re-run.
-    fn required_stages(stages: &SimStages, options: &SimOptions) -> Vec<bool> {
-        let n = stages.len();
+    fn required_stages(dag: &StageDag, options: &SimOptions) -> Vec<bool> {
+        let n = dag.len();
         let mut required = vec![false; n];
-        // Walk sinks-to-sources; topological order means consumers have
-        // higher indices, so a reverse scan settles everything in one pass.
-        for idx in (0..n).rev() {
-            if options.precomputed.contains(&StageId(idx)) {
-                continue;
-            }
-            let consumers = stages.consumers(idx);
-            if consumers.is_empty() || consumers.iter().any(|&c| required[c]) {
-                required[idx] = true;
+        // Per stage: (feeds any stage, feeds a required stage). Walk
+        // sinks-to-sources; topological order means consumers have higher
+        // indices, so every consumer has marked a stage before it is reached.
+        let mut feeds = vec![(false, false); n];
+        for stage in dag.stages().iter().rev() {
+            let idx = stage.id.0;
+            let (feeds_any, feeds_required) = feeds[idx];
+            required[idx] =
+                !options.precomputed.contains(&stage.id) && (!feeds_any || feeds_required);
+            for input in &stage.inputs {
+                feeds[input.0].0 = true;
+                feeds[input.0].1 |= required[idx];
             }
         }
         required
@@ -177,18 +178,23 @@ impl Simulator {
 
     /// Runs the DAG to completion, records the run through
     /// [`Simulator::record`] and returns its report.
+    ///
+    /// Scheduling cannot fail once [`Simulator::with_obs`] has validated
+    /// the cluster. The `Result` stays because the lifecycle benchmark
+    /// (`lifecycle_bench/src/pipeline.rs`) chains this call with
+    /// `and_then` and `map_err`.
     pub fn run(&self, dag: &StageDag, options: &SimOptions) -> Result<ExecReport> {
-        let report = self.schedule(dag, options)?.0;
+        let report = self.schedule(dag, options).0;
         self.record(&report);
         Ok(report)
     }
 
-    /// Raw scheduling path with no observability branch at all — the
-    /// baseline `obs_bench` measures the disabled-obs [`Simulator::run`]
-    /// path against. Not for production use; it skips trace recording even
-    /// when a recording handle is attached.
-    pub fn run_unobserved(&self, dag: &StageDag, options: &SimOptions) -> Result<ExecReport> {
-        Ok(self.schedule(dag, options)?.0)
+    /// The schedule alone, with no observability branch at all:
+    /// [`Simulator::run`] is this followed by [`Simulator::record`]. It
+    /// records nothing even when a recording handle is attached; `obs_bench`
+    /// measures the recording cost of [`Simulator::run`] against it.
+    pub fn run_unobserved(&self, dag: &StageDag, options: &SimOptions) -> ExecReport {
+        self.schedule(dag, options).0
     }
 
     /// Replays a finished schedule into the trace: one `run` span over the
@@ -242,56 +248,90 @@ impl Simulator {
     /// Internal scheduler: returns the report plus the machine each task
     /// ran on (the temp-output placement machine-failure analysis needs).
     ///
-    /// The schedule is produced by a [`ClusterSim`] component on the
-    /// `simkern` discrete-event kernel: stage-task completions are events,
-    /// the kernel clock is the only notion of time, and earliest-free-slot
-    /// selection is a heap lookup. Reports and traces are pinned by the
-    /// golden digests in `tests/golden_paths.rs`.
-    fn schedule(&self, dag: &StageDag, options: &SimOptions) -> Result<(ExecReport, Placement)> {
-        let stages = SimStages::new(dag);
-        let required = Self::required_stages(&stages, options);
-        let cluster = ClusterSim::new(&self.config, stages, required);
-        let mut sim = Simulation::new(0);
-        let cluster = Rc::new(RefCell::new(cluster));
-        let id = sim.add_component(cluster.clone());
-        sim.schedule(0.0, id, ClusterEvent::Kick);
-        sim.run();
-        let mut cluster = cluster.borrow_mut();
-        debug_assert_eq!(
-            cluster.cursor,
-            cluster.stages.len(),
-            "every stage must be placed when the event queue drains"
-        );
-        let (stage_start, stage_finish, placement, total_cpu, required) = cluster.take();
+    /// Placement is list scheduling in one pass over the stages in index
+    /// order, which [`StageDag`] keeps topological. Skipped stages settle
+    /// at time zero. Each task of a required stage starts at
+    /// `max(slot_free, ready)`, with `ready` the max input finish. The
+    /// earliest-free slot is the top of a
+    /// `BinaryHeap<Reverse<(OrderedTick, slot)>>`, rewritten in place with
+    /// the task's finish; the slot index makes every key unique, so the
+    /// order slots are taken in depends only on the keys. Reports and
+    /// traces are pinned by the golden digests in `tests/golden_paths.rs`.
+    fn schedule(&self, dag: &StageDag, options: &SimOptions) -> (ExecReport, Placement) {
+        let n = dag.len();
+        let executed = Self::required_stages(dag, options);
+        let total_slots = self.config.machines * self.config.slots_per_machine;
+        let mut slot_free: BinaryHeap<Reverse<(OrderedTick, usize)>> = (0..total_slots)
+            .map(|slot| Reverse((OrderedTick::new(0.0), slot)))
+            .collect();
+        let mut stage_start = vec![0.0; n];
+        let mut stage_finish = vec![0.0; n];
+        let mut placement = Placement {
+            machines: Vec::with_capacity(dag.stages().iter().map(|s| s.tasks).sum()),
+            ends: Vec::with_capacity(n),
+        };
+        let mut total_cpu = 0.0;
+        for (idx, stage) in dag.stages().iter().enumerate() {
+            if executed[idx] {
+                let ready = stage
+                    .inputs
+                    .iter()
+                    .map(|s| stage_finish[s.0])
+                    .fold(0.0f64, f64::max);
+                let task_work = stage.work / stage.tasks as f64;
+                let task_duration =
+                    task_work / self.config.work_per_second + self.config.task_overhead;
+                let mut finish = ready;
+                let mut start = f64::INFINITY;
+                for _ in 0..stage.tasks {
+                    let mut earliest = slot_free.peek_mut().expect("at least one slot");
+                    let Reverse((free, slot)) = *earliest;
+                    debug_assert!(free.get().is_finite(), "slot free-time must be finite");
+                    let task_start = free.get().max(ready);
+                    let task_finish = task_start + task_duration;
+                    *earliest = Reverse((OrderedTick::new(task_finish), slot));
+                    drop(earliest); // restores heap order
+                    total_cpu += task_duration;
+                    finish = finish.max(task_finish);
+                    start = start.min(task_start);
+                    placement
+                        .machines
+                        .push(slot / self.config.slots_per_machine);
+                }
+                stage_start[idx] = if start.is_finite() { start } else { ready };
+                stage_finish[idx] = finish;
+            }
+            placement.ends.push(placement.machines.len());
+        }
         let latency = stage_finish.iter().copied().fold(0.0, f64::max);
         let machine_temp_peak = self.temp_peaks(dag, options, &stage_finish, &placement);
-        Ok((
+        (
             ExecReport {
                 latency,
                 total_cpu_seconds: total_cpu,
                 stage_start,
                 stage_finish,
                 machine_temp_peak,
-                executed: required,
+                executed,
             },
             placement,
-        ))
+        )
     }
 
-    /// Like [`Simulator::run`], additionally returning the machines each
-    /// stage's tasks ran on (temp-output placement). Fault-injection
-    /// harnesses use the placement to decide which outputs a machine loss
-    /// destroys.
+    /// Like [`Simulator::run_unobserved`], additionally returning the
+    /// machines each stage's tasks ran on (temp-output placement).
+    /// Fault-injection harnesses use the placement to decide which outputs
+    /// a machine loss destroys.
     pub fn run_with_placement(
         &self,
         dag: &StageDag,
         options: &SimOptions,
-    ) -> Result<(ExecReport, Vec<Vec<usize>>)> {
-        let (report, placement) = self.schedule(dag, options)?;
+    ) -> (ExecReport, Vec<Vec<usize>>) {
+        let (report, placement) = self.schedule(dag, options);
         let per_stage = (0..dag.len())
             .map(|idx| placement.stage(idx).to_vec())
             .collect();
-        Ok((report, per_stage))
+        (report, per_stage)
     }
 
     /// Computes per-machine peak local temp storage.
@@ -341,264 +381,20 @@ impl Simulator {
     }
 }
 
-/// Events of the cluster-execution simulation.
-#[derive(Debug, Clone, Copy)]
-enum ClusterEvent {
-    /// Bootstraps the run: settles skipped stages and places the first
-    /// wave of ready stages.
-    Kick,
-    /// Every task of `stage` has completed; its temp output exists and its
-    /// consumers may become placeable.
-    StageComplete(usize),
-}
-
-/// Per-stage data the component needs, copied out of the DAG once per run
-/// because `simkern` components are `'static`. Inputs and consumers (the
-/// inverse edges) are flattened into one backing vector each (CSR-style
-/// offsets), so the copy costs three allocations however many stages
-/// the DAG has.
-#[derive(Debug, Clone, Copy)]
-struct StageMeta {
-    tasks: usize,
-    work: f64,
-    /// End offset of this stage's inputs in `inputs_flat` (starts at the
-    /// previous stage's end, 0 for the first).
-    inputs_end: usize,
-    /// End offset of this stage's consumers in `consumers_flat`.
-    consumers_end: usize,
-}
-
-#[derive(Debug, Clone)]
-struct SimStages {
-    meta: Vec<StageMeta>,
-    inputs_flat: Vec<usize>,
-    consumers_flat: Vec<usize>,
-}
-
-impl SimStages {
-    /// Flattens `dag`'s inputs in stage order, then inverts them: count
-    /// each stage's consumers, turn the counts into start offsets, and fill
-    /// in stage order, which advances every start offset to its end and
-    /// lists each stage's consumers in ascending order.
-    fn new(dag: &StageDag) -> Self {
-        let mut meta = Vec::with_capacity(dag.len());
-        let mut inputs_flat = Vec::new();
-        for s in dag.stages() {
-            inputs_flat.extend(s.inputs.iter().map(|i| i.0));
-            meta.push(StageMeta {
-                tasks: s.tasks,
-                work: s.work,
-                inputs_end: inputs_flat.len(),
-                consumers_end: 0,
-            });
-        }
-        for &input in &inputs_flat {
-            meta[input].consumers_end += 1;
-        }
-        let mut start = 0;
-        for m in &mut meta {
-            let count = m.consumers_end;
-            m.consumers_end = start;
-            start += count;
-        }
-        let mut consumers_flat = vec![0; inputs_flat.len()];
-        for s in dag.stages() {
-            for input in &s.inputs {
-                let end = &mut meta[input.0].consumers_end;
-                consumers_flat[*end] = s.id.0;
-                *end += 1;
-            }
-        }
-        Self {
-            meta,
-            inputs_flat,
-            consumers_flat,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.meta.len()
-    }
-
-    fn inputs(&self, idx: usize) -> &[usize] {
-        span(&self.inputs_flat, |i| self.meta[i].inputs_end, idx)
-    }
-
-    fn consumers(&self, idx: usize) -> &[usize] {
-        span(&self.consumers_flat, |i| self.meta[i].consumers_end, idx)
-    }
-}
-
-/// Range `idx` of `flat`, whose ranges lie back to back in index order and
-/// range `i` ends at `end(i)`.
-fn span(flat: &[usize], end: impl Fn(usize) -> usize, idx: usize) -> &[usize] {
-    let start = if idx == 0 { 0 } else { end(idx - 1) };
-    &flat[start..end(idx)]
-}
-
 /// The machine each task ran on: one vector in stage order, with per-stage
-/// end offsets like [`SimStages`]. Skipped stages own an empty range.
-#[derive(Debug, Default)]
+/// end offsets. Skipped stages own an empty range.
+#[derive(Debug)]
 struct Placement {
     machines: Vec<usize>,
-    /// End offset of each settled stage's machines in `machines`.
+    /// End offset of each stage's machines in `machines`.
     ends: Vec<usize>,
 }
 
 impl Placement {
     /// The machines stage `idx`'s tasks ran on, in task order.
     fn stage(&self, idx: usize) -> &[usize] {
-        span(&self.machines, |i| self.ends[i], idx)
-    }
-}
-
-/// The cluster executor as a `simkern` component.
-///
-/// Placement is list scheduling: the dispatch cursor walks stages in
-/// topological order, and a stage is placed the moment the cursor reaches
-/// it with every input complete. Each task starts at
-/// `max(slot_free, ready)`, with `ready` the max input finish. Stage
-/// completions are kernel events (the clock advances through the
-/// schedule), and the earliest-free slot is the top of a
-/// `BinaryHeap<Reverse<(OrderedTick, slot)>>`, rewritten in place with
-/// the task's finish; the slot index makes every key unique, so the order
-/// slots are taken in depends only on the keys.
-///
-/// One wrinkle: list scheduling can queue a stage's tasks on slots that
-/// free *before* the current clock (the cursor held it back behind an
-/// earlier stage). Its completion event then fires at `max(now, finish)`
-/// — report times always come from the stored schedule, never from event
-/// fire times, so clamping keeps the clock monotone without perturbing a
-/// single output bit.
-struct ClusterSim {
-    slots_per_machine: usize,
-    work_per_second: f64,
-    task_overhead: f64,
-    stages: SimStages,
-    required: Vec<bool>,
-    /// `(next free time, slot)` min-heap; slot index breaks ties.
-    slot_free: BinaryHeap<Reverse<(OrderedTick, usize)>>,
-    /// Incomplete-input count per stage.
-    remaining_inputs: Vec<usize>,
-    /// Dispatch cursor: stages below it are placed (or skipped).
-    cursor: usize,
-    stage_start: Vec<f64>,
-    stage_finish: Vec<f64>,
-    placement: Placement,
-    total_cpu: f64,
-}
-
-impl ClusterSim {
-    fn new(config: &ClusterConfig, stages: SimStages, required: Vec<bool>) -> Self {
-        let n = stages.len();
-        let total_slots = config.machines * config.slots_per_machine;
-        let remaining_inputs = (0..n).map(|idx| stages.inputs(idx).len()).collect();
-        let total_tasks = stages.meta.iter().map(|m| m.tasks).sum();
-        Self {
-            slots_per_machine: config.slots_per_machine,
-            work_per_second: config.work_per_second,
-            task_overhead: config.task_overhead,
-            stages,
-            required,
-            slot_free: (0..total_slots)
-                .map(|slot| Reverse((OrderedTick::new(0.0), slot)))
-                .collect(),
-            remaining_inputs,
-            cursor: 0,
-            stage_start: vec![0.0; n],
-            stage_finish: vec![0.0; n],
-            placement: Placement {
-                machines: Vec::with_capacity(total_tasks),
-                ends: Vec::with_capacity(n),
-            },
-            total_cpu: 0.0,
-        }
-    }
-
-    /// Marks `idx` complete and unblocks its consumers.
-    fn complete(&mut self, idx: usize) {
-        for &consumer in self.stages.consumers(idx) {
-            self.remaining_inputs[consumer] -= 1;
-        }
-    }
-
-    /// Places every stage the cursor can reach: skipped stages settle at
-    /// time zero, required stages are placed once all inputs completed.
-    fn advance_cursor(&mut self, ctx: &mut Ctx<'_, ClusterEvent>) {
-        while self.cursor < self.stages.len() {
-            let idx = self.cursor;
-            if !self.required[idx] {
-                // Precomputed or shielded: completes instantly at time 0.
-                self.stage_start[idx] = 0.0;
-                self.stage_finish[idx] = 0.0;
-                self.complete(idx);
-            } else if self.remaining_inputs[idx] > 0 {
-                return; // wait for a StageComplete event
-            } else {
-                self.place(idx, ctx);
-            }
-            self.placement.ends.push(self.placement.machines.len());
-            self.cursor += 1;
-        }
-    }
-
-    /// Places one required stage's tasks on the slot heap and schedules
-    /// its completion event.
-    fn place(&mut self, idx: usize, ctx: &mut Ctx<'_, ClusterEvent>) {
-        let ready = self
-            .stages
-            .inputs(idx)
-            .iter()
-            .map(|&s| self.stage_finish[s])
-            .fold(0.0f64, f64::max);
-        let tasks = self.stages.meta[idx].tasks;
-        let task_work = self.stages.meta[idx].work / tasks as f64;
-        let task_duration = task_work / self.work_per_second + self.task_overhead;
-        let mut finish = ready;
-        let mut start = f64::INFINITY;
-        for _ in 0..tasks {
-            let mut earliest = self.slot_free.peek_mut().expect("at least one slot");
-            let Reverse((free, slot)) = *earliest;
-            debug_assert!(free.get().is_finite(), "slot free-time must be finite");
-            let task_start = free.get().max(ready);
-            let task_finish = task_start + task_duration;
-            *earliest = Reverse((OrderedTick::new(task_finish), slot));
-            drop(earliest); // restores heap order
-            self.total_cpu += task_duration;
-            finish = finish.max(task_finish);
-            start = start.min(task_start);
-            self.placement.machines.push(slot / self.slots_per_machine);
-        }
-        self.stage_start[idx] = if start.is_finite() { start } else { ready };
-        self.stage_finish[idx] = finish;
-        // Completion fires at the stage's schedule finish — clamped to the
-        // clock when the cursor placed it "into the past" (see type docs).
-        // Absolute-time emit: a delay round-trip (`now + (finish - now)`)
-        // can land a ulp off the true finish instant.
-        ctx.emit_self_at(ClusterEvent::StageComplete(idx), finish);
-    }
-
-    /// Moves the results out after the run.
-    fn take(&mut self) -> (Vec<f64>, Vec<f64>, Placement, f64, Vec<bool>) {
-        (
-            std::mem::take(&mut self.stage_start),
-            std::mem::take(&mut self.stage_finish),
-            std::mem::take(&mut self.placement),
-            self.total_cpu,
-            std::mem::take(&mut self.required),
-        )
-    }
-}
-
-impl Component<ClusterEvent> for ClusterSim {
-    fn on_event(&mut self, event: &ClusterEvent, ctx: &mut Ctx<'_, ClusterEvent>) {
-        match *event {
-            ClusterEvent::Kick => self.advance_cursor(ctx),
-            ClusterEvent::StageComplete(idx) => {
-                self.complete(idx);
-                self.advance_cursor(ctx);
-            }
-        }
+        let start = if idx == 0 { 0 } else { self.ends[idx - 1] };
+        &self.machines[start..self.ends[idx]]
     }
 }
 
@@ -888,7 +684,7 @@ mod tests {
                 precomputed: subset(&dag, masks.1 & masks.2),
             };
             let sim = Simulator::with_obs(config, Obs::disabled()).unwrap();
-            let (report, placement) = sim.run_with_placement(&dag, &options).unwrap();
+            let (report, placement) = sim.run_with_placement(&dag, &options);
             let reference = reference_temp_peaks(
                 &dag,
                 &options,

@@ -18,7 +18,7 @@
 //! * [`physical`] — compilation of a logical plan into a DAG of stages with
 //!   per-stage work, parallelism and temp-storage footprints (the structure
 //!   Phoebe's checkpoint optimizer cuts).
-//! * [`exec`] — an event-driven cluster execution simulator: machines with
+//! * [`exec`] — a cluster execution simulator: machines with
 //!   task slots and bounded local temp storage, list scheduling, and the
 //!   precomputed stages a restart skips (`adas_faultsim` owns the restarts).
 //! * [`feedback`] — the Peregrine-style workload feedback mechanism:

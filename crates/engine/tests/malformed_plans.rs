@@ -1,8 +1,8 @@
 //! Plans with a node whose child count is not its operator's arity.
 //! `interchange::import_plan` checks only the document, so it accepts
-//! them; costing, optimizing and stage compile must then return
-//! `LogicalPlan::validate`'s error instead of panicking on a missing or
-//! extra child.
+//! them; costing, optimizing, stage compile and both SQL renderers must
+//! then return `LogicalPlan::validate`'s error instead of panicking on a
+//! missing or extra child.
 
 use adas_engine::cardinality::DefaultEstimator;
 use adas_engine::cost::CostModel;
@@ -12,6 +12,7 @@ use adas_engine::EngineError;
 use adas_workload::catalog::Catalog;
 use adas_workload::interchange::{export_plan, import_plan};
 use adas_workload::plan::{CmpOp, LogicalPlan, PlanKind, Predicate};
+use adas_workload::sqltext::{to_sql, to_sql_template};
 
 /// One node of every operator kind, with column references that resolve
 /// against the `events` table.
@@ -50,9 +51,21 @@ fn malformed() -> Vec<LogicalPlan> {
     plans
 }
 
-/// Costing, optimizing and stage compile each return `validate`'s error.
+/// Costing, optimizing, stage compile and both SQL renderers each return
+/// `validate`'s error.
 fn assert_rejected(plan: &LogicalPlan, catalog: &Catalog) {
-    let want = EngineError::Workload(plan.validate(catalog).expect_err("plan is malformed"));
+    let invalid = plan.validate(catalog).expect_err("plan is malformed");
+    assert_eq!(
+        to_sql(plan, catalog),
+        Err(invalid.clone()),
+        "to_sql of {plan:?}"
+    );
+    assert_eq!(
+        to_sql_template(plan, catalog),
+        Err(invalid.clone()),
+        "to_sql_template of {plan:?}"
+    );
+    let want = EngineError::Workload(invalid);
     assert!(want.to_string().contains("children, has"), "{want}");
     let est = DefaultEstimator::new(catalog);
     assert_eq!(

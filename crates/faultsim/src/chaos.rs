@@ -204,9 +204,14 @@ impl ChaosRunner {
     /// `precomputed` only grows. So when a fault cannot fire, or every
     /// stage it leaves surviving was already precomputed (a task crash in a
     /// job that checkpoints nothing), the next attempt reuses the previous
-    /// attempt's schedule instead of simulating it again. A reused final
-    /// run is recorded through [`Simulator::record`]; the outcome and the
-    /// trace are the same as when every attempt is simulated.
+    /// attempt's schedule instead of simulating it again. The final run,
+    /// reused or not, is recorded through [`Simulator::record`]; the
+    /// outcome and the trace are the same as when every attempt is
+    /// simulated.
+    ///
+    /// Running cannot fail once [`ChaosRunner::with_obs`] has validated the
+    /// cluster. The `Result` stays because the lifecycle benchmark
+    /// (`lifecycle_bench/src/pipeline.rs`) chains this call with `map_err`.
     pub fn run_job(
         &self,
         dag: &StageDag,
@@ -215,10 +220,8 @@ impl ChaosRunner {
     ) -> Result<ChaosOutcome> {
         let job_span = self.obs.span_enter("faultsim.chaos", "run_job", 0.0);
         let outcome = self.replay(dag, checkpointed, schedule);
-        // Closed on an error too, so the span never parents later records.
-        self.obs
-            .span_exit(job_span, outcome.as_ref().map_or(0.0, |o| o.total_latency));
-        outcome
+        self.obs.span_exit(job_span, outcome.total_latency);
+        Ok(outcome)
     }
 
     /// The attempts of [`ChaosRunner::run_job`], inside its span.
@@ -227,7 +230,7 @@ impl ChaosRunner {
         dag: &StageDag,
         checkpointed: &HashSet<StageId>,
         schedule: &FaultSchedule,
-    ) -> Result<ChaosOutcome> {
+    ) -> ChaosOutcome {
         let mut options = SimOptions {
             checkpointed: checkpointed.clone(),
             precomputed: HashSet::new(),
@@ -251,7 +254,7 @@ impl ChaosRunner {
         for &event in &schedule.events {
             let (report, placement) = match kept.take() {
                 Some(attempt) => attempt,
-                None => self.sim.run_with_placement(dag, &options)?,
+                None => self.sim.run_with_placement(dag, &options),
             };
             recomputed_checkpointed += recomputed(&report, &options.precomputed);
             let at = event.strike_fraction().clamp(0.0, 1.0);
@@ -305,21 +308,19 @@ impl ChaosRunner {
         // The final (successful) run, recorded through the simulator so its
         // per-stage spans land in the same trace as the fault events above.
         let final_report = match kept {
-            Some((report, _)) => {
-                self.sim.record(&report);
-                report
-            }
-            None => self.sim.run(dag, &options)?,
+            Some((report, _)) => report,
+            None => self.sim.run_unobserved(dag, &options),
         };
+        self.sim.record(&final_report);
         recomputed_checkpointed += recomputed(&final_report, &options.precomputed);
-        Ok(ChaosOutcome {
+        ChaosOutcome {
             attempts: attempt_failures.len() + 1,
             injected: attempt_failures.len(),
             recomputed_checkpointed,
             total_latency: now + final_report.latency,
             final_report,
             attempt_failures,
-        })
+        }
     }
 }
 

@@ -20,9 +20,7 @@ use adas_workload::catalog::Catalog;
 use adas_workload::job::Trace;
 use adas_workload::JobId;
 use serde::Serialize;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Job prioritization policy among ready jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -292,24 +290,22 @@ pub fn schedule(
     let inputs = SchedInputs::build(trace, catalog)?;
     let pending: Vec<JobId> = trace.jobs().iter().map(|j| j.id).collect();
     let arrivals: Vec<f64> = pending.iter().map(|id| inputs.submit[id]).collect();
-    let sched = Rc::new(RefCell::new(SchedSim {
-        policy,
-        work_per_second,
-        inputs,
-        pending,
-        finish: HashMap::new(),
-        slot_free: vec![0.0f64; job_slots],
-    }));
-    let mut sim = Simulation::new(0);
-    let id = sim.add_component(sched.clone());
+    let mut sim = Simulation::new(
+        0,
+        SchedSim {
+            policy,
+            work_per_second,
+            inputs,
+            pending,
+            finish: HashMap::new(),
+            slot_free: vec![0.0f64; job_slots],
+        },
+    );
     for t in arrivals {
-        sim.schedule_at(t, id, SchedEvent::Wake);
+        sim.schedule_at(t, SchedEvent::Wake);
     }
     sim.run();
-    drop(sim);
-    let sched = Rc::try_unwrap(sched)
-        .unwrap_or_else(|_| unreachable!("simulation still holds the component"))
-        .into_inner();
+    let sched = sim.into_component();
     debug_assert!(
         sched.pending.is_empty(),
         "scheduler stalled with pending jobs"
@@ -484,29 +480,27 @@ pub fn schedule_pipelined(
     let inputs = SchedInputs::build(trace, catalog)?;
     let unoptimized: Vec<JobId> = trace.jobs().iter().map(|j| j.id).collect();
     let arrivals: Vec<f64> = unoptimized.iter().map(|id| inputs.submit[id]).collect();
-    let component = Rc::new(RefCell::new(PipelinedSim {
-        policy,
-        mode,
-        work_per_second,
-        optimize_seconds,
-        inputs,
-        unoptimized,
-        pending: Vec::new(),
-        opt_free: 0.0,
-        opt_finish: HashMap::new(),
-        finish: HashMap::new(),
-        slot_free: vec![0.0f64; job_slots],
-    }));
-    let mut sim = Simulation::new(0);
-    let id = sim.add_component(component.clone());
+    let mut sim = Simulation::new(
+        0,
+        PipelinedSim {
+            policy,
+            mode,
+            work_per_second,
+            optimize_seconds,
+            inputs,
+            unoptimized,
+            pending: Vec::new(),
+            opt_free: 0.0,
+            opt_finish: HashMap::new(),
+            finish: HashMap::new(),
+            slot_free: vec![0.0f64; job_slots],
+        },
+    );
     for t in arrivals {
-        sim.schedule_at(t, id, SchedEvent::Wake);
+        sim.schedule_at(t, SchedEvent::Wake);
     }
     sim.run();
-    drop(sim);
-    let state = Rc::try_unwrap(component)
-        .unwrap_or_else(|_| unreachable!("simulation still holds the component"))
-        .into_inner();
+    let state = sim.into_component();
     debug_assert!(
         state.unoptimized.is_empty() && state.pending.is_empty(),
         "pipelined scheduler stalled"

@@ -9,6 +9,7 @@ use crate::{Result, ServeError};
 use adas_core::feedback::ModelRegistry;
 use adas_faultsim::{ModelFaults, Served};
 use adas_obs::{digest_f64, DeploymentKind, Obs, Provenance};
+use adas_simkern::EventQueue;
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
@@ -924,7 +925,7 @@ impl Gateway {
         // Deadline timers, keyed by the tick each group opened at. Groups
         // flushed early (by the size trigger) are invalidated lazily:
         // `dispatch` is a no-op on an already-dispatched group.
-        let mut deadlines: adas_simkern::TimerWheel<usize> = adas_simkern::TimerWheel::new();
+        let mut deadlines: EventQueue<usize> = EventQueue::new();
         // Duplicate suppression: identical pending rows share one batch slot.
         let mut inflight: HashMap<(u64, u64, u64), (usize, usize)> = HashMap::new();
         let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
@@ -935,13 +936,15 @@ impl Gateway {
             let now = request.sim_time;
             // Deadline flushes happen before this request is admitted — a
             // deterministic function of the request sequence alone. The
-            // wheel pops groups oldest-first while `now - oldest >=
+            // queue pops groups oldest-first while `now - oldest >=
             // deadline` holds; the predicate is monotone in the open tick,
             // and flush order within one instant is unobservable (counters
             // are sums and results settle in request order).
             if config.batch_deadline_ticks.is_finite() {
-                while let Some((_, g)) =
-                    deadlines.pop_due(|oldest| now - oldest >= config.batch_deadline_ticks)
+                while let Some((_, g)) = deadlines
+                    .peek_time()
+                    .filter(|&oldest| now - oldest >= config.batch_deadline_ticks)
+                    .and_then(|_| deadlines.pop())
                 {
                     self.dispatch(&mut groups[g]);
                     open.retain(|&(_, _, gg)| gg != g);
@@ -1014,7 +1017,7 @@ impl Gateway {
                     let g = groups.len() - 1;
                     open.push((entry.id as u64, snapshot.version, g));
                     if config.batch_deadline_ticks.is_finite() && now.is_finite() {
-                        deadlines.schedule(now, g);
+                        deadlines.push(now, g);
                     }
                     g
                 }

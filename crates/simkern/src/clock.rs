@@ -1,4 +1,4 @@
-//! The simulated clock: monotone `f64` seconds.
+//! Simulated time as a heap key.
 
 use std::cmp::Ordering;
 
@@ -42,58 +42,9 @@ impl PartialOrd for OrderedTick {
     }
 }
 
-/// A monotone simulated clock. Time is plain `f64` seconds (the unit every
-/// existing layer already uses); the clock only ever moves forward, and
-/// only the kernel advances it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimClock {
-    now: f64,
-}
-
-impl SimClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self { now: 0.0 }
-    }
-
-    /// Current simulated time.
-    #[inline]
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Advances the clock to `t`. Moving backwards is a kernel bug: debug
-    /// builds assert, release builds clamp (the clock stays monotone either
-    /// way).
-    #[inline]
-    pub fn advance_to(&mut self, t: f64) {
-        debug_assert!(t.is_finite(), "clock target must be finite, got {t}");
-        debug_assert!(t >= self.now, "clock must be monotone: {t} < {}", self.now);
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
-impl Default for SimClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn starts_at_zero_and_advances() {
-        let mut c = SimClock::new();
-        assert_eq!(c.now(), 0.0);
-        c.advance_to(2.5);
-        assert_eq!(c.now(), 2.5);
-        c.advance_to(2.5); // same instant is fine
-        assert_eq!(c.now(), 2.5);
-    }
 
     #[test]
     fn ordered_ticks_sort_with_index_tie_break() {
@@ -106,14 +57,5 @@ mod tests {
         let order: Vec<usize> =
             std::iter::from_fn(|| heap.pop().map(|Reverse((_, i))| i)).collect();
         assert_eq!(order, vec![1, 3, 0], "equal ticks pop lowest index first");
-    }
-
-    #[test]
-    #[should_panic(expected = "monotone")]
-    #[cfg(debug_assertions)]
-    fn backwards_is_a_bug() {
-        let mut c = SimClock::new();
-        c.advance_to(2.0);
-        c.advance_to(1.0);
     }
 }

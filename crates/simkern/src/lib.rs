@@ -1,37 +1,38 @@
 //! Discrete-event simulation kernel.
 //!
-//! Every layer of this repository simulates time: the cluster executor
-//! places stage tasks on machine slots, the pipeline scheduler replays
-//! multi-job traces, the chaos runner injects faults mid-run, and the
-//! serving gateway flushes micro-batches on simulated deadlines. Before
-//! this crate each of those layers advanced its *own* private notion of
-//! time with a blocking loop; `simkern` gives them one shared kernel:
+//! Layers whose events feed back into what happens next run on this
+//! kernel: the pipeline scheduler's dispatch decisions at every arrival
+//! and completion, and the fleet models in `des_bench` and the
+//! `fleet_sim` example. Layers whose events never feed back (the cluster
+//! executor, the chaos runner) are plain loops instead. The pieces:
 //!
-//! * [`SimClock`] — a monotone simulated clock (plain `f64` seconds).
 //! * [`EventQueue`] — a binary-heap event queue keyed `(time, seq)`, so
-//!   ties resolve in schedule order and replays are deterministic.
-//! * [`Simulation`] / [`Component`] / [`Ctx`] — typed components receive
-//!   events through `on_event` and emit new ones with
-//!   [`Ctx::emit`]/[`Ctx::cancel`]; [`Simulation::step`] and
-//!   [`Simulation::run_until`] drive the loop.
+//!   ties resolve in push order and replays are deterministic. The
+//!   serving gateway's deadline flush uses it directly.
+//! * [`Simulation`] / [`Component`] / [`Ctx`] — a simulation owns its one
+//!   component by value and hands it every event through `on_event`; the
+//!   component reads the clock, schedules its own future events with
+//!   [`Ctx::emit_self_at`] and draws seeded randomness with [`Ctx::rng`].
+//!   [`Simulation::run`] drives the loop and
+//!   [`Simulation::into_component`] hands the component back.
+//! * [`OrderedTick`] — a totally ordered time value for heap keys.
 //! * [`rng`] — the SplitMix64 seed-derivation scheme shared with
 //!   `faultsim`'s per-channel streams, plus a registry of independent
-//!   seeded streams for components.
+//!   seeded streams.
 //! * [`Window`] / [`CountWindow`] / [`Cooldown`] — the tumbling-window and
 //!   cooldown arithmetic previously duplicated between the serving
 //!   autonomy controller and the watchtower SLO engine.
-//! * [`TimerWheel`] — standalone deterministic timers for layers (like the
-//!   gateway's deadline flush) that are driven by external request arrival
-//!   rather than by a full simulation loop.
 //!
 //! # Determinism rules
 //!
 //! 1. Events fire in ascending `(time, seq)` order; `seq` is assigned at
-//!    schedule time, so two events at the same instant fire in the order
+//!    push time, so two events at the same instant fire in the order
 //!    they were scheduled.
-//! 2. The clock never moves backwards; scheduling an event in the past is
-//!    a bug (checked in debug builds, clamped to `now` in release).
-//! 3. A cancelled event never fires; cancellation is O(1) (a tombstone).
+//! 2. The clock never moves backwards; an event scheduled in the past
+//!    fires at the current instant.
+//! 3. Events come only from [`Simulation::schedule_at`] and the
+//!    component's own [`Ctx::emit_self_at`], and every scheduled event
+//!    fires exactly once.
 //! 4. All randomness flows through [`rng::RngRegistry`]: per-salt streams
 //!    are insensitive to how many draws other streams make.
 
@@ -39,11 +40,9 @@ pub mod clock;
 pub mod queue;
 pub mod rng;
 pub mod sim;
-pub mod timer;
 pub mod window;
 
-pub use clock::{OrderedTick, SimClock};
-pub use queue::{EventId, EventQueue, Scheduled};
-pub use sim::{Component, ComponentId, Ctx, Simulation};
-pub use timer::{TimerId, TimerWheel};
+pub use clock::OrderedTick;
+pub use queue::EventQueue;
+pub use sim::{Component, Ctx, Simulation};
 pub use window::{Cooldown, CountWindow, Window};

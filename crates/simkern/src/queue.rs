@@ -1,38 +1,23 @@
 //! The event queue: a binary heap keyed `(time, seq)`.
 //!
 //! `seq` is a schedule-order sequence number, so events at the same
-//! simulated instant fire in the order they were scheduled — the property
-//! that makes every replay byte-identical. Cancellation is a tombstone:
-//! cancelled entries stay in the heap and are skipped on pop.
+//! simulated instant pop in the order they were pushed — the property
+//! that makes every replay byte-identical. A pushed event cannot be
+//! withdrawn: a caller that no longer needs it ignores it when it pops.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::sim::ComponentId;
-
-/// Handle to a scheduled event, usable to [`EventQueue::cancel`] it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(pub(crate) u64);
-
-/// One scheduled event, as returned by [`EventQueue::pop`].
-#[derive(Debug, Clone)]
-pub struct Scheduled<E> {
-    /// Fire time in simulated seconds.
-    pub time: f64,
-    /// Schedule-order sequence number (the tie-break).
-    pub seq: u64,
-    /// Destination component.
-    pub dst: ComponentId,
-    /// The payload.
-    pub event: E,
-}
-
 /// Heap entry: ordered by `(time, seq)` only, payload never compared.
-struct Entry<E>(Scheduled<E>);
+struct Entry<E> {
+    time: f64,
+    seq: u64,
+    event: E,
+}
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.seq == other.0.seq
+        self.seq == other.seq
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -41,12 +26,11 @@ impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse both keys: BinaryHeap is a max-heap and we want the
         // earliest (time, seq) on top. Times are asserted finite at
-        // schedule time, so total_cmp agrees with the usual order.
+        // push time, so total_cmp agrees with the usual order.
         other
-            .0
             .time
-            .total_cmp(&self.0.time)
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
+            .total_cmp(&self.time)
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 impl<E> PartialOrd for Entry<E> {
@@ -55,21 +39,11 @@ impl<E> PartialOrd for Entry<E> {
     }
 }
 
-/// Lifecycle of one scheduled event, indexed by its seq.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum State {
-    Pending,
-    Fired,
-    Cancelled,
-}
-
-/// Deterministic event queue. See the module docs for the ordering and
-/// cancellation contract.
+/// Deterministic event queue. See the module docs for the ordering
+/// contract.
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Per-seq lifecycle; one byte per event ever scheduled.
-    state: Vec<State>,
-    live: usize,
+    next_seq: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -77,80 +51,28 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
-            state: Vec::new(),
-            live: 0,
+            next_seq: 0,
         }
     }
 
-    /// Schedules `event` for `dst` at absolute time `time`. Times must be
-    /// finite; NaN or infinite fire times would silently corrupt the heap
-    /// order, so they are rejected loudly in all builds.
-    pub fn push(&mut self, time: f64, dst: ComponentId, event: E) -> EventId {
+    /// Queues `event` at absolute time `time`. Times must be finite; NaN
+    /// or infinite fire times would silently corrupt the heap order, so
+    /// they are rejected loudly in all builds.
+    pub fn push(&mut self, time: f64, event: E) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
-        let seq = self.state.len() as u64;
-        self.state.push(State::Pending);
-        self.heap.push(Entry(Scheduled {
-            time,
-            seq,
-            dst,
-            event,
-        }));
-        self.live += 1;
-        EventId(seq)
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Entry { time, seq, event });
     }
 
-    /// Cancels a scheduled event. Returns `true` if the event was still
-    /// pending (it will now never fire), `false` if it already fired or was
-    /// already cancelled.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.state.get_mut(id.0 as usize) {
-            Some(s @ State::Pending) => {
-                *s = State::Cancelled;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
+    /// Fire time of the next event, if any.
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.time)
     }
 
-    /// Fire time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.skip_cancelled();
-        self.heap.peek().map(|e| e.0.time)
-    }
-
-    /// Pops the next live event in `(time, seq)` order.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.skip_cancelled();
-        let entry = self.heap.pop()?;
-        self.state[entry.0.seq as usize] = State::Fired;
-        self.live -= 1;
-        Some(entry.0)
-    }
-
-    /// Live (scheduled, not cancelled, not fired) event count.
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// Whether no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Total events ever scheduled (the next seq number).
-    pub fn scheduled_total(&self) -> u64 {
-        self.state.len() as u64
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.state[top.0.seq as usize] == State::Cancelled {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
+    /// Pops the next event in `(time, seq)` order, with its fire time.
+    pub fn pop(&mut self) -> Option<(f64, E)> {
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 }
 
@@ -164,57 +86,23 @@ impl<E> Default for EventQueue<E> {
 mod tests {
     use super::*;
 
-    const DST: ComponentId = ComponentId(0);
-
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut q = EventQueue::new();
-        q.push(2.0, DST, "late");
-        q.push(1.0, DST, "early-a");
-        q.push(1.0, DST, "early-b");
-        q.push(0.5, DST, "first");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        q.push(2.0, "late");
+        q.push(1.0, "early-a");
+        q.push(1.0, "early-b");
+        q.push(0.5, "first");
+        assert_eq!(q.peek_time(), Some(0.5));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["first", "early-a", "early-b", "late"]);
-    }
-
-    #[test]
-    fn cancelled_events_never_fire() {
-        let mut q = EventQueue::new();
-        let a = q.push(1.0, DST, "a");
-        q.push(2.0, DST, "b");
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a), "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().unwrap().event, "b");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancelling_a_fired_event_is_a_no_op() {
-        let mut q = EventQueue::new();
-        let a = q.push(1.0, DST, ());
-        assert!(q.pop().is_some());
-        assert!(!q.cancel(a));
-        assert_eq!(q.len(), 0);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn nan_times_rejected() {
         let mut q = EventQueue::new();
-        q.push(f64::NAN, DST, ());
-    }
-
-    #[test]
-    fn len_tracks_live_events() {
-        let mut q = EventQueue::new();
-        let a = q.push(1.0, DST, ());
-        q.push(2.0, DST, ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        q.pop();
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
+        q.push(f64::NAN, ());
     }
 }

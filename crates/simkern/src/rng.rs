@@ -90,11 +90,6 @@ impl RngRegistry {
         }
     }
 
-    /// The master seed.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// The stream for `salt`, created on first use.
     pub fn stream(&mut self, salt: u64) -> &mut SplitMix64 {
         let master = self.master;

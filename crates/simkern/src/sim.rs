@@ -1,34 +1,26 @@
-//! The simulation driver: components, contexts, and the event loop.
+//! One owned component, its context, and the event loop.
 //!
-//! Modeled on the dslab `Simulation` split: components register with the
-//! simulation and receive events through [`Component::on_event`]; the
-//! context handed to a handler lets it read the clock, emit future events,
-//! cancel pending ones, and draw from seeded per-salt RNG streams. The
-//! driver pops events in `(time, seq)` order, advances the clock to each
-//! event's fire time, and dispatches — nothing else ever moves time.
+//! A [`Simulation`] owns the one component it runs, by value. The loop
+//! pops events in `(time, seq)` order, advances the clock to each event's
+//! fire time, and hands the event to [`Component::on_event`] with a
+//! [`Ctx`] that can read the clock, schedule further events for the same
+//! component, and draw from seeded per-salt RNG streams — nothing else
+//! ever moves time. After [`Simulation::run`],
+//! [`Simulation::into_component`] hands the component back.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use crate::clock::SimClock;
-use crate::queue::{EventId, EventQueue};
+use crate::queue::EventQueue;
 use crate::rng::{RngRegistry, SplitMix64};
 
-/// Identifies a registered component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ComponentId(pub usize);
-
-/// A simulation component: receives the events addressed to it.
+/// A simulation component: receives every event of its simulation.
 pub trait Component<E> {
     /// Handles one event fired at the current simulated time. `ctx` gives
-    /// the clock, event emission/cancellation, and seeded randomness.
+    /// the clock, self-emission and seeded randomness.
     fn on_event(&mut self, event: &E, ctx: &mut Ctx<'_, E>);
 }
 
 /// The handler-side view of the kernel.
 pub struct Ctx<'a, E> {
     now: f64,
-    self_id: ComponentId,
     queue: &'a mut EventQueue<E>,
     rng: &'a mut RngRegistry,
 }
@@ -40,52 +32,14 @@ impl<E> Ctx<'_, E> {
         self.now
     }
 
-    /// The component this event was dispatched to.
-    pub fn self_id(&self) -> ComponentId {
-        self.self_id
-    }
-
-    /// Emits `event` to `dst` after `delay` simulated seconds. Negative or
-    /// NaN delays are a bug (debug assert); release builds clamp to zero so
-    /// the clock stays monotone.
-    pub fn emit(&mut self, event: E, dst: ComponentId, delay: f64) -> EventId {
-        debug_assert!(delay >= 0.0, "emit delay must be non-negative, got {delay}");
-        let delay = if delay > 0.0 { delay } else { 0.0 };
-        self.queue.push(self.now + delay, dst, event)
-    }
-
-    /// Emits `event` to `dst` at the current instant (after all events
-    /// already scheduled for this instant).
-    pub fn emit_now(&mut self, event: E, dst: ComponentId) -> EventId {
-        self.queue.push(self.now, dst, event)
-    }
-
-    /// Emits `event` to this component after `delay`.
-    pub fn emit_self(&mut self, event: E, delay: f64) -> EventId {
-        let dst = self.self_id;
-        self.emit(event, dst, delay)
-    }
-
-    /// Emits `event` to `dst` at the absolute instant `time` (clamped to
-    /// the current instant so the clock stays monotone). Prefer this over
-    /// [`Ctx::emit`] when the fire time is already known as an absolute
-    /// f64: `now + (t - now)` does not round-trip exactly in floating
-    /// point, and a wake that lands one ulp away from the instant it
-    /// guards can miss it entirely.
-    pub fn emit_at(&mut self, event: E, dst: ComponentId, time: f64) -> EventId {
-        debug_assert!(!time.is_nan(), "emit_at time must not be NaN");
-        self.queue.push(time.max(self.now), dst, event)
-    }
-
-    /// Emits `event` to this component at the absolute instant `time`.
-    pub fn emit_self_at(&mut self, event: E, time: f64) -> EventId {
-        let dst = self.self_id;
-        self.emit_at(event, dst, time)
-    }
-
-    /// Cancels a pending event. `true` iff it had not fired yet.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
+    /// Emits `event` to this component at the absolute instant `time`,
+    /// clamped to the current instant so the clock stays monotone. The
+    /// fire time is taken as an absolute f64 because `now + (t - now)`
+    /// does not round-trip exactly in floating point, and a wake that lands
+    /// one ulp away from the instant it guards can miss it entirely.
+    pub fn emit_self_at(&mut self, event: E, time: f64) {
+        debug_assert!(!time.is_nan(), "emit time must not be NaN");
+        self.queue.push(time.max(self.now), event);
     }
 
     /// The seeded stream for `salt` (see [`RngRegistry::stream`]).
@@ -94,126 +48,60 @@ impl<E> Ctx<'_, E> {
     }
 }
 
-/// The discrete-event simulation: one clock, one queue, the registered
-/// components, and the seeded RNG registry.
-pub struct Simulation<E> {
-    clock: SimClock,
+/// The discrete-event simulation: one clock, one queue, the component it
+/// owns, and the seeded RNG registry.
+pub struct Simulation<E, C> {
+    now: f64,
     queue: EventQueue<E>,
-    components: Vec<Rc<RefCell<dyn Component<E>>>>,
+    component: C,
     rng: RngRegistry,
-    processed: u64,
 }
 
-impl<E> Simulation<E> {
-    /// A simulation at time zero, with all randomness derived from
-    /// `master_seed`.
-    pub fn new(master_seed: u64) -> Self {
+impl<E, C: Component<E>> Simulation<E, C> {
+    /// A simulation of `component` at time zero, with all randomness
+    /// derived from `master_seed`.
+    pub fn new(master_seed: u64, component: C) -> Self {
         Self {
-            clock: SimClock::new(),
+            now: 0.0,
             queue: EventQueue::new(),
-            components: Vec::new(),
+            component,
             rng: RngRegistry::new(master_seed),
-            processed: 0,
         }
-    }
-
-    /// Registers `component` and returns its id. The caller usually keeps
-    /// its own `Rc` to read results out after the run.
-    pub fn add_component(&mut self, component: Rc<RefCell<dyn Component<E>>>) -> ComponentId {
-        self.components.push(component);
-        ComponentId(self.components.len() - 1)
     }
 
     /// Current simulated time.
     pub fn now(&self) -> f64 {
-        self.clock.now()
+        self.now
     }
 
-    /// Schedules `event` for `dst` after `delay` seconds (driver-side
-    /// injection, e.g. initial arrivals).
-    pub fn schedule(&mut self, delay: f64, dst: ComponentId, event: E) -> EventId {
-        debug_assert!(delay >= 0.0, "delay must be non-negative, got {delay}");
-        let delay = if delay > 0.0 { delay } else { 0.0 };
-        self.queue.push(self.clock.now() + delay, dst, event)
+    /// Schedules `event` at absolute time `time` (clamped to the current
+    /// clock so time never runs backwards), from outside the component,
+    /// e.g. initial arrivals.
+    pub fn schedule_at(&mut self, time: f64, event: E) {
+        self.queue.push(time.max(self.now), event);
     }
 
-    /// Schedules `event` for `dst` at absolute time `time` (clamped to the
-    /// current clock so time never runs backwards).
-    pub fn schedule_at(&mut self, time: f64, dst: ComponentId, event: E) -> EventId {
-        self.queue.push(time.max(self.clock.now()), dst, event)
-    }
-
-    /// Cancels a pending event. `true` iff it had not fired yet.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
-    }
-
-    /// Live (pending) event count.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Events dispatched so far.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// The seeded stream for `salt`.
-    pub fn rng(&mut self, salt: u64) -> &mut SplitMix64 {
-        self.rng.stream(salt)
-    }
-
-    /// Fire time of the next pending event.
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.queue.peek_time()
-    }
-
-    /// Dispatches the next event: advances the clock to its fire time and
-    /// calls the destination component's handler. Returns `false` when no
-    /// events remain.
-    pub fn step(&mut self) -> bool {
-        let Some(scheduled) = self.queue.pop() else {
-            return false;
-        };
-        self.clock.advance_to(scheduled.time);
-        self.processed += 1;
-        let component = Rc::clone(
-            self.components
-                .get(scheduled.dst.0)
-                .expect("event addressed to unregistered component"),
-        );
-        let mut ctx = Ctx {
-            now: self.clock.now(),
-            self_id: scheduled.dst,
-            queue: &mut self.queue,
-            rng: &mut self.rng,
-        };
-        component.borrow_mut().on_event(&scheduled.event, &mut ctx);
-        true
-    }
-
-    /// Runs until no events remain; returns the number dispatched.
+    /// Dispatches events until none remain and returns how many it
+    /// dispatched. The clock stays at the last event's fire time.
     pub fn run(&mut self) -> u64 {
-        let before = self.processed;
-        while self.step() {}
-        self.processed - before
+        let mut dispatched = 0;
+        while let Some((time, event)) = self.queue.pop() {
+            debug_assert!(time >= self.now, "clock must be monotone");
+            self.now = time;
+            dispatched += 1;
+            let mut ctx = Ctx {
+                now: time,
+                queue: &mut self.queue,
+                rng: &mut self.rng,
+            };
+            self.component.on_event(&event, &mut ctx);
+        }
+        dispatched
     }
 
-    /// Dispatches every event with fire time `<= t`, then advances the
-    /// clock to `t`. Returns the number dispatched. `t` earlier than the
-    /// clock is a no-op (the clock never moves backwards).
-    pub fn run_until(&mut self, t: f64) -> u64 {
-        let before = self.processed;
-        while let Some(next) = self.queue.peek_time() {
-            if next > t {
-                break;
-            }
-            self.step();
-        }
-        if t > self.clock.now() {
-            self.clock.advance_to(t);
-        }
-        self.processed - before
+    /// The component, handed back after the run.
+    pub fn into_component(self) -> C {
+        self.component
     }
 }
 
@@ -232,62 +120,46 @@ mod tests {
             self.log.push(ctx.time());
             if self.remaining > 0 {
                 self.remaining -= 1;
-                ctx.emit_self(0, 1.5);
+                ctx.emit_self_at(0, ctx.time() + 1.5);
             }
         }
     }
 
     #[test]
     fn chained_timers_advance_the_clock() {
-        let mut sim = Simulation::new(0);
-        let ticker = Rc::new(RefCell::new(Ticker {
-            log: Vec::new(),
-            remaining: 3,
-        }));
-        let id = sim.add_component(ticker.clone());
-        sim.schedule(0.0, id, 0);
-        let n = sim.run();
-        assert_eq!(n, 4);
-        assert_eq!(ticker.borrow().log, vec![0.0, 1.5, 3.0, 4.5]);
+        let mut sim = Simulation::new(
+            0,
+            Ticker {
+                log: Vec::new(),
+                remaining: 3,
+            },
+        );
+        sim.schedule_at(0.0, 0);
+        assert_eq!(sim.run(), 4);
         assert_eq!(sim.now(), 4.5);
+        assert_eq!(sim.into_component().log, vec![0.0, 1.5, 3.0, 4.5]);
     }
 
-    #[test]
-    fn run_until_stops_at_the_horizon() {
-        let mut sim = Simulation::new(0);
-        let ticker = Rc::new(RefCell::new(Ticker {
-            log: Vec::new(),
-            remaining: 10,
-        }));
-        let id = sim.add_component(ticker.clone());
-        sim.schedule(0.0, id, 0);
-        sim.run_until(3.0);
-        assert_eq!(ticker.borrow().log, vec![0.0, 1.5, 3.0]);
-        assert_eq!(sim.now(), 3.0);
-        assert!(sim.pending() > 0, "later ticks stay queued");
-    }
+    /// Draws once from stream 5 on every event.
+    struct Drawer(Vec<u64>);
 
-    #[test]
-    fn cancelled_event_never_dispatches() {
-        let mut sim = Simulation::new(0);
-        let ticker = Rc::new(RefCell::new(Ticker {
-            log: Vec::new(),
-            remaining: 0,
-        }));
-        let id = sim.add_component(ticker.clone());
-        let ev = sim.schedule(1.0, id, 0);
-        sim.schedule(2.0, id, 0);
-        assert!(sim.cancel(ev));
-        sim.run();
-        assert_eq!(ticker.borrow().log, vec![2.0]);
+    impl Component<()> for Drawer {
+        fn on_event(&mut self, _event: &(), ctx: &mut Ctx<'_, ()>) {
+            self.0.push(ctx.rng(5).next_u64());
+        }
     }
 
     #[test]
     fn seeded_rng_replays() {
-        let mut a = Simulation::<u32>::new(77);
-        let mut b = Simulation::<u32>::new(77);
-        let xa: Vec<u64> = (0..4).map(|_| a.rng(5).next_u64()).collect();
-        let xb: Vec<u64> = (0..4).map(|_| b.rng(5).next_u64()).collect();
-        assert_eq!(xa, xb);
+        let draws = |seed| {
+            let mut sim = Simulation::new(seed, Drawer(Vec::new()));
+            for t in 0..4 {
+                sim.schedule_at(t as f64, ());
+            }
+            sim.run();
+            sim.into_component().0
+        };
+        assert_eq!(draws(77), draws(77));
+        assert_ne!(draws(77), draws(78));
     }
 }

@@ -337,9 +337,10 @@ impl LogicalPlan {
         }
     }
 
-    /// Structural validation: arity of every node, and every scanned table
-    /// (plus every filter/aggregate/join column) exists in the catalog.
-    pub fn validate(&self, catalog: &Catalog) -> Result<()> {
+    /// This node's child count against its operator's arity (children are
+    /// not visited). Code that reads a node's children by position calls
+    /// this first, so a malformed plan is an error, not a panic.
+    pub fn check_arity(&self) -> Result<()> {
         if self.children.len() != self.kind.arity() {
             return Err(WorkloadError::MalformedPlan(format!(
                 "{} requires {} children, has {}",
@@ -348,6 +349,13 @@ impl LogicalPlan {
                 self.children.len()
             )));
         }
+        Ok(())
+    }
+
+    /// Structural validation: arity of every node, and every scanned table
+    /// (plus every filter/aggregate/join column) exists in the catalog.
+    pub fn validate(&self, catalog: &Catalog) -> Result<()> {
+        self.check_arity()?;
         match &self.kind {
             PlanKind::Scan { table } => {
                 catalog.table(table)?;

@@ -81,6 +81,7 @@ impl<'a> Renderer<'a> {
     /// `Union` roots).
     fn query(&mut self, plan: &LogicalPlan) -> Result<String> {
         if let PlanKind::Union = plan.kind {
+            plan.check_arity()?;
             // Left-associative chains stay flat; a union as the *right*
             // operand needs parentheses to preserve the tree shape.
             let left = &plan.children[0];
@@ -101,6 +102,7 @@ impl<'a> Renderer<'a> {
     /// into clause slots where lowering order permits and wrapping in a
     /// derived table where it does not.
     fn block<'p>(&mut self, plan: &'p LogicalPlan) -> Result<Block<'p>> {
+        plan.check_arity()?;
         match &plan.kind {
             PlanKind::Scan { table } => {
                 self.catalog.table(table)?;
@@ -215,6 +217,7 @@ impl<'a> Renderer<'a> {
     fn render_from(&mut self, plan: &LogicalPlan) -> Result<String> {
         match &plan.kind {
             PlanKind::Scan { table } => {
+                plan.check_arity()?;
                 self.catalog.table(table)?;
                 Ok(table.clone())
             }
@@ -397,6 +400,10 @@ mod tests {
         assert!(to_sql(&empty_proj, &c).is_err());
         let wide = LogicalPlan::scan("regions").project(vec![9]);
         assert!(to_sql(&wide, &c).is_err());
+        let mut scan_with_child = LogicalPlan::scan("events");
+        scan_with_child.children.push(LogicalPlan::scan("users"));
+        let join = LogicalPlan::join(scan_with_child, LogicalPlan::scan("users"), 0, 0);
+        assert!(to_sql(&join, &c).is_err());
     }
 
     #[test]

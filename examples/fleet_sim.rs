@@ -1,23 +1,20 @@
-//! Simulation-kernel tour: one clock under the whole stack.
+//! Simulation-kernel tour: one clock for simulations whose events feed
+//! back.
 //!
 //! Two stops:
 //!
-//! 1. **The raw kernel.** A custom fleet component on `simkern` — machines
-//!    as slots, jobs as arrival events, completions as future events — to
-//!    show how the `(time, seq)` event queue, the component `Ctx`, and the
-//!    seeded RNG streams fit together.
-//! 2. **Pipelined scheduling.** The capability the refactor bought: with
-//!    the optimizer and the cluster as independent components on one
-//!    clock, optimizing job *n+1* overlaps executing job *n*, and the
-//!    makespan drops accordingly.
+//! 1. **The raw kernel.** A fleet component owned by a `simkern`
+//!    simulation — machines as slots, jobs as arrival events, completions
+//!    as future events — to show how the `(time, seq)` event queue, the
+//!    component's `Ctx`, and the seeded RNG streams fit together.
+//! 2. **Pipelined scheduling.** With the optimizer and the execution slots
+//!    in one component on one clock, optimizing job *n+1* overlaps
+//!    executing job *n*, and the makespan drops accordingly.
 //!
-//! The ports onto the kernel are pinned byte for byte by the golden
-//! digests in `tests/golden_paths.rs`.
+//! The scheduler's outputs are pinned byte for byte by the golden digests
+//! in `tests/golden_paths.rs`.
 //!
 //! Run with: `cargo run --release --example fleet_sim`
-
-use std::cell::RefCell;
-use std::rc::Rc;
 
 use autonomous_data_services::obs::Obs;
 use autonomous_data_services::pipeline::{schedule_pipelined, OptimizerMode, Policy};
@@ -68,23 +65,22 @@ impl Component<FleetEvent> for Fleet {
 fn raw_kernel_tour() {
     const MACHINES: usize = 50;
     const JOBS: u32 = 1_000;
-    let fleet = Rc::new(RefCell::new(Fleet {
+    let fleet = Fleet {
         machine_free: vec![0.0; MACHINES],
         completed: 0,
         makespan: 0.0,
-    }));
-    let mut sim: Simulation<FleetEvent> = Simulation::new(42);
-    let id = sim.add_component(fleet.clone());
+    };
+    let mut sim = Simulation::new(42, fleet);
     for job in 0..JOBS {
-        sim.schedule_at(job as f64 * 0.05, id, FleetEvent::Arrive(job));
+        sim.schedule_at(job as f64 * 0.05, FleetEvent::Arrive(job));
     }
     let events = sim.run();
-    let fleet = fleet.borrow();
+    let clock = sim.now();
+    let fleet = sim.into_component();
     println!(
         "[kernel] {MACHINES} machines, {JOBS} jobs: {events} events, \
-         makespan {:.2} ticks, clock ended at {:.2}",
-        fleet.makespan,
-        sim.now()
+         makespan {:.2} ticks, clock ended at {clock:.2}",
+        fleet.makespan
     );
     assert_eq!(fleet.completed, JOBS);
 }

@@ -38,7 +38,7 @@
 //! | Validation | deterministic fault injection & chaos testing | [`faultsim`] |
 //! | Observability | flight recorder (spans, metrics, decision provenance) | [`obs`] |
 //! | Observability | SLO burn rates, incident reconstruction, critical-path profiling | [`watchtower`] |
-//! | Substrates | discrete-event simulation kernel (clock, event queue, seeded RNG) | [`simkern`] |
+//! | Substrates | discrete-event simulation kernel (event queue, one owned component, seeded RNG) | [`simkern`] |
 
 #![warn(missing_docs)]
 

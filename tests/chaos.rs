@@ -245,7 +245,7 @@ fn reference_outcome(
             checkpointed: checkpointed.clone(),
             precomputed: precomputed.clone(),
         };
-        let (report, placement) = sim.run_with_placement(dag, &options).expect("runs");
+        let (report, placement) = sim.run_with_placement(dag, &options);
         recomputed_checkpointed += persisted.iter().filter(|id| report.executed[id.0]).count();
         let at = event.strike_fraction().clamp(0.0, 1.0);
         let stored = |id: &StageId| checkpointed.contains(id) || precomputed.contains(id);

@@ -8,7 +8,9 @@
 //! exported obs traces, for the same inputs the old equivalence tests used,
 //! to `tests/fixtures/golden_digests.json`. Any drift in a port (a wake one
 //! ulp off a decision instant, a reordered tie, a flush-order slip in the
-//! recorder) shows up as a named digest mismatch.
+//! recorder) shows up as a named digest mismatch. Engine exec and the
+//! chaos runner have since become plain loops off the kernel; the same
+//! digests pin them.
 //!
 //! The `stage_compile` and `learned_features` families pin the estimator
 //! passes behind stage compile and plan featurization bit for bit, so a
@@ -364,7 +366,7 @@ fn engine_big_plan_matches_golden_digests() {
             checkpointed,
             precomputed,
         };
-        let (report, placement) = sim.run_with_placement(&dag, &options).expect("runs");
+        let (report, placement) = sim.run_with_placement(&dag, &options);
         goldens.record(format!("{case}/report"), &to_json!(&report));
         goldens.record(format!("{case}/placement"), &to_json!(&placement));
     }
