@@ -154,17 +154,6 @@ pub fn digest_f64(features: impl IntoIterator<Item = f64>) -> u64 {
     hash
 }
 
-/// FNV-1a digest over raw bytes (for string-shaped features such as
-/// template signatures or plan fingerprints).
-pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,7 +165,6 @@ mod tests {
         let c = digest_f64([1.0, 2.0, 3.0000001]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_ne!(digest_bytes(b"events"), digest_bytes(b"users"));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * **flight recorder** ([`flight`]) — every autonomy-loop decision as a
 //!   provenance record: model id + version, input-feature digest, predicted
 //!   vs. observed outcome, guardrail verdict, feedback latency in ticks;
-//! * **exporters** ([`export`]) — canonical JSON (whole-string or chunked
-//!   streaming) and Prometheus text;
+//! * **export** ([`export`]) — canonical JSON, whole-string or chunked
+//!   streaming;
 //! * **queries** ([`trace`]) — e.g. "all decisions where predicted/observed
 //!   error exceeds 2x".
 //!
@@ -33,9 +33,10 @@
 //! Instrumentation sites that emit several records at one point in time
 //! should take one [`Obs::batch`] and record through it — one lock
 //! acquisition for the whole block instead of one per record.
-//! Fleet-scale runs can bound trace growth with deterministic per-seed
-//! sampling ([`Obs::recording_sampled`], [`sample`]) and export without
-//! ever holding the full JSON in memory ([`Obs::export_stream`]).
+//! The recorder keeps every span, event, decision and deployment it is
+//! handed — the audit trail is whole — and a span's id is its position in
+//! the recording. Fleet-scale runs export without ever holding the full
+//! JSON in memory ([`Obs::export_stream`]).
 //!
 //! ```
 //! use adas_obs::{Obs, Provenance};
@@ -68,24 +69,20 @@ pub mod flight;
 pub mod intern;
 pub mod metrics;
 mod recorder;
-pub mod sample;
 pub mod span;
 pub mod trace;
 
-pub use flight::{
-    digest_bytes, digest_f64, DecisionRecord, DeploymentKind, DeploymentRecord, Provenance,
-};
+pub use flight::{digest_f64, DecisionRecord, DeploymentKind, DeploymentRecord, Provenance};
 pub use intern::Interner;
 pub use metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
-pub use sample::{sample_keeps, SampleConfig};
 pub use span::{SpanId, SpanRecord};
 pub use trace::{EventRecord, Trace, TraceQuery};
 
 use parking_lot::Mutex;
 use recorder::{MetricIdKey, Recorder};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
 use std::sync::MutexGuard;
+use std::sync::{Arc, Weak};
 
 /// Default chunk size for [`Obs::export_stream`] and
 /// [`Trace::export_stream`], in bytes. Every caller that streams a trace
@@ -126,21 +123,8 @@ impl Obs {
 
     /// A live recorder that keeps every record.
     pub fn recording() -> Self {
-        Self::from_recorder(Recorder::new(None))
-    }
-
-    /// A live recorder with deterministic per-seed sampling: whether a
-    /// span/event/decision is kept is a pure function of `(seed, id)`, so
-    /// same-seed replays export byte-identical sampled traces and the
-    /// sampled trace is a strict filter of the full one (see [`sample`]).
-    /// Deployment records and metrics are never sampled out.
-    pub fn recording_sampled(seed: u64, keep_ratio: f64) -> Self {
-        Self::from_recorder(Recorder::new(Some(SampleConfig::new(seed, keep_ratio))))
-    }
-
-    fn from_recorder(recorder: Recorder) -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(recorder))),
+            inner: Some(Arc::new(Mutex::new(Recorder::default()))),
         }
     }
 
@@ -165,8 +149,9 @@ impl Obs {
     }
 
     /// Identity of the recorder behind this handle (its allocation address),
-    /// 0 when disabled. Metric handles remember it so their pre-resolved
-    /// interned ids are only ever applied to the recorder they came from.
+    /// 0 when disabled. Handles and span keys compare it with their owner's
+    /// address (see [`Interned`]) so their pre-resolved interned ids are only
+    /// ever applied to the recorder they came from.
     fn token(&self) -> usize {
         self.inner
             .as_ref()
@@ -180,7 +165,7 @@ impl Obs {
         SpanKey {
             component: component.to_string(),
             name: name.to_string(),
-            fast: self.intern_pair(component, name),
+            fast: Interned::new(self, |rec| rec.intern_pair(component, name)),
         }
     }
 
@@ -190,17 +175,8 @@ impl Obs {
         IndexedSpanKey {
             component: component.to_string(),
             base: base.to_string(),
-            fast: self.intern_pair(component, base),
+            fast: Interned::new(self, |rec| rec.intern_pair(component, base)),
         }
-    }
-
-    fn intern_pair(&self, component: &str, name: &str) -> Option<(usize, (u32, u32))> {
-        self.inner.as_ref().map(|arc| {
-            (
-                Arc::as_ptr(arc) as usize,
-                arc.lock().intern_pair(component, name),
-            )
-        })
     }
 
     /// Creates a pre-resolved counter handle for a fixed
@@ -410,12 +386,33 @@ impl Obs {
             None => Trace::default().export_stream(chunk_size, sink),
         }
     }
+}
 
-    /// Prometheus text exposition of the current snapshot: the metrics
-    /// registry plus deployment/incident counters synthesized from the
-    /// trace's typed records (see [`export::to_prometheus_trace`]).
-    pub fn export_prometheus(&self) -> String {
-        export::to_prometheus_trace(&self.snapshot())
+/// Ids interned on one recorder, with that recorder as their owner. The
+/// owner is held as a `Weak`, not as its address: the weak count keeps the
+/// allocation alive, so while a handle exists no later recorder can be
+/// allocated at its owner's address and pass the token check with these
+/// ids.
+#[derive(Debug, Clone)]
+struct Interned<K> {
+    owner: Weak<Mutex<Recorder>>,
+    ids: K,
+}
+
+impl<K> Interned<K> {
+    /// Interns through `obs`'s recorder; `None` when `obs` is disabled.
+    fn new(obs: &Obs, intern: impl FnOnce(&mut Recorder) -> K) -> Option<Self> {
+        obs.inner.as_ref().map(|arc| Self {
+            owner: Arc::downgrade(arc),
+            ids: intern(&mut arc.lock()),
+        })
+    }
+
+    /// The ids, when they belong to the recorder behind a batch with
+    /// `token`.
+    #[inline]
+    fn ids_for(&self, token: usize) -> Option<&K> {
+        (Weak::as_ptr(&self.owner) as usize == token).then_some(&self.ids)
     }
 }
 
@@ -423,16 +420,16 @@ impl Obs {
 /// (always kept, so a handle works — more slowly — against any recorder)
 /// plus, when the handle was created from a recording `Obs`, that
 /// recorder's pre-resolved interned key. The hot-path update through the
-/// fast key skips string hashing and comparison entirely; the `token` check
+/// fast key skips string hashing and comparison entirely; the owner check
 /// makes sure interned ids never reach a recorder they don't belong to.
 #[derive(Debug)]
 struct MetricHandle {
     component: String,
     name: String,
     labels: Vec<(String, String)>,
-    fast: Option<(usize, MetricIdKey)>,
+    fast: Option<Interned<MetricIdKey>>,
     /// Memoized dense slot index on the fast-path recorder, `u32::MAX`
-    /// until first use. Only consulted after the `fast` token check, and
+    /// until first use. Only consulted after the `fast` owner check, and
     /// slots are append-only for a recorder's lifetime, so a memoized
     /// index can never go stale or reach the wrong recorder.
     slot: AtomicU32,
@@ -455,12 +452,7 @@ impl MetricHandle {
         // Interns the identity strings but creates no metric slot: a handle
         // that is never used leaves the exported registry untouched, exactly
         // like a string-path call that never happens.
-        let fast = obs.inner.as_ref().map(|arc| {
-            (
-                Arc::as_ptr(arc) as usize,
-                arc.lock().make_metric_key(component, name, labels),
-            )
-        });
+        let fast = Interned::new(obs, |rec| rec.make_metric_key(component, name, labels));
         Self {
             component: component.to_string(),
             name: name.to_string(),
@@ -482,10 +474,7 @@ impl MetricHandle {
 
     /// The fast key, when it belongs to the recorder behind `batch`.
     fn key_for(&self, token: usize) -> Option<&MetricIdKey> {
-        match &self.fast {
-            Some((t, key)) if *t == token => Some(key),
-            _ => None,
-        }
+        self.fast.as_ref()?.ids_for(token)
     }
 }
 
@@ -497,7 +486,7 @@ impl MetricHandle {
 pub struct SpanKey {
     component: String,
     name: String,
-    fast: Option<(usize, (u32, u32))>,
+    fast: Option<Interned<(u32, u32)>>,
 }
 
 impl SpanKey {
@@ -508,11 +497,9 @@ impl SpanKey {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return SpanId::NONE;
         };
-        match self.fast {
-            Some((t, (component, name))) if t == token => {
-                rec.span_enter_ids(component, name, sim_time)
-            }
-            _ => rec.span_enter(&self.component, &self.name, sim_time),
+        match self.fast.as_ref().and_then(|f| f.ids_for(token)) {
+            Some(&(component, name)) => rec.span_enter_ids(component, name, sim_time),
+            None => rec.span_enter(&self.component, &self.name, sim_time),
         }
     }
 }
@@ -524,7 +511,7 @@ impl SpanKey {
 pub struct IndexedSpanKey {
     component: String,
     base: String,
-    fast: Option<(usize, (u32, u32))>,
+    fast: Option<Interned<(u32, u32)>>,
 }
 
 impl IndexedSpanKey {
@@ -536,11 +523,11 @@ impl IndexedSpanKey {
         let Some(rec) = batch.guard.as_deref_mut() else {
             return SpanId::NONE;
         };
-        match self.fast {
-            Some((t, (component, base))) if t == token => {
+        match self.fast.as_ref().and_then(|f| f.ids_for(token)) {
+            Some(&(component, base)) => {
                 rec.span_enter_indexed_ids(component, base, index, sim_time)
             }
-            _ => rec.span_enter_indexed(&self.component, &self.base, index, sim_time),
+            None => rec.span_enter_indexed(&self.component, &self.base, index, sim_time),
         }
     }
 }
@@ -550,10 +537,11 @@ impl IndexedSpanKey {
 /// Handles are for instrumentation sites hot enough that even interning
 /// lookups matter: creation resolves `(component, name, labels)` once, and
 /// each [`CounterHandle::add`] is then a hash-free slot update. A handle
-/// used against a recorder other than the one it was created from (or after
-/// the handle's `Obs` was swapped out) silently falls back to the normal
-/// string path — same records, just slower — so caching handles (e.g. in a
-/// `OnceLock`) can never corrupt a trace.
+/// used against a recorder other than the one it was created from (after
+/// the handle's `Obs` was swapped out, or after its recorder was dropped)
+/// silently falls back to the normal string path — same records, just
+/// slower — so caching handles (e.g. in a `OnceLock`) can never corrupt a
+/// trace.
 #[derive(Debug, Clone)]
 pub struct CounterHandle(MetricHandle);
 
@@ -815,7 +803,6 @@ mod tests {
         assert_eq!(trace.spans[0].parent, None);
         assert_eq!(trace.spans[1].parent, Some(outer));
         assert_eq!(trace.spans[2].parent, Some(outer));
-        assert_eq!(trace.children_of(outer).count(), 2);
         assert!((trace.spans[1].duration() - 1.0).abs() < 1e-12);
     }
 
@@ -833,20 +820,6 @@ mod tests {
         obs.span_exit(SpanId(99), 9.0);
         let ends: Vec<f64> = obs.snapshot().spans.iter().map(|s| s.end).collect();
         assert_eq!(ends, vec![3.0, 2.5]);
-
-        // Exits of spans the sampler dropped are ignored.
-        let sampled = Obs::recording_sampled(7, 0.5);
-        let ids: Vec<SpanId> = (0..64)
-            .map(|i| sampled.span_enter("c", "s", i as f64))
-            .collect();
-        for (i, &id) in ids.iter().enumerate().rev() {
-            sampled.span_exit(id, 100.0 + i as f64);
-        }
-        let kept = sampled.snapshot().spans;
-        assert!(!kept.is_empty() && kept.len() < ids.len());
-        for s in &kept {
-            assert_eq!(s.end, 100.0 + s.id.0 as f64);
-        }
     }
 
     #[test]
@@ -951,8 +924,6 @@ mod tests {
         obs.span_exit(span, 2.5);
         let trace = obs.snapshot();
         assert_eq!(trace.deployments.len(), 3);
-        assert_eq!(trace.deployments_of("card").count(), 3);
-        assert_eq!(trace.deployments_of("other").count(), 0);
         assert_eq!(trace.deployments[0].span, Some(span));
         assert_eq!(trace.deployments[1].kind, DeploymentKind::CanaryStart);
         assert_eq!(trace.deployments[1].kind.name(), "canary_start");
@@ -1023,41 +994,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_trace_is_strict_filter_of_full_trace() {
-        let drive = |obs: &Obs| {
-            for i in 0..200usize {
-                let t = i as f64;
-                let s = obs.span_enter("c", "s", t);
-                obs.event("c", "e", t, &[]);
-                obs.span_exit(s, t + 0.5);
-            }
-            obs.record_deployment("c", DeploymentKind::Publish, "m", 1, "manual", 0.0);
-        };
-        let full = Obs::recording();
-        let sampled = Obs::recording_sampled(7, 0.5);
-        drive(&full);
-        drive(&sampled);
-        let full = full.snapshot();
-        let sampled = sampled.snapshot();
-        assert!(sampled.spans.len() < full.spans.len());
-        assert!(!sampled.spans.is_empty());
-        // Every sampled record is bit-for-bit one of the full run's.
-        for s in &sampled.spans {
-            assert!(full.spans.contains(s));
-        }
-        for e in &sampled.events {
-            assert!(full.events.contains(e));
-        }
-        // Deployments and metrics are never sampled out.
-        assert_eq!(sampled.deployments, full.deployments);
-        assert_eq!(sampled.metrics, full.metrics);
-        // Same seed, same scenario: byte-identical replay.
-        let replay = Obs::recording_sampled(7, 0.5);
-        drive(&replay);
-        assert_eq!(replay.snapshot(), sampled);
-    }
-
-    #[test]
     fn metric_handles_record_like_string_calls() {
         let drive_strings = |obs: &Obs| {
             let mut b = obs.batch();
@@ -1112,6 +1048,45 @@ mod tests {
         let obs = Obs::recording();
         let _unused = obs.histogram_handle("c", "never_touched", &[]);
         assert!(obs.snapshot().metrics.metrics.is_empty());
+    }
+
+    #[test]
+    fn handles_that_outlive_their_recorder_record_like_string_calls() {
+        // A handle and a span key used once on a recorder that is then
+        // dropped. A new recorder, possibly allocated at the same address,
+        // holds a gauge in slot 0 and other strings under the dropped
+        // recorder's interned ids; the handle and key must record on it
+        // exactly as the string path does. Repeated, because whether an
+        // address is reused is the allocator's choice.
+        for _ in 0..64 {
+            let first = Obs::recording();
+            let hits = first.counter_handle("c", "hits", &[]);
+            let run = first.span_key("c", "run");
+            let mut b = first.batch();
+            hits.add(&mut b, 1);
+            let s = run.enter(&mut b, 0.0);
+            b.span_exit(s, 1.0);
+            drop(b);
+            drop(first);
+
+            let record = |through_handles: bool| {
+                let obs = Obs::recording();
+                obs.gauge_set("z", "depth", &[], 2.0);
+                let mut b = obs.batch();
+                let s = if through_handles {
+                    hits.add(&mut b, 3);
+                    run.enter(&mut b, 5.0)
+                } else {
+                    b.counter_add("c", "hits", &[], 3);
+                    b.span_enter("c", "run", 5.0)
+                };
+                b.span_exit(s, 6.0);
+                drop(b);
+                obs.export_json()
+            };
+            let through_handles = record(true);
+            assert_eq!(through_handles, record(false));
+        }
     }
 
     #[test]

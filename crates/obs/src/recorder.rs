@@ -8,7 +8,9 @@
 //! 2. every record appends straight to compact storage as plain old data,
 //!    ids only, one vector per record kind in record order. A span is the
 //!    one record written twice: entering it appends it with `end == start`,
-//!    and exiting it overwrites that `end` in place;
+//!    and exiting it overwrites that `end` in place. The recorder keeps
+//!    every record, so a span's id is its position in the span vector and
+//!    the exit writes `spans[id]` directly;
 //! 3. metrics resolve each distinct `(component, name, labels)` set once
 //!    to a dense slot index, and updates land directly in the slot (`u64`
 //!    add / `f64` store / bucket increment) — the canonical `BTreeMap`
@@ -18,34 +20,26 @@
 //! snapshot, a delta (which resolves only the records past its cursor) or
 //! a streaming export. So the canonical JSON is independent of where
 //! snapshots cut the recording: the golden-digest suites pin that.
-//!
-//! Optional deterministic sampling ([`crate::sample`]) is applied as each
-//! record arrives: sequence numbers and span ids are assigned to every
-//! record regardless, so a sampled trace is a strict filter of the full
-//! trace.
 
 use crate::export;
 use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord, Provenance};
 use crate::intern::{IdentityBuild, Interner, KeyHash, MixBuild};
 use crate::metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
-use crate::sample::SampleConfig;
 use crate::span::{SpanId, SpanRecord};
 use crate::trace::{EventRecord, Trace};
 use crate::TraceCursor;
 use std::collections::HashMap;
 
-/// Sentinel in `span_index` for spans dropped by the sampler.
-const SAMPLED_OUT: u32 = u32::MAX;
-
-/// Sentinel for "no parent span" in stored spans (span ids are sequential
-/// counters, so `u64::MAX` is unreachable). Kept as a bare `u64` instead of
-/// `Option<SpanId>` to keep span records small — one is written per stage,
-/// so its size is hot-path memory traffic.
+/// Sentinel for "no parent span" in stored spans (span ids are positions
+/// in the span vector, so `u64::MAX` is unreachable). Kept as a bare `u64`
+/// instead of `Option<SpanId>` to keep span records small — one is written
+/// per stage, so its size is hot-path memory traffic.
 const NO_SPAN: u64 = u64::MAX;
 
+/// A stored span. It holds no id of its own: its id is its position in
+/// [`CompactStore::spans`].
 #[derive(Debug, Clone, Copy)]
 struct CompactSpan {
-    id: u64,
     /// Parent span id or [`NO_SPAN`].
     parent: u64,
     component: u32,
@@ -100,9 +94,8 @@ struct CompactDeployment {
 /// `(fields_start, fields_len)`, so an event costs no allocation of its own.
 #[derive(Debug, Default)]
 struct CompactStore {
+    /// Indexed by span id.
     spans: Vec<CompactSpan>,
-    /// `span id -> index into spans`, [`SAMPLED_OUT`] when dropped.
-    span_index: Vec<u32>,
     events: Vec<CompactEvent>,
     event_fields: Vec<(u32, u32)>,
     decisions: Vec<CompactDecision>,
@@ -285,7 +278,6 @@ impl MetricTable {
 #[derive(Debug, Default)]
 pub(crate) struct Recorder {
     seq: u64,
-    next_span_id: u64,
     span_stack: Vec<SpanId>,
     strings: Interner,
     /// `(base name id, index) -> full "{base}_{index}" name id`, so indexed
@@ -295,29 +287,14 @@ pub(crate) struct Recorder {
     indexed: HashMap<(u32, u64), u32, MixBuild>,
     metrics: MetricTable,
     store: CompactStore,
-    sampler: Option<SampleConfig>,
 }
 
 impl Recorder {
-    pub(crate) fn new(sampler: Option<SampleConfig>) -> Self {
-        Self {
-            sampler,
-            ..Self::default()
-        }
-    }
-
     #[inline]
     fn next_seq(&mut self) -> u64 {
         let s = self.seq;
         self.seq += 1;
         s
-    }
-
-    /// Whether the sampler keeps the record with sampling id `id` (always,
-    /// without a sampler).
-    #[inline]
-    fn keeps(&self, id: u64) -> bool {
-        self.sampler.map_or(true, |s| s.keeps(id))
     }
 
     // -- recording ops -----------------------------------------------------
@@ -359,30 +336,22 @@ impl Recorder {
 
     /// Span entry from pre-interned ids (the [`crate::SpanKey`] fast path).
     /// Appends the span to compact storage (see the module docs), open
-    /// until its exit overwrites `end`.
+    /// until its exit overwrites `end`; its id is its position there.
     #[inline]
     pub(crate) fn span_enter_ids(&mut self, component: u32, name: u32, sim_time: f64) -> SpanId {
         let seq = self.next_seq();
-        let id = self.next_span_id;
-        self.next_span_id += 1;
+        let id = SpanId(self.store.spans.len() as u64);
         let parent = self.span_stack.last().map_or(NO_SPAN, |s| s.0);
-        debug_assert_eq!(self.store.span_index.len() as u64, id);
-        if self.keeps(id) {
-            self.store.span_index.push(self.store.spans.len() as u32);
-            self.store.spans.push(CompactSpan {
-                id,
-                parent,
-                component,
-                name,
-                start: sim_time,
-                end: sim_time,
-                seq,
-            });
-        } else {
-            self.store.span_index.push(SAMPLED_OUT);
-        }
-        self.span_stack.push(SpanId(id));
-        SpanId(id)
+        self.store.spans.push(CompactSpan {
+            parent,
+            component,
+            name,
+            start: sim_time,
+            end: sim_time,
+            seq,
+        });
+        self.span_stack.push(id);
+        id
     }
 
     /// Indexed span entry from pre-interned ids (the
@@ -410,10 +379,8 @@ impl Recorder {
         if let Some(pos) = self.span_stack.iter().rposition(|&s| s == id) {
             self.span_stack.truncate(pos);
         }
-        if let Some(&ix) = self.store.span_index.get(id.0 as usize) {
-            if ix != SAMPLED_OUT {
-                self.store.spans[ix as usize].end = sim_time;
-            }
+        if let Some(span) = self.store.spans.get_mut(id.0 as usize) {
+            span.end = sim_time;
         }
     }
 
@@ -425,9 +392,6 @@ impl Recorder {
         fields: &[(&str, &str)],
     ) {
         let seq = self.next_seq();
-        if !self.keeps(seq) {
-            return;
-        }
         let fields_start = self.store.event_fields.len() as u32;
         for (k, v) in fields {
             let pair = (self.strings.intern(k), self.strings.intern(v));
@@ -458,9 +422,6 @@ impl Recorder {
         sim_time: f64,
     ) {
         let seq = self.next_seq();
-        if !self.keeps(seq) {
-            return;
-        }
         self.store.decisions.push(CompactDecision {
             seq,
             span: self.span_stack.last().copied(),
@@ -478,7 +439,6 @@ impl Recorder {
         });
     }
 
-    /// Deployments are audit-critical and rare: never sampled.
     pub(crate) fn record_deployment(
         &mut self,
         component: &str,
@@ -606,9 +566,10 @@ impl Recorder {
 
     // -- resolution --------------------------------------------------------
 
-    fn resolve_span(&self, s: &CompactSpan) -> SpanRecord {
+    /// Resolves the span stored at position `id`.
+    fn resolve_span(&self, id: usize, s: &CompactSpan) -> SpanRecord {
         SpanRecord {
-            id: SpanId(s.id),
+            id: SpanId(id as u64),
             parent: (s.parent != NO_SPAN).then_some(SpanId(s.parent)),
             component: self.strings.resolve(s.component).to_string(),
             name: self.strings.resolve(s.name).to_string(),
@@ -681,7 +642,8 @@ impl Recorder {
         let s = &self.store;
         Trace {
             spans: tail(&s.spans, from.spans)
-                .map(|r| self.resolve_span(r))
+                .enumerate()
+                .map(|(i, r)| self.resolve_span(from.spans + i, r))
                 .collect(),
             events: tail(&s.events, from.events)
                 .map(|r| self.resolve_event(r))
@@ -718,7 +680,10 @@ impl Recorder {
         export::write_document(
             chunk_size,
             sink,
-            s.spans.iter().map(|r| self.resolve_span(r)),
+            s.spans
+                .iter()
+                .enumerate()
+                .map(|(id, r)| self.resolve_span(id, r)),
             s.events.iter().map(|r| self.resolve_event(r)),
             s.decisions.iter().map(|r| self.resolve_decision(r)),
             s.deployments.iter().map(|r| self.resolve_deployment(r)),
@@ -726,5 +691,17 @@ impl Recorder {
             // registry here is O(metrics), not O(trace).
             &self.metrics.to_registry(&self.strings),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn compact_span_is_forty_bytes() {
+        // One is appended per recorded stage: its size is hot-path memory
+        // traffic, and holding no id of its own keeps it at five words.
+        assert_eq!(std::mem::size_of::<CompactSpan>(), 40);
     }
 }

@@ -9,8 +9,10 @@ use serde::{Deserialize, Serialize};
 
 /// Identifier of one span within a trace.
 ///
-/// Ids are assigned sequentially by the recorder; [`SpanId::NONE`] is the
-/// sentinel returned when recording is disabled, and exiting it is a no-op.
+/// Ids are assigned sequentially by the recorder, which keeps every span,
+/// so a span's id is its position in the recording's span list.
+/// [`SpanId::NONE`] is the sentinel returned when recording is disabled,
+/// and exiting it is a no-op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SpanId(pub u64);
 

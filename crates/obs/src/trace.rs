@@ -36,7 +36,8 @@ impl EventRecord {
 /// An immutable snapshot of everything a recorder captured.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct Trace {
-    /// Completed and open spans, in id order.
+    /// Completed and open spans, in id order. In a recorder's full
+    /// snapshot each span's id is its position here.
     pub spans: Vec<SpanRecord>,
     /// Free-form events, in sequence order.
     pub events: Vec<EventRecord>,
@@ -66,16 +67,6 @@ impl Trace {
         }
     }
 
-    /// Spans belonging to `component`.
-    pub fn spans_of<'a>(&'a self, component: &'a str) -> impl Iterator<Item = &'a SpanRecord> {
-        self.spans.iter().filter(move |s| s.component == component)
-    }
-
-    /// Direct children of span `parent`.
-    pub fn children_of(&self, parent: SpanId) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.parent == Some(parent))
-    }
-
     /// Events named `name`, across all components.
     pub fn events_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a EventRecord> {
         self.events.iter().filter(move |e| e.name == name)
@@ -95,16 +86,6 @@ impl Trace {
             &self.deployments,
             &self.metrics,
         );
-    }
-
-    /// Deployment records concerning model `model_id`, in sequence order.
-    pub fn deployments_of<'a>(
-        &'a self,
-        model_id: &'a str,
-    ) -> impl Iterator<Item = &'a DeploymentRecord> {
-        self.deployments
-            .iter()
-            .filter(move |d| d.model_id == model_id)
     }
 }
 

@@ -1104,8 +1104,8 @@ impl Gateway {
 
     /// Per-model SLO bookkeeping: every answer either meets the objective
     /// (fresh model/cache serves) or consumes error budget (stale values,
-    /// fallbacks of any cause). Watchtower's SLO engine and the Prometheus
-    /// export aggregate these.
+    /// fallbacks of any cause). Watchtower's SLO engine and the exported
+    /// metrics registry aggregate these.
     fn record_slo(&self, entry: &ModelEntry, good: bool) {
         let name = if good { "slo_good" } else { "slo_bad" };
         self.inner

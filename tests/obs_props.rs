@@ -1,11 +1,9 @@
-//! Property tests for the recording hot path's two load-bearing tricks:
-//! string interning (invisible in exports) and deterministic sampling (a
-//! strict, replayable filter), and for incremental snapshots (deltas that
-//! partition the records).
+//! Property tests for the recording hot path's load-bearing trick, string
+//! interning (invisible in exports), and for incremental snapshots (deltas
+//! that partition the records, with every span's id its position).
 
 use autonomous_data_services::obs::{
-    sample_keeps, DeploymentKind, Interner, MetricsRegistry, Obs, Provenance, SampleConfig, SpanId,
-    Trace, TraceCursor,
+    DeploymentKind, Interner, MetricsRegistry, Obs, Provenance, SpanId, Trace, TraceCursor,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -119,115 +117,16 @@ proptest! {
         prop_assert_eq!(a.export_json(), c.export_json());
     }
 
-    /// Sampling is a pure function of (seed, id): the kept id set replays
-    /// exactly, and different seeds are allowed to (and generally do) keep
-    /// different sets.
-    #[test]
-    fn sampling_decisions_replay_exactly(seed in 0u64..u64::MAX, ratio in 0.0f64..=1.0) {
-        let keep = |s: u64| -> Vec<u64> {
-            (0..512u64).filter(|&id| sample_keeps(s, ratio, id)).collect()
-        };
-        prop_assert_eq!(keep(seed), keep(seed));
-        let config = SampleConfig::new(seed, ratio);
-        for id in 0..512u64 {
-            prop_assert_eq!(config.keeps(id), sample_keeps(seed, ratio, id));
-        }
-    }
-
-    /// A sampled trace is a strict filter of the full trace: every kept
-    /// record is bit-identical to the full run's, nothing is rewritten, and
-    /// deployments/metrics are never dropped.
-    #[test]
-    fn sampled_trace_is_strict_filter(seed in 0u64..u64::MAX, n in 16usize..128) {
-        let drive = |obs: &Obs| {
-            for i in 0..n {
-                let t = i as f64 * 0.25;
-                let s = obs.span_enter("props", "work", t);
-                obs.event("props", "tick", t, &[("i", "v")]);
-                obs.counter_add("props", "ticks", &[], 1);
-                obs.record_decision(
-                    "props",
-                    "route",
-                    &Provenance::new("m", 1, i as u64),
-                    1.0,
-                    Some(1.5),
-                    "allow",
-                    false,
-                    1,
-                    t,
-                );
-                if i % 5 == 0 {
-                    let kind = DeploymentKind::Publish;
-                    obs.record_deployment("props", kind, "m", i as u64, "drift", t);
-                }
-                obs.span_exit(s, t + 0.1);
-            }
-        };
-        let full = Obs::recording();
-        let sampled = Obs::recording_sampled(seed, 0.5);
-        drive(&full);
-        drive(&sampled);
-        let full = full.snapshot();
-        let sampled = sampled.snapshot();
-        prop_assert!(sampled.spans.len() <= full.spans.len());
-        prop_assert!(sampled.events.len() <= full.events.len());
-        for s in &sampled.spans {
-            prop_assert!(full.spans.contains(s), "sampled span not in full trace");
-        }
-        for e in &sampled.events {
-            prop_assert!(full.events.contains(e), "sampled event not in full trace");
-        }
-        for d in &sampled.decisions {
-            prop_assert!(full.decisions.contains(d), "sampled decision not in full trace");
-        }
-        prop_assert_eq!(full.decisions.len(), n);
-        prop_assert_eq!(full.deployments.len(), n.div_ceil(5));
-        prop_assert_eq!(&sampled.deployments, &full.deployments);
-        prop_assert_eq!(&sampled.metrics, &full.metrics);
-    }
-
-    /// Ratio extremes: 1.0 keeps everything (bit-identical to an unsampled
-    /// recorder), 0.0 drops every span/event but still keeps metrics.
-    #[test]
-    fn sampling_ratio_extremes(seed in 0u64..u64::MAX) {
-        let drive = |obs: &Obs| {
-            for i in 0..32usize {
-                let s = obs.span_enter("props", "work", i as f64);
-                obs.event("props", "tick", i as f64, &[]);
-                obs.gauge_set("props", "depth", &[], i as f64);
-                obs.span_exit(s, i as f64 + 0.5);
-            }
-        };
-        let full = Obs::recording();
-        let all = Obs::recording_sampled(seed, 1.0);
-        let none = Obs::recording_sampled(seed, 0.0);
-        drive(&full);
-        drive(&all);
-        drive(&none);
-        prop_assert_eq!(all.export_json(), full.export_json());
-        let none = none.snapshot();
-        prop_assert!(none.spans.is_empty());
-        prop_assert!(none.events.is_empty());
-        prop_assert_eq!(&none.metrics, &full.snapshot().metrics);
-    }
-
     /// `snapshot_since` deltas partition the recording: each equals the
     /// full snapshot at that instant sliced from the previous cut, carries
     /// no metrics, and a span still open at a cut is not reported again
     /// when it closes. Together the deltas hold every record exactly once,
-    /// sampled or not.
+    /// and every span's id is its position in the full snapshot.
     #[test]
     fn snapshot_since_deltas_partition_the_records(
         ops in proptest::collection::vec((0u32..7, 0u32..64, 0u32..64), 1..96),
-        sampled in 0u32..2,
-        seed in 0u64..u64::MAX,
-        ratio in 0.0f64..=1.0,
     ) {
-        let obs = if sampled == 1 {
-            Obs::recording_sampled(seed, ratio)
-        } else {
-            Obs::recording()
-        };
+        let obs = Obs::recording();
         let mut cursor = TraceCursor::default();
         let mut seen = [0usize; 4];
         let mut open: Vec<SpanId> = Vec::new();
@@ -310,12 +209,14 @@ proptest! {
         prop_assert_eq!(&joined.deployments, &full.deployments);
         let ids = |t: &Trace| t.spans.iter().map(|s| s.id).collect::<Vec<_>>();
         prop_assert_eq!(ids(&joined), ids(&full));
-        // Against what was issued: every record of an unsampled recording,
-        // and every deployment of a sampled one.
-        if sampled == 1 {
-            prop_assert_eq!(full.deployments.len(), issued[3]);
-        } else {
-            prop_assert_eq!(lens(&full), issued);
+        // Against what was issued: every record.
+        prop_assert_eq!(lens(&full), issued);
+        // A span's id is its position, and its parent was entered before it.
+        for (position, s) in full.spans.iter().enumerate() {
+            prop_assert_eq!(s.id, SpanId(position as u64));
+            if let Some(parent) = s.parent {
+                prop_assert!(parent.0 < s.id.0, "span {} has parent {}", s.id.0, parent.0);
+            }
         }
     }
 }
