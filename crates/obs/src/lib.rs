@@ -76,10 +76,10 @@ pub use flight::{digest_f64, DecisionRecord, DeploymentKind, DeploymentRecord, P
 pub use intern::Interner;
 pub use metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
 pub use span::{SpanId, SpanRecord};
-pub use trace::{EventRecord, Trace, TraceQuery};
+pub use trace::{EventRecord, RecordRef, Trace, TraceQuery, TraceRecords};
 
 use parking_lot::Mutex;
-use recorder::{MetricIdKey, Recorder};
+use recorder::{CompactRecords, MetricIdKey, Recorder};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::MutexGuard;
 use std::sync::{Arc, Weak};
@@ -100,6 +100,50 @@ pub struct TraceCursor {
     events: usize,
     decisions: usize,
     deployments: usize,
+}
+
+/// The records one [`Obs::snapshot_since`] cut took: plain-old-data copies
+/// of the recorder's compact records past the cursor, taken at the cut,
+/// plus a handle on the recorder whose interner still holds their strings.
+/// Nothing is resolved into owned strings until someone asks:
+/// [`TraceDelta::resolve`] builds the owned [`Trace`], and
+/// [`TraceRecords::visit_records`] lends each record with its strings
+/// borrowed from the interner, under the recorder lock.
+///
+/// Because the copy is taken at the cut, a span still open then keeps
+/// `end == start` here even after it closes. A delta of a disabled handle
+/// is empty.
+#[derive(Default)]
+pub struct TraceDelta {
+    recorder: Option<Arc<Mutex<Recorder>>>,
+    records: CompactRecords,
+}
+
+impl TraceDelta {
+    /// The delta as owned records: every record past the cursor as the
+    /// cut saw it, with an empty metrics registry.
+    pub fn resolve(&self) -> Trace {
+        match &self.recorder {
+            Some(recorder) => recorder.lock().resolve(&self.records),
+            None => Trace::default(),
+        }
+    }
+}
+
+impl TraceRecords for TraceDelta {
+    fn visit_records(&self, visit: impl FnMut(RecordRef<'_>)) {
+        if let Some(recorder) = &self.recorder {
+            recorder.lock().visit(&self.records, visit);
+        }
+    }
+}
+
+impl std::fmt::Debug for TraceDelta {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TraceDelta")
+            .field("records", &self.records)
+            .finish_non_exhaustive()
+    }
 }
 
 /// The recording handle.
@@ -343,29 +387,33 @@ impl Obs {
 
     /// Incremental snapshot: the records appended since `cursor` last saw
     /// this handle, advancing the cursor past them. All four record vectors
-    /// are append-only in record order, so each is resolved straight from
-    /// the cursor's index on and a cut costs O(new records), not
-    /// O(everything recorded so far).
+    /// are append-only in record order, so each is copied straight from the
+    /// cursor's index on and a cut costs O(new records), not O(everything
+    /// recorded so far).
     ///
-    /// The delta carries records only: its `metrics` registry is empty.
-    /// Counters and histograms are running totals, not per-window deltas,
-    /// so read them from a full [`Obs::snapshot`].
+    /// The [`TraceDelta`] holds plain-old-data copies of the compact
+    /// records, strings still interned: taking one allocates four vectors
+    /// and resolves no string. Fold it borrowed through [`TraceRecords`]
+    /// (watchtower's SLO engine does), or [`TraceDelta::resolve`] it into
+    /// an owned [`Trace`].
+    ///
+    /// The delta carries records only: no metrics. Counters and histograms
+    /// are running totals, not per-window deltas, so read them from a full
+    /// [`Obs::snapshot`].
     ///
     /// Spans are included in the delta when they are *entered*; a span
     /// still open at the cut keeps `end == start` in that delta and is not
     /// re-reported when it later closes. Online consumers doing latency
     /// analysis (watchtower's SLO engine) should therefore take their cuts
     /// after the spans they care about have exited.
-    pub fn snapshot_since(&self, cursor: &mut TraceCursor) -> Trace {
+    pub fn snapshot_since(&self, cursor: &mut TraceCursor) -> TraceDelta {
         let Some(inner) = &self.inner else {
-            return Trace::default();
+            return TraceDelta::default();
         };
-        let delta = inner.lock().records_from(cursor);
-        cursor.spans += delta.spans.len();
-        cursor.events += delta.events.len();
-        cursor.decisions += delta.decisions.len();
-        cursor.deployments += delta.deployments.len();
-        delta
+        TraceDelta {
+            records: inner.lock().copy_since(cursor),
+            recorder: Some(Arc::clone(inner)),
+        }
     }
 
     /// Canonical JSON export of the current snapshot.
@@ -1114,13 +1162,13 @@ mod tests {
 
         obs.event("c", "first", 0.0, &[]);
         obs.counter_add("c", "n", &[], 1);
-        let d1 = obs.snapshot_since(&mut cursor);
+        let d1 = obs.snapshot_since(&mut cursor).resolve();
         assert_eq!(d1.events.len(), 1);
         assert_eq!(d1.events[0].name, "first");
         assert!(d1.metrics.metrics.is_empty(), "deltas carry records only");
 
         // Nothing new: the delta is empty.
-        let d2 = obs.snapshot_since(&mut cursor);
+        let d2 = obs.snapshot_since(&mut cursor).resolve();
         assert_eq!(d2, Trace::default());
 
         let s = obs.span_enter("c", "s", 1.0);
@@ -1138,7 +1186,7 @@ mod tests {
         );
         obs.counter_add("c", "n", &[], 2);
         obs.span_exit(s, 2.0);
-        let d3 = obs.snapshot_since(&mut cursor);
+        let d3 = obs.snapshot_since(&mut cursor).resolve();
         assert_eq!(d3.events.len(), 1);
         assert_eq!(d3.events[0].name, "second");
         assert_eq!(d3.spans.len(), 1);
@@ -1161,7 +1209,7 @@ mod tests {
 
         // A fresh cursor's delta holds every record of the full snapshot.
         let mut fresh = TraceCursor::default();
-        let all = obs.snapshot_since(&mut fresh);
+        let all = obs.snapshot_since(&mut fresh).resolve();
         assert_eq!(
             Trace {
                 metrics: full.metrics.clone(),
@@ -1172,7 +1220,53 @@ mod tests {
         assert_eq!(fresh, cursor);
 
         // A disabled handle yields empty deltas and leaves the cursor alone.
-        assert_eq!(Obs::disabled().snapshot_since(&mut fresh), Trace::default());
+        assert_eq!(
+            Obs::disabled().snapshot_since(&mut fresh).resolve(),
+            Trace::default()
+        );
         assert_eq!(fresh, cursor);
+    }
+
+    #[test]
+    fn delta_is_copied_at_its_cut_and_lends_what_it_resolves() {
+        let obs = Obs::recording();
+        let mut cursor = TraceCursor::default();
+        let open = obs.span_enter("c", "open", 1.0);
+        obs.event("c", "e", 1.5, &[("k", "v"), ("", "w")]);
+        obs.record_decision(
+            "c",
+            "d",
+            &Provenance::new("m", 2, 7),
+            1.0,
+            None,
+            "ok",
+            true,
+            3,
+            1.6,
+        );
+        obs.record_deployment("c", DeploymentKind::Rollback, "m", 1, "slo_burn", 1.7);
+        let delta = obs.snapshot_since(&mut cursor);
+        obs.span_exit(open, 3.0);
+        obs.event("c", "after", 3.5, &[]);
+
+        // The span closed after the cut: the delta still reports it open.
+        let resolved = delta.resolve();
+        assert_eq!(resolved.spans.len(), 1);
+        assert_eq!(resolved.spans[0].end, resolved.spans[0].start);
+        assert_eq!(obs.snapshot().spans[0].end, 3.0);
+        // A later delta does not report the span again.
+        let later = obs.snapshot_since(&mut cursor).resolve();
+        assert!(later.spans.is_empty());
+        assert_eq!(later.events.len(), 1);
+
+        // A visit lends exactly the records `resolve` owns, in its order.
+        fn lent(records: &impl TraceRecords) -> Vec<String> {
+            let mut lent = Vec::new();
+            records.visit_records(|r| lent.push(format!("{r:?}")));
+            lent
+        }
+        assert_eq!(lent(&delta).len(), 4);
+        assert_eq!(lent(&delta), lent(&resolved));
+        assert!(lent(&Obs::disabled().snapshot_since(&mut cursor)).is_empty());
     }
 }

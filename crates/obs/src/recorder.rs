@@ -16,9 +16,12 @@
 //!    add / `f64` store / bucket increment) — the canonical `BTreeMap`
 //!    registry is only materialized by a full snapshot or an export.
 //!
-//! Strings are resolved only when records leave the recorder: a full
-//! snapshot, a delta (which resolves only the records past its cursor) or
-//! a streaming export. So the canonical JSON is independent of where
+//! Strings are resolved only when records leave the recorder as owned
+//! records: a full snapshot, a resolved delta or a streaming export. A
+//! delta ([`crate::TraceDelta`]) is a plain copy of the compact records
+//! past its cursor, taken at the cut; it resolves those records only on
+//! request, and otherwise lends their strings straight from the interner
+//! ([`Recorder::visit`]). So the canonical JSON is independent of where
 //! snapshots cut the recording: the golden-digest suites pin that.
 
 use crate::export;
@@ -26,7 +29,7 @@ use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord, Provenance
 use crate::intern::{IdentityBuild, Interner, KeyHash, MixBuild};
 use crate::metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
 use crate::span::{SpanId, SpanRecord};
-use crate::trace::{EventRecord, Trace};
+use crate::trace::{DecisionRef, DeploymentRef, EventRecord, EventRef, RecordRef, SpanRef, Trace};
 use crate::TraceCursor;
 use std::collections::HashMap;
 
@@ -37,7 +40,7 @@ use std::collections::HashMap;
 const NO_SPAN: u64 = u64::MAX;
 
 /// A stored span. It holds no id of its own: its id is its position in
-/// [`CompactStore::spans`].
+/// the store's span vector.
 #[derive(Debug, Clone, Copy)]
 struct CompactSpan {
     /// Parent span id or [`NO_SPAN`].
@@ -89,17 +92,27 @@ struct CompactDeployment {
     cause: u32,
 }
 
-/// Id-based trace storage, one vector per record kind in record order.
-/// Event fields live in one shared arena (`event_fields`) addressed by
-/// `(fields_start, fields_len)`, so an event costs no allocation of its own.
+/// Compact records, one vector per record kind in record order: the whole
+/// store's, or a delta's copy of the store's records past a cursor.
 #[derive(Debug, Default)]
-struct CompactStore {
-    /// Indexed by span id.
+pub(crate) struct CompactRecords {
+    /// Id of `spans[0]`: 0 in the store, the cursor's span count in a delta.
+    span_base: usize,
     spans: Vec<CompactSpan>,
     events: Vec<CompactEvent>,
-    event_fields: Vec<(u32, u32)>,
     decisions: Vec<CompactDecision>,
     deployments: Vec<CompactDeployment>,
+}
+
+/// Id-based trace storage. Event fields live in one shared arena
+/// (`event_fields`) addressed by `(fields_start, fields_len)`, so an event
+/// costs no allocation of its own. Every vector is append-only, so the ids
+/// and arena ranges a delta copies stay valid for the recorder's lifetime.
+#[derive(Debug, Default)]
+struct CompactStore {
+    /// Spans indexed by id (`span_base` is 0).
+    records: CompactRecords,
+    event_fields: Vec<(u32, u32)>,
 }
 
 /// How a metric slot is created on first touch.
@@ -340,9 +353,9 @@ impl Recorder {
     #[inline]
     pub(crate) fn span_enter_ids(&mut self, component: u32, name: u32, sim_time: f64) -> SpanId {
         let seq = self.next_seq();
-        let id = SpanId(self.store.spans.len() as u64);
+        let id = SpanId(self.store.records.spans.len() as u64);
         let parent = self.span_stack.last().map_or(NO_SPAN, |s| s.0);
-        self.store.spans.push(CompactSpan {
+        self.store.records.spans.push(CompactSpan {
             parent,
             component,
             name,
@@ -379,7 +392,7 @@ impl Recorder {
         if let Some(pos) = self.span_stack.iter().rposition(|&s| s == id) {
             self.span_stack.truncate(pos);
         }
-        if let Some(span) = self.store.spans.get_mut(id.0 as usize) {
+        if let Some(span) = self.store.records.spans.get_mut(id.0 as usize) {
             span.end = sim_time;
         }
     }
@@ -397,7 +410,7 @@ impl Recorder {
             let pair = (self.strings.intern(k), self.strings.intern(v));
             self.store.event_fields.push(pair);
         }
-        self.store.events.push(CompactEvent {
+        self.store.records.events.push(CompactEvent {
             seq,
             span: self.span_stack.last().copied(),
             time: sim_time,
@@ -422,7 +435,7 @@ impl Recorder {
         sim_time: f64,
     ) {
         let seq = self.next_seq();
-        self.store.decisions.push(CompactDecision {
+        self.store.records.decisions.push(CompactDecision {
             seq,
             span: self.span_stack.last().copied(),
             time: sim_time,
@@ -449,7 +462,7 @@ impl Recorder {
         sim_time: f64,
     ) {
         let seq = self.next_seq();
-        self.store.deployments.push(CompactDeployment {
+        self.store.records.deployments.push(CompactDeployment {
             seq,
             span: self.span_stack.last().copied(),
             time: sim_time,
@@ -579,6 +592,11 @@ impl Recorder {
         }
     }
 
+    /// The interned `(key, value)` ids of event `e`'s fields.
+    fn event_fields(&self, e: &CompactEvent) -> &[(u32, u32)] {
+        &self.store.event_fields[e.fields_start as usize..(e.fields_start + e.fields_len) as usize]
+    }
+
     fn resolve_event(&self, e: &CompactEvent) -> EventRecord {
         EventRecord {
             seq: e.seq,
@@ -586,8 +604,8 @@ impl Recorder {
             sim_time: e.time,
             component: self.strings.resolve(e.component).to_string(),
             name: self.strings.resolve(e.name).to_string(),
-            fields: self.store.event_fields
-                [e.fields_start as usize..(e.fields_start + e.fields_len) as usize]
+            fields: self
+                .event_fields(e)
                 .iter()
                 .map(|&(k, v)| {
                     (
@@ -630,43 +648,126 @@ impl Recorder {
         }
     }
 
-    /// Every record from `from` on: each compact vector is resolved from
-    /// the cursor's index (a plain slice; a cursor past the end resolves
-    /// nothing), so the cost is O(records resolved), not O(trace). The
-    /// metrics registry is left empty.
-    pub(crate) fn records_from(&self, from: &TraceCursor) -> Trace {
-        /// `v` from index `from` on.
-        fn tail<T>(v: &[T], from: usize) -> std::slice::Iter<'_, T> {
-            v.get(from..).unwrap_or_default().iter()
+    /// A copy of every compact record from `cursor` on, advancing the
+    /// cursor past them. Each vector is copied from the cursor's index (a
+    /// plain slice; a cursor past the end copies nothing), so the cost is
+    /// O(records copied), not O(trace), and no string is touched.
+    pub(crate) fn copy_since(&self, cursor: &mut TraceCursor) -> CompactRecords {
+        /// `v` from index `*from` on, advancing `*from` past it.
+        fn tail<T: Copy>(v: &[T], from: &mut usize) -> Vec<T> {
+            let copy = v.get(*from..).unwrap_or_default().to_vec();
+            *from += copy.len();
+            copy
         }
-        let s = &self.store;
+        let s = &self.store.records;
+        CompactRecords {
+            span_base: cursor.spans,
+            spans: tail(&s.spans, &mut cursor.spans),
+            events: tail(&s.events, &mut cursor.events),
+            decisions: tail(&s.decisions, &mut cursor.decisions),
+            deployments: tail(&s.deployments, &mut cursor.deployments),
+        }
+    }
+
+    /// Resolves `r` (the store's records or a copy of some of them) into
+    /// owned records. The metrics registry is left empty.
+    pub(crate) fn resolve(&self, r: &CompactRecords) -> Trace {
         Trace {
-            spans: tail(&s.spans, from.spans)
+            spans: r
+                .spans
+                .iter()
                 .enumerate()
-                .map(|(i, r)| self.resolve_span(from.spans + i, r))
+                .map(|(i, s)| self.resolve_span(r.span_base + i, s))
                 .collect(),
-            events: tail(&s.events, from.events)
-                .map(|r| self.resolve_event(r))
+            events: r.events.iter().map(|e| self.resolve_event(e)).collect(),
+            decisions: r
+                .decisions
+                .iter()
+                .map(|d| self.resolve_decision(d))
                 .collect(),
-            decisions: tail(&s.decisions, from.decisions)
-                .map(|r| self.resolve_decision(r))
-                .collect(),
-            deployments: tail(&s.deployments, from.deployments)
-                .map(|r| self.resolve_deployment(r))
+            deployments: r
+                .deployments
+                .iter()
+                .map(|d| self.resolve_deployment(d))
                 .collect(),
             metrics: MetricsRegistry::default(),
+        }
+    }
+
+    /// Hands every record of `r` to `visit` in the order of
+    /// [`crate::TraceRecords::visit_records`], each borrowed with its
+    /// strings straight from the interner: nothing is allocated but one
+    /// reused buffer for event fields.
+    pub(crate) fn visit(&self, r: &CompactRecords, mut visit: impl FnMut(RecordRef<'_>)) {
+        let text = |id: u32| self.strings.resolve(id);
+        for (i, s) in r.spans.iter().enumerate() {
+            visit(RecordRef::Span(SpanRef {
+                id: SpanId((r.span_base + i) as u64),
+                parent: (s.parent != NO_SPAN).then_some(SpanId(s.parent)),
+                component: text(s.component),
+                name: text(s.name),
+                start: s.start,
+                end: s.end,
+                seq: s.seq,
+            }));
+        }
+        let mut fields = Vec::new();
+        for e in &r.events {
+            fields.clear();
+            fields.extend(
+                self.event_fields(e)
+                    .iter()
+                    .map(|&(k, v)| (text(k), text(v))),
+            );
+            visit(RecordRef::Event(EventRef {
+                seq: e.seq,
+                span: e.span,
+                sim_time: e.time,
+                component: text(e.component),
+                name: text(e.name),
+                fields: &fields,
+            }));
+        }
+        for d in &r.decisions {
+            visit(RecordRef::Decision(DecisionRef {
+                seq: d.seq,
+                span: d.span,
+                sim_time: d.time,
+                component: text(d.component),
+                decision: text(d.decision),
+                model_id: text(d.model_id),
+                model_version: d.model_version,
+                features_digest: d.features_digest,
+                predicted: d.predicted,
+                observed: d.observed,
+                verdict: text(d.verdict),
+                vetoed: d.vetoed,
+                feedback_latency_ticks: d.feedback_latency_ticks,
+            }));
+        }
+        for d in &r.deployments {
+            visit(RecordRef::Deployment(DeploymentRef {
+                seq: d.seq,
+                span: d.span,
+                sim_time: d.time,
+                component: text(d.component),
+                kind: d.kind,
+                model_id: text(d.model_id),
+                version: d.version,
+                cause: text(d.cause),
+            }));
         }
     }
 
     pub(crate) fn snapshot(&self) -> Trace {
         Trace {
             metrics: self.metrics.to_registry(&self.strings),
-            ..self.records_from(&TraceCursor::default())
+            ..self.resolve(&self.store.records)
         }
     }
 
     pub(crate) fn last_event_json(&self) -> Option<String> {
-        self.store.events.last().map(|e| {
+        self.store.records.events.last().map(|e| {
             serde_json::to_string(&self.resolve_event(e))
                 .expect("event serialization is infallible")
         })
@@ -676,7 +777,7 @@ impl Recorder {
     /// record at a time — the full `Trace` (and the full output string) are
     /// never materialized.
     pub(crate) fn export_stream(&self, chunk_size: usize, sink: &mut dyn FnMut(&str)) {
-        let s = &self.store;
+        let s = &self.store.records;
         export::write_document(
             chunk_size,
             sink,

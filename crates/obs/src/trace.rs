@@ -1,4 +1,5 @@
-//! Trace snapshots and the query API over them.
+//! Trace snapshots, the query API over them, and borrowed record visits
+//! ([`TraceRecords`]) shared by snapshots and deltas.
 
 use crate::flight::{DecisionRecord, DeploymentKind, DeploymentRecord};
 use crate::metrics::MetricsRegistry;
@@ -86,6 +87,182 @@ impl Trace {
             &self.deployments,
             &self.metrics,
         );
+    }
+}
+
+/// Records that can be read one at a time, borrowed: a [`Trace`], or a
+/// [`crate::TraceDelta`] whose strings are still interned in its recorder.
+/// Consumers that only fold records (watchtower's SLO engine) take either
+/// through this trait, so a delta never has to be resolved into owned
+/// strings.
+pub trait TraceRecords {
+    /// Calls `visit` once per record: spans in id order, then events,
+    /// decisions and deployments, each in sequence order. Every string is
+    /// borrowed in place.
+    ///
+    /// A [`crate::TraceDelta`] runs the whole visit under its recorder's
+    /// lock, with strings straight from the interner: `visit` must not call
+    /// back into that recorder (through any [`crate::Obs`] handle on it), or
+    /// it deadlocks.
+    fn visit_records(&self, visit: impl FnMut(RecordRef<'_>));
+}
+
+/// One record, borrowed, as [`TraceRecords::visit_records`] hands it out.
+#[derive(Debug, Clone, Copy)]
+pub enum RecordRef<'a> {
+    /// A span ([`SpanRecord`]).
+    Span(SpanRef<'a>),
+    /// A free-form event ([`EventRecord`]).
+    Event(EventRef<'a>),
+    /// A flight-recorder decision ([`DecisionRecord`]).
+    Decision(DecisionRef<'a>),
+    /// A typed deployment change ([`DeploymentRecord`]).
+    Deployment(DeploymentRef<'a>),
+}
+
+/// A borrowed [`SpanRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct SpanRef<'a> {
+    /// See [`SpanRecord::id`].
+    pub id: SpanId,
+    /// See [`SpanRecord::parent`].
+    pub parent: Option<SpanId>,
+    /// See [`SpanRecord::component`].
+    pub component: &'a str,
+    /// See [`SpanRecord::name`].
+    pub name: &'a str,
+    /// See [`SpanRecord::start`].
+    pub start: f64,
+    /// See [`SpanRecord::end`].
+    pub end: f64,
+    /// See [`SpanRecord::seq`].
+    pub seq: u64,
+}
+
+/// A borrowed [`EventRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct EventRef<'a> {
+    /// See [`EventRecord::seq`].
+    pub seq: u64,
+    /// See [`EventRecord::span`].
+    pub span: Option<SpanId>,
+    /// See [`EventRecord::sim_time`].
+    pub sim_time: f64,
+    /// See [`EventRecord::component`].
+    pub component: &'a str,
+    /// See [`EventRecord::name`].
+    pub name: &'a str,
+    /// See [`EventRecord::fields`].
+    pub fields: &'a [(&'a str, &'a str)],
+}
+
+/// A borrowed [`DecisionRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct DecisionRef<'a> {
+    /// See [`DecisionRecord::seq`].
+    pub seq: u64,
+    /// See [`DecisionRecord::span`].
+    pub span: Option<SpanId>,
+    /// See [`DecisionRecord::sim_time`].
+    pub sim_time: f64,
+    /// See [`DecisionRecord::component`].
+    pub component: &'a str,
+    /// See [`DecisionRecord::decision`].
+    pub decision: &'a str,
+    /// See [`DecisionRecord::model_id`].
+    pub model_id: &'a str,
+    /// See [`DecisionRecord::model_version`].
+    pub model_version: u64,
+    /// See [`DecisionRecord::features_digest`].
+    pub features_digest: u64,
+    /// See [`DecisionRecord::predicted`].
+    pub predicted: f64,
+    /// See [`DecisionRecord::observed`].
+    pub observed: Option<f64>,
+    /// See [`DecisionRecord::verdict`].
+    pub verdict: &'a str,
+    /// See [`DecisionRecord::vetoed`].
+    pub vetoed: bool,
+    /// See [`DecisionRecord::feedback_latency_ticks`].
+    pub feedback_latency_ticks: u64,
+}
+
+/// A borrowed [`DeploymentRecord`].
+#[derive(Debug, Clone, Copy)]
+pub struct DeploymentRef<'a> {
+    /// See [`DeploymentRecord::seq`].
+    pub seq: u64,
+    /// See [`DeploymentRecord::span`].
+    pub span: Option<SpanId>,
+    /// See [`DeploymentRecord::sim_time`].
+    pub sim_time: f64,
+    /// See [`DeploymentRecord::component`].
+    pub component: &'a str,
+    /// See [`DeploymentRecord::kind`].
+    pub kind: DeploymentKind,
+    /// See [`DeploymentRecord::model_id`].
+    pub model_id: &'a str,
+    /// See [`DeploymentRecord::version`].
+    pub version: u64,
+    /// See [`DeploymentRecord::cause`].
+    pub cause: &'a str,
+}
+
+impl TraceRecords for Trace {
+    fn visit_records(&self, mut visit: impl FnMut(RecordRef<'_>)) {
+        for s in &self.spans {
+            visit(RecordRef::Span(SpanRef {
+                id: s.id,
+                parent: s.parent,
+                component: &s.component,
+                name: &s.name,
+                start: s.start,
+                end: s.end,
+                seq: s.seq,
+            }));
+        }
+        let mut fields = Vec::new();
+        for e in &self.events {
+            fields.clear();
+            fields.extend(e.fields.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+            visit(RecordRef::Event(EventRef {
+                seq: e.seq,
+                span: e.span,
+                sim_time: e.sim_time,
+                component: &e.component,
+                name: &e.name,
+                fields: &fields,
+            }));
+        }
+        for d in &self.decisions {
+            visit(RecordRef::Decision(DecisionRef {
+                seq: d.seq,
+                span: d.span,
+                sim_time: d.sim_time,
+                component: &d.component,
+                decision: &d.decision,
+                model_id: &d.model_id,
+                model_version: d.model_version,
+                features_digest: d.features_digest,
+                predicted: d.predicted,
+                observed: d.observed,
+                verdict: &d.verdict,
+                vetoed: d.vetoed,
+                feedback_latency_ticks: d.feedback_latency_ticks,
+            }));
+        }
+        for d in &self.deployments {
+            visit(RecordRef::Deployment(DeploymentRef {
+                seq: d.seq,
+                span: d.span,
+                sim_time: d.sim_time,
+                component: &d.component,
+                kind: d.kind,
+                model_id: &d.model_id,
+                version: d.version,
+                cause: &d.cause,
+            }));
+        }
     }
 }
 

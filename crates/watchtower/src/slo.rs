@@ -17,15 +17,18 @@
 //! windows — those the trace's clock has fully passed — are reported, so a
 //! half-filled trailing window never skews a burn rate.
 //!
-//! Online, one window step costs O(new records + specs): ingesting a delta
-//! touches only its records, and [`SloEngine::health_signal`] reads only
-//! each spec's trailing windows. [`SloEngine::report`] is the at-rest
-//! view: it materializes every complete window of every spec up to the
-//! trace's clock, empty ones included.
+//! Online, one window step costs O(new records + specs). A delta is a copy
+//! of the recorder's compact records, strings still interned; ingesting it
+//! folds each record once, borrowed, with its strings read in place from
+//! the interner ([`TraceRecords`]), so nothing is resolved into owned
+//! strings or dropped again. [`SloEngine::health_signal`] reads only each
+//! spec's trailing windows. [`SloEngine::report`] is the at-rest view: it
+//! materializes every complete window of every spec up to the trace's
+//! clock, empty ones included.
 //!
 //! [`Obs::snapshot_since`]: adas_obs::Obs::snapshot_since
 
-use adas_obs::{Histogram, Trace};
+use adas_obs::{Histogram, RecordRef, Trace, TraceRecords};
 use adas_serve::HealthSignal;
 use adas_simkern::Window;
 use serde::Serialize;
@@ -275,76 +278,81 @@ impl SloEngine {
         &self.specs
     }
 
-    /// Folds a trace (or an [`Obs::snapshot_since`] delta) into the window
+    /// Folds a trace or an [`Obs::snapshot_since`] delta into the window
     /// accumulators. Records must not be fed twice; metrics are ignored
     /// (they are cumulative, not per-window, and deltas carry none).
     ///
+    /// Each record is visited once, borrowed (a delta's strings straight
+    /// from the recorder's interner, under its lock), and offered to every
+    /// spec in turn. So each spec still sees its records in record order,
+    /// and every window histogram sums its samples in that order.
+    ///
     /// [`Obs::snapshot_since`]: adas_obs::Obs::snapshot_since
-    pub fn ingest(&mut self, delta: &Trace) {
-        // Every record advances the engine's notion of "now" — complete
-        // windows are determined by overall trace progress, not just by
-        // the records a spec happens to match.
-        for s in &delta.spans {
-            self.max_time = self.max_time.max(s.end);
-        }
-        for e in &delta.events {
-            self.max_time = self.max_time.max(e.sim_time);
-        }
-        for d in &delta.decisions {
-            self.max_time = self.max_time.max(d.sim_time);
-        }
-        for d in &delta.deployments {
-            self.max_time = self.max_time.max(d.sim_time);
-        }
-        for (spec, acc) in self.specs.iter().zip(&mut self.acc) {
-            let win = spec.window();
-            if !win.is_valid() {
-                continue;
-            }
-            match &spec.objective {
-                SloObjective::Latency {
-                    component,
-                    threshold_ticks,
-                    ..
-                } => {
-                    for s in delta.spans.iter().filter(|s| &s.component == component) {
+    pub fn ingest(&mut self, records: &impl TraceRecords) {
+        let Self {
+            specs,
+            acc,
+            max_time,
+        } = self;
+        records.visit_records(|record: RecordRef<'_>| {
+            // Every record advances the engine's notion of "now" — complete
+            // windows are determined by overall trace progress, not just by
+            // the records a spec happens to match.
+            let now = match record {
+                RecordRef::Span(s) => s.end,
+                RecordRef::Event(e) => e.sim_time,
+                RecordRef::Decision(d) => d.sim_time,
+                RecordRef::Deployment(d) => d.sim_time,
+            };
+            *max_time = max_time.max(now);
+            for (spec, acc) in specs.iter().zip(acc.iter_mut()) {
+                let win = spec.window();
+                if !win.is_valid() {
+                    continue;
+                }
+                // (time the record lands at, bad, latency sample)
+                let (time, bad, sample) = match (&spec.objective, record) {
+                    (
+                        SloObjective::Latency {
+                            component,
+                            threshold_ticks,
+                            ..
+                        },
+                        RecordRef::Span(s),
+                    ) if s.component == component.as_str() => {
                         let duration = (s.end - s.start).max(0.0);
-                        let idx = win.index_of(s.start);
-                        let w = acc.entry(idx).or_default();
-                        w.total += 1;
-                        if duration > *threshold_ticks {
-                            w.bad += 1;
-                        }
-                        w.hist
-                            .get_or_insert_with(|| Histogram::new(&Histogram::default_bounds()))
-                            .observe(duration);
+                        (s.start, duration > *threshold_ticks, Some(duration))
                     }
+                    (SloObjective::ErrorRate { component }, RecordRef::Decision(d))
+                        if d.component == component.as_str() =>
+                    {
+                        (d.sim_time, d.vetoed, None)
+                    }
+                    (
+                        SloObjective::Staleness {
+                            component,
+                            max_feedback_ticks,
+                        },
+                        RecordRef::Decision(d),
+                    ) if d.component == component.as_str() => (
+                        d.sim_time,
+                        d.feedback_latency_ticks > *max_feedback_ticks,
+                        None,
+                    ),
+                    _ => continue,
+                };
+                let w = acc.entry(win.index_of(time)).or_default();
+                w.total += 1;
+                if bad {
+                    w.bad += 1;
                 }
-                SloObjective::ErrorRate { component } => {
-                    for d in delta.decisions.iter().filter(|d| &d.component == component) {
-                        let idx = win.index_of(d.sim_time);
-                        let w = acc.entry(idx).or_default();
-                        w.total += 1;
-                        if d.vetoed {
-                            w.bad += 1;
-                        }
-                    }
-                }
-                SloObjective::Staleness {
-                    component,
-                    max_feedback_ticks,
-                } => {
-                    for d in delta.decisions.iter().filter(|d| &d.component == component) {
-                        let idx = win.index_of(d.sim_time);
-                        let w = acc.entry(idx).or_default();
-                        w.total += 1;
-                        if d.feedback_latency_ticks > *max_feedback_ticks {
-                            w.bad += 1;
-                        }
-                    }
+                if let Some(duration) = sample {
+                    w.hist
+                        .get_or_insert_with(|| Histogram::new(&Histogram::default_bounds()))
+                        .observe(duration);
                 }
             }
-        }
+        });
     }
 
     /// Complete windows of spec `i`: windows whose end the clock has

@@ -6,11 +6,15 @@
 //!   order the trace's vectors happen to hold them in.
 //! - The SLO engine's health signal, read online after every delta, is
 //!   bit-identical to the one derived from its full report.
+//! - Folding a delta's borrowed records gives, bit for bit, the report and
+//!   signal of folding the owned trace the delta resolves to at its cut.
 
-use autonomous_data_services::obs::{DeploymentKind, Obs, Provenance, SpanId, Trace, TraceCursor};
+use autonomous_data_services::obs::{
+    DeploymentKind, Obs, Provenance, SpanId, Trace, TraceCursor, TraceDelta,
+};
 use autonomous_data_services::serve::HealthSignal;
 use autonomous_data_services::watchtower::{
-    critical_path, reconstruct, to_canonical_json, SloEngine, SloReport, SloSpec,
+    critical_path, evaluate, reconstruct, to_canonical_json, SloEngine, SloReport, SloSpec,
 };
 use proptest::prelude::*;
 
@@ -289,5 +293,107 @@ proptest! {
         }
         engine.ingest(&obs.snapshot_since(&mut cursor));
         check(&engine)?;
+    }
+
+    /// Folding each `TraceDelta` borrowed equals folding the `Trace` it
+    /// resolved to at its cut: the same `SloReport` and `health_signal`
+    /// after every delta, bit for bit. Spans open at a cut may close before
+    /// that delta is folded; both folds must still see them as the cut did.
+    /// Some records land windows behind the one before them, and the final
+    /// report equals the one-shot report of every delta's records sorted
+    /// by time: a report counts records, so their order cannot change it.
+    #[test]
+    fn delta_fold_matches_the_resolved_fold(
+        raw_specs in proptest::collection::vec((0u32..3, 0u32..4, 0u32..4, 0u32..6), 1..5),
+        zero_at in 0usize..8,
+        stream in proptest::collection::vec((0u32..7, 0u32..12, 0u32..8), 1..120),
+    ) {
+        let specs = spec_set(&raw_specs, zero_at);
+        let mut borrowed = SloEngine::new(specs.clone());
+        let mut owned = SloEngine::new(specs);
+        let obs = Obs::recording();
+        let mut cursor = TraceCursor::default();
+        let mut open: Vec<SpanId> = Vec::new();
+        // The latest cut, not yet folded, and what it resolved to then.
+        let mut pending: Option<(TraceDelta, Trace)> = None;
+        let mut joined = Trace::default();
+        let mut fold = |pending: &mut Option<(TraceDelta, Trace)>| {
+            let Some((delta, at_cut)) = pending.take() else {
+                return Ok(());
+            };
+            prop_assert_eq!(&delta.resolve(), &at_cut, "a delta is fixed at its cut");
+            borrowed.ingest(&delta);
+            owned.ingest(&at_cut);
+            prop_assert_eq!(
+                to_canonical_json(&borrowed.report()),
+                to_canonical_json(&owned.report())
+            );
+            let (got, want) = (borrowed.health_signal(), owned.health_signal());
+            prop_assert!(same_signal(&got, &want), "{got:?} != {want:?}");
+            joined.spans.extend(at_cut.spans);
+            joined.events.extend(at_cut.events);
+            joined.decisions.extend(at_cut.decisions);
+            joined.deployments.extend(at_cut.deployments);
+            Ok(())
+        };
+        let mut t = 0.0f64;
+        for &(kind, a, b) in &stream {
+            t += f64::from(a) * 0.5;
+            let component = ["serve.gateway", "engine.exec", "other"][b as usize % 3];
+            // Every fourth decision or span lands 7.5 ticks back, past the
+            // edge of every window width in the spec set.
+            let at = if b % 4 == 0 { (t - 7.5).max(0.0) } else { t };
+            match kind {
+                0 => obs.record_decision(
+                    component,
+                    "serve",
+                    &Provenance::new("m", u64::from(a), 0),
+                    1.0,
+                    Some(1.0),
+                    "ok",
+                    a % 3 == 0,
+                    u64::from(a % 4),
+                    at,
+                ),
+                1 => open.push(obs.span_enter(component, "stage", at)),
+                2 if !open.is_empty() => {
+                    // Any open span, not only the innermost.
+                    let id = open.remove(a as usize % open.len());
+                    obs.span_exit(id, t + f64::from(b) * 0.25);
+                }
+                3 => obs.event(component, "tick", t, &[("k", "v")]),
+                4 => obs.record_deployment(
+                    component,
+                    DeploymentKind::Rollback,
+                    "m",
+                    u64::from(a),
+                    "slo_burn",
+                    t,
+                ),
+                5 => fold(&mut pending)?,
+                _ => {
+                    fold(&mut pending)?;
+                    let delta = obs.snapshot_since(&mut cursor);
+                    let at_cut = delta.resolve();
+                    pending = Some((delta, at_cut));
+                }
+            }
+        }
+        fold(&mut pending)?;
+        for id in open.drain(..).rev() {
+            t += 1.0;
+            obs.span_exit(id, t);
+        }
+        let delta = obs.snapshot_since(&mut cursor);
+        let at_cut = delta.resolve();
+        pending = Some((delta, at_cut));
+        fold(&mut pending)?;
+
+        joined.spans.sort_by(|x, y| x.start.total_cmp(&y.start));
+        joined.decisions.sort_by(|x, y| x.sim_time.total_cmp(&y.sim_time));
+        prop_assert_eq!(
+            to_canonical_json(&borrowed.report()),
+            to_canonical_json(&evaluate(&joined, borrowed.specs()))
+        );
     }
 }
