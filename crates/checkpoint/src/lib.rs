@@ -31,4 +31,4 @@ pub mod cut;
 pub mod predict;
 
 pub use cut::{evaluate, plan_checkpoints, CheckpointPlan, PhoebeConfig, PhoebeReport};
-pub use predict::{ServedStagePredictor, StageForecast, StagePredictor};
+pub use predict::{StageForecast, StagePredictor};

@@ -58,11 +58,6 @@ impl StageForecast {
 pub struct StagePredictor {
     duration_model: GradientBoosting,
     bytes_model: GradientBoosting,
-    /// Training-set mean duration — the heuristic the serving layer falls
-    /// back to when the duration model is degraded.
-    mean_duration: f64,
-    /// Training-set mean ln(output bytes), the bytes-model fallback.
-    mean_ln_bytes: f64,
 }
 
 impl StagePredictor {
@@ -86,8 +81,6 @@ impl StagePredictor {
                 features.len()
             )));
         }
-        let mean_duration = durations.iter().sum::<f64>() / durations.len() as f64;
-        let mean_ln_bytes = bytes.iter().sum::<f64>() / bytes.len() as f64;
         let duration_model = GradientBoosting::fit(
             &Dataset::new(features.clone(), durations)?,
             GbmConfig::default(),
@@ -97,8 +90,6 @@ impl StagePredictor {
         Ok(Self {
             duration_model,
             bytes_model,
-            mean_duration,
-            mean_ln_bytes,
         })
     }
 
@@ -113,102 +104,6 @@ impl StagePredictor {
             let f = stage_features(stage);
             duration.push(self.duration_model.predict(&f).max(0.0));
             output_bytes.push(self.bytes_model.predict(&f).exp().max(0.0));
-        }
-        let mut start = vec![0.0f64; n];
-        let mut end = vec![0.0f64; n];
-        for stage in dag.stages() {
-            let idx = stage.id.0;
-            let ready = stage.inputs.iter().map(|s| end[s.0]).fold(0.0f64, f64::max);
-            start[idx] = ready;
-            end[idx] = ready + duration[idx];
-        }
-        StageForecast {
-            duration,
-            output_bytes,
-            start,
-            end,
-        }
-    }
-
-    /// Publishes both stage models into a serving gateway and returns a
-    /// forecaster whose predictions flow through it. Fallbacks are the
-    /// training-set means — a crude but safe heuristic when a model is
-    /// degraded. Re-publishing after retraining hot-swaps the versions.
-    pub fn publish(&self, gateway: &adas_serve::Gateway) -> ServedStagePredictor {
-        let mean_duration = self.mean_duration;
-        let mean_ln_bytes = self.mean_ln_bytes;
-        let duration = gateway.register(DURATION_MODEL, move |_: &[f64]| mean_duration);
-        let bytes = gateway.register(BYTES_MODEL, move |_: &[f64]| mean_ln_bytes);
-        gateway
-            .publish(
-                duration,
-                std::sync::Arc::new(adas_serve::RegressorModel(self.duration_model.clone())),
-                0.0,
-            )
-            .expect("freshly registered handle");
-        gateway
-            .publish(
-                bytes,
-                std::sync::Arc::new(adas_serve::RegressorModel(self.bytes_model.clone())),
-                0.0,
-            )
-            .expect("freshly registered handle");
-        ServedStagePredictor {
-            gateway: gateway.clone(),
-            duration,
-            bytes,
-            sim_time: std::cell::Cell::new(0.0),
-        }
-    }
-}
-
-/// Gateway name of the stage-duration model.
-pub const DURATION_MODEL: &str = "checkpoint/stage-duration";
-/// Gateway name of the stage-output-bytes model.
-pub const BYTES_MODEL: &str = "checkpoint/stage-bytes";
-
-/// The served twin of [`StagePredictor`]: identical forecasts, but every
-/// per-stage prediction goes through the gateway (cache, breaker,
-/// fallback). The forecast feeds `plan_checkpoints` unchanged.
-pub struct ServedStagePredictor {
-    gateway: adas_serve::Gateway,
-    duration: adas_serve::ModelHandle,
-    bytes: adas_serve::ModelHandle,
-    sim_time: std::cell::Cell<f64>,
-}
-
-impl ServedStagePredictor {
-    /// Sets the simulated time stamped onto subsequent gateway requests.
-    pub fn set_sim_time(&self, sim_time: f64) {
-        self.sim_time.set(sim_time);
-    }
-
-    /// The gateway serving the stage models.
-    pub fn gateway(&self) -> &adas_serve::Gateway {
-        &self.gateway
-    }
-
-    /// Forecasts a DAG through the serving layer. Mirrors
-    /// [`StagePredictor::forecast`]: duration is predicted in raw seconds,
-    /// output size in ln-bytes (exponentiated here), and start/end times
-    /// come from critical-path propagation.
-    pub fn forecast(&self, dag: &StageDag) -> StageForecast {
-        let now = self.sim_time.get();
-        let n = dag.len();
-        let mut duration = Vec::with_capacity(n);
-        let mut output_bytes = Vec::with_capacity(n);
-        for stage in dag.stages() {
-            let f = stage_features(stage);
-            let d = self
-                .gateway
-                .predict(self.duration, &f, now)
-                .expect("handle registered at publish time");
-            duration.push(d.value.max(0.0));
-            let b = self
-                .gateway
-                .predict(self.bytes, &f, now)
-                .expect("handle registered at publish time");
-            output_bytes.push(b.value.exp().max(0.0));
         }
         let mut start = vec![0.0f64; n];
         let mut end = vec![0.0f64; n];
@@ -287,50 +182,6 @@ mod tests {
     #[test]
     fn insufficient_history_rejected() {
         assert!(StagePredictor::train(&[]).is_err());
-    }
-
-    #[test]
-    fn served_forecast_matches_direct() {
-        let material = training_material();
-        let refs: Vec<(&StageDag, &ExecReport)> = material.iter().map(|(d, r)| (d, r)).collect();
-        let predictor = StagePredictor::train(&refs).unwrap();
-        let gateway =
-            adas_serve::Gateway::with_obs(adas_serve::GatewayConfig::standard(), Obs::disabled());
-        let served = predictor.publish(&gateway);
-        for (dag, _) in &material {
-            let a = predictor.forecast(dag);
-            let b = served.forecast(dag);
-            for (x, y) in a.duration.iter().zip(&b.duration) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            for (x, y) in a.output_bytes.iter().zip(&b.output_bytes) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-            assert_eq!(a.makespan().to_bits(), b.makespan().to_bits());
-        }
-        assert!(gateway.stats().requests > 0);
-    }
-
-    #[test]
-    fn served_forecast_survives_model_outage() {
-        use adas_faultsim::ModelFaults;
-        let material = training_material();
-        let refs: Vec<(&StageDag, &ExecReport)> = material.iter().map(|(d, r)| (d, r)).collect();
-        let predictor = StagePredictor::train(&refs).unwrap();
-        let mut config = adas_serve::GatewayConfig::standard();
-        config.cache_capacity = 0;
-        let gateway = adas_serve::Gateway::with_obs(config, Obs::disabled());
-        let served = predictor.publish(&gateway);
-        let duration = gateway.resolve(DURATION_MODEL).unwrap();
-        // Permanent timeouts: every duration prediction degrades to the
-        // training-mean heuristic, and the forecast still comes out finite.
-        gateway
-            .inject_faults(duration, ModelFaults::new(3, 0.0, 1.0, 1.0))
-            .unwrap();
-        let f = served.forecast(&material[0].0);
-        assert!(f.duration.iter().all(|d| d.is_finite() && *d >= 0.0));
-        assert!(f.makespan().is_finite());
-        assert!(gateway.stats().fallbacks > 0);
     }
 
     #[test]

@@ -272,31 +272,6 @@ impl FaultInjector {
         )
     }
 
-    /// A model-serving fault source on an independent derived stream — one
-    /// per served model, so injecting faults into one model never shifts
-    /// another model's draws. `stream` is typically the gateway's stable
-    /// model index.
-    pub fn model_faults_for(&self, stream: u64) -> ModelFaults {
-        ModelFaults::new(
-            seed::derive(self.seed, stream),
-            if self.config.enabled {
-                self.config.staleness
-            } else {
-                0.0
-            },
-            if self.config.enabled {
-                self.config.timeout_rate
-            } else {
-                0.0
-            },
-            if self.config.enabled {
-                self.config.poison_factor
-            } else {
-                1.0
-            },
-        )
-    }
-
     /// A delayed feedback queue.
     pub fn feedback_delay(&self) -> DelayedFeedback {
         DelayedFeedback::new(if self.config.enabled {

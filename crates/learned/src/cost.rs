@@ -228,26 +228,6 @@ impl<'a> CostEnsemble<'a> {
         self.micro.len()
     }
 
-    /// Signatures of the trained micromodels (unordered).
-    pub fn signatures(&self) -> Vec<Signature> {
-        self.micro.keys().copied().collect()
-    }
-
-    /// The micromodel for a template, if any.
-    pub fn micromodel(&self, sig: Signature) -> Option<&LinearRegression> {
-        self.micro.get(&sig)
-    }
-
-    /// The global fallback model, if training produced one.
-    pub fn global_model(&self) -> Option<&GradientBoosting> {
-        self.global.as_ref()
-    }
-
-    /// The catalog this ensemble was trained against.
-    pub fn catalog(&self) -> &'a Catalog {
-        self.catalog
-    }
-
     /// Whether the global fallback model exists.
     pub fn has_global(&self) -> bool {
         self.global.is_some()

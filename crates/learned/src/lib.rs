@@ -18,9 +18,10 @@
 //!   51]): a per-template contextual bandit restricted to **small
 //!   incremental steps** (Hamming distance 1 in rule-config space) and
 //!   guarded by a **validation model** against regressions.
-//! * [`serving`] — gateway-served twins of the estimators: the fitted
-//!   models are published into a `serve::Gateway` so optimizer-facing
-//!   predictions flow through versioned, cached, breaker-guarded serving.
+//! * [`serving`] — the gateway-served cardinality estimator: the fitted
+//!   micromodels are published into a `serve::Gateway` so the optimizer's
+//!   learned cardinalities flow through versioned, cached, breaker-guarded
+//!   serving.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -33,5 +34,5 @@ pub mod steering;
 
 pub use cardinality::{LearnedCardinality, MicromodelReport};
 pub use cost::{CostEnsemble, CostEnsembleReport};
-pub use serving::{ServedCardinality, ServedCost};
+pub use serving::ServedCardinality;
 pub use steering::{SteeringConfig, SteeringController, SteeringStats};

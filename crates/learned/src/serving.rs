@@ -1,22 +1,18 @@
-//! Gateway-served variants of the learned estimators.
+//! Gateway-served cardinality estimates.
 //!
 //! The paper's optimizer never calls models in-process: predictions come
 //! from a serving tier with versioning, caching and guardrails (Sec 4.2's
-//! "ask the service, else use the default" contract). These adapters keep
-//! the in-process types (`LearnedCardinality`, `CostEnsemble`) as the
-//! *training* artifacts and publish their fitted models into a
-//! [`Gateway`], so every optimizer-facing prediction goes through the
-//! serving layer — cache, circuit breaker, fallback and all.
+//! "ask the service, else use the default" contract). The in-process
+//! [`LearnedCardinality`] stays the *training* artifact; publishing it
+//! puts its fitted micromodels into a [`Gateway`] and returns a
+//! [`ServedCardinality`], whose estimates go through the serving layer —
+//! cache, circuit breaker, fallback and all.
 //!
-//! Naming convention for gateway models: `card/<sig>` for per-template
-//! cardinality micromodels, `cost/<sig>` for cost micromodels, and
-//! `cost/global` for the ensemble's global model. Fallback closures serve
-//! the engine default in the model's own output space: feature 0 is
-//! ln(default rows) and feature 1 is ln(default cost), so the fallbacks are
-//! simply those features.
+//! Each per-template micromodel is served as `card/<sig>`. Its fallback
+//! closure serves the engine default in the model's own output space:
+//! feature 0 is ln(default rows), so the fallback is simply that feature.
 
 use crate::cardinality::LearnedCardinality;
-use crate::cost::CostEnsemble;
 use crate::features;
 use adas_engine::cardinality::{CardinalityModel, DefaultEstimator};
 use adas_engine::cost::CostModel;
@@ -34,14 +30,6 @@ use std::sync::Arc;
 pub fn cardinality_model_name(sig: Signature) -> String {
     format!("card/{:016x}", sig.0)
 }
-
-/// Formats the gateway name of a cost micromodel.
-pub fn cost_model_name(sig: Signature) -> String {
-    format!("cost/{:016x}", sig.0)
-}
-
-/// Gateway name of the cost ensemble's global model.
-pub const COST_GLOBAL_MODEL: &str = "cost/global";
 
 impl<'a> LearnedCardinality<'a> {
     /// Publishes every retained micromodel into `gateway` (deterministic
@@ -155,129 +143,10 @@ impl CardinalityModel for ServedCardinality<'_> {
     }
 }
 
-impl<'a> CostEnsemble<'a> {
-    /// Publishes the micromodels and the global model into `gateway` and
-    /// returns the served cost predictor.
-    pub fn publish(&self, gateway: &Gateway) -> ServedCost<'a> {
-        let mut micro = HashMap::new();
-        let mut signatures: Vec<Signature> = self.signatures();
-        signatures.sort();
-        for sig in signatures {
-            let handle = gateway.register(&cost_model_name(sig), |f: &[f64]| f[1]);
-            let model = self
-                .micromodel(sig)
-                .expect("signature listed by signatures()")
-                .clone();
-            gateway
-                .publish(handle, Arc::new(RegressorModel(model)), 0.0)
-                .expect("freshly registered handle");
-            micro.insert(sig, handle);
-        }
-        let global = self.global_model().map(|model| {
-            let handle = gateway.register(COST_GLOBAL_MODEL, |f: &[f64]| f[1]);
-            gateway
-                .publish(handle, Arc::new(RegressorModel(model.clone())), 0.0)
-                .expect("freshly registered handle");
-            handle
-        });
-        ServedCost {
-            catalog: self.catalog(),
-            cost_model: CostModel::default(),
-            gateway: gateway.clone(),
-            micro,
-            global,
-            sim_time: Cell::new(0.0),
-            last: RefCell::new(HashMap::new()),
-        }
-    }
-}
-
-/// The served twin of [`CostEnsemble`]: micromodel → global → analytic
-/// default, with every model call routed through the gateway.
-pub struct ServedCost<'a> {
-    catalog: &'a Catalog,
-    cost_model: CostModel,
-    gateway: Gateway,
-    micro: HashMap<Signature, ModelHandle>,
-    global: Option<ModelHandle>,
-    sim_time: Cell<f64>,
-    /// Last served prediction per template (see
-    /// [`ServedCardinality::observe_actual`] for why it is stashed rather
-    /// than re-predicted).
-    last: RefCell<LastServed>,
-}
-
-impl ServedCost<'_> {
-    /// Sets the simulated time stamped onto subsequent gateway requests.
-    pub fn set_sim_time(&self, sim_time: f64) {
-        self.sim_time.set(sim_time);
-    }
-
-    /// The gateway serving this predictor.
-    pub fn gateway(&self) -> &Gateway {
-        &self.gateway
-    }
-
-    /// Number of served cost micromodels.
-    pub fn served_count(&self) -> usize {
-        self.micro.len()
-    }
-
-    /// Predicts the true cost of a plan through the serving layer.
-    pub fn predict(&self, plan: &LogicalPlan) -> f64 {
-        self.predict_detail(plan).value.exp()
-    }
-
-    /// Full serving detail (value is in ln-cost space): which version
-    /// answered and whether the value came from cache, model or fallback.
-    pub fn predict_detail(&self, plan: &LogicalPlan) -> Prediction {
-        let sig = template_signature(plan);
-        let f = features::featurize(plan, self.catalog, &self.cost_model);
-        let handle = self.micro.get(&sig).copied().or(self.global);
-        match handle {
-            Some(handle) => {
-                let prediction = self
-                    .gateway
-                    .predict(handle, &f, self.sim_time.get())
-                    .expect("handle registered at publish time");
-                self.last.borrow_mut().insert(sig, (handle, f, prediction));
-                prediction
-            }
-            // No model at all: the analytic default, shaped like a fallback.
-            None => Prediction {
-                value: f[1],
-                version: 0,
-                source: adas_serve::Source::Fallback(adas_serve::FallbackCause::NoModel),
-                features_digest: 0,
-            },
-        }
-    }
-
-    /// Feeds the observed true cost for the most recent prediction of
-    /// `plan`'s template into the autonomy `controller`. Returns the
-    /// controller's actions, or `None` when no prediction is pending for
-    /// the template. Outcomes are converted to ln-cost space.
-    pub fn observe_actual(
-        &self,
-        plan: &LogicalPlan,
-        actual_cost: f64,
-        controller: &mut AutonomyController,
-        sim_time: f64,
-    ) -> Option<Vec<AutonomyAction>> {
-        let sig = template_signature(plan);
-        let (handle, features, prediction) = self.last.borrow_mut().remove(&sig)?;
-        let actual = actual_cost.max(1.0).ln();
-        controller
-            .observe(handle, &features, &prediction, actual, sim_time)
-            .ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cardinality::TrainConfig;
-    use crate::cost::CostTrainConfig;
     use adas_obs::Obs;
     use adas_serve::GatewayConfig;
     use adas_workload::gen::{GeneratorConfig, WorkloadGenerator};
@@ -325,20 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn served_cost_matches_direct_path() {
-        let (catalog, plans) = history();
-        let (direct, _) = CostEnsemble::train(&catalog, &plans, CostTrainConfig::default());
-        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
-        let served = direct.publish(&gateway);
-        assert_eq!(served.served_count(), direct.micromodel_count());
-        for plan in plans.iter().take(50) {
-            let a = direct.predict(plan);
-            let b = served.predict(plan);
-            assert_eq!(a.to_bits(), b.to_bits(), "served must equal direct");
-        }
-    }
-
-    #[test]
     fn observe_actual_feeds_the_controller_without_repredicting() {
         let (catalog, plans) = history();
         let (direct, _) = LearnedCardinality::train(&catalog, &plans, TrainConfig::default());
@@ -364,23 +219,6 @@ mod tests {
         // Consumed: a second outcome for the same estimate is rejected.
         assert!(served
             .observe_actual(plan, 100.0, &mut controller, 2.0)
-            .is_none());
-    }
-
-    #[test]
-    fn served_cost_observe_actual_roundtrip() {
-        let (catalog, plans) = history();
-        let (direct, _) = CostEnsemble::train(&catalog, &plans, CostTrainConfig::default());
-        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
-        let served = direct.publish(&gateway);
-        let mut controller = AutonomyController::new(gateway.clone(), adas_obs::Obs::disabled());
-        let plan = &plans[0];
-        served.predict(plan);
-        assert!(served
-            .observe_actual(plan, 1234.5, &mut controller, 1.0)
-            .is_some());
-        assert!(served
-            .observe_actual(plan, 1234.5, &mut controller, 2.0)
             .is_none());
     }
 

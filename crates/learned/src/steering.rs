@@ -274,33 +274,6 @@ impl SteeringController {
         }
     }
 
-    /// Gateway-aware variant of [`Self::observe`]: the two costs arrive as
-    /// serving-layer [`Prediction`]s. When either cost was served by the
-    /// degraded-mode fallback (breaker open, timeout, shed), the reward is
-    /// meaningless for the bandit — the observation is dropped and counted
-    /// as `hints_skipped_degraded` instead of corrupting the arm history.
-    ///
-    /// [`Prediction`]: adas_serve::Prediction
-    pub fn observe_served(
-        &mut self,
-        template: Signature,
-        chosen: RuleSet,
-        cost_with_chosen: &adas_serve::Prediction,
-        cost_with_deployed: &adas_serve::Prediction,
-    ) {
-        if cost_with_chosen.source.is_fallback() || cost_with_deployed.source.is_fallback() {
-            self.obs
-                .counter_add("learned.steering", "hints_skipped_degraded", &[], 1);
-            return;
-        }
-        self.observe(
-            template,
-            chosen,
-            cost_with_chosen.value,
-            cost_with_deployed.value,
-        );
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> SteeringStats {
         let mean_reward = if self.observations.is_empty() {

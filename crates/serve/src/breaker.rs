@@ -18,12 +18,9 @@
 //! Each reopen from a failed half-open probe multiplies the cooldown by
 //! `backoff_factor` (capped at `max_cooldown_ticks`), so a persistently
 //! broken model is probed exponentially less often; closing fully resets
-//! the backoff. An optional fractional jitter decorrelates probe times
-//! across breakers, drawn from a SplitMix64 stream seeded by
-//! `BreakerConfig::seed` — deterministic, so same-seed replays stay
-//! byte-identical.
+//! the backoff. Cooldowns are a pure function of the config and the open
+//! streak, so same-seed replays stay byte-identical.
 
-use adas_faultsim::seed::derive;
 use serde::Serialize;
 
 /// Breaker tuning knobs.
@@ -42,16 +39,9 @@ pub struct BreakerConfig {
     /// half-open probe failing). Values below 1 are treated as 1 (no
     /// backoff). Fully closing resets the backoff.
     pub backoff_factor: f64,
-    /// Upper bound on the pre-jitter cooldown, so backoff can never push
-    /// the next probe out indefinitely.
+    /// Upper bound on the cooldown, so backoff can never push the next
+    /// probe out indefinitely.
     pub max_cooldown_ticks: f64,
-    /// Deterministic jitter: each cooldown is stretched by a factor drawn
-    /// uniformly from `[1, 1 + jitter_frac)` on a seeded SplitMix64 stream.
-    /// `0.0` (the default) disables jitter entirely.
-    pub jitter_frac: f64,
-    /// Seed for the jitter stream. Same seed ⇒ same jitter sequence ⇒
-    /// byte-identical replays.
-    pub seed: u64,
     /// Consecutive half-open probe successes required to close again.
     /// Minimum 1.
     pub probe_successes: u32,
@@ -71,8 +61,6 @@ impl Default for BreakerConfig {
             cooldown_ticks: 32.0,
             backoff_factor: 2.0,
             max_cooldown_ticks: 256.0,
-            jitter_frac: 0.0,
-            seed: 0,
             probe_successes: 2,
             guard_factor: f64::INFINITY,
         }
@@ -135,9 +123,6 @@ pub struct CircuitBreaker {
     transitions: u64,
     /// Consecutive opens since the last full close (drives the backoff).
     reopens: u32,
-    /// Monotone count of every open ever — the jitter stream index, so
-    /// repeated open/close cycles draw fresh (but reproducible) jitter.
-    total_opens: u64,
 }
 
 impl CircuitBreaker {
@@ -151,7 +136,6 @@ impl CircuitBreaker {
             open_until: 0.0,
             transitions: 0,
             reopens: 0,
-            total_opens: 0,
         }
     }
 
@@ -172,33 +156,23 @@ impl CircuitBreaker {
         self.reopens
     }
 
-    /// The cooldown the *next* open would impose, after backoff, cap, and
-    /// deterministic jitter.
+    /// The cooldown the *next* open would impose, after backoff and cap.
     fn next_cooldown(&self) -> f64 {
         let factor = self.config.backoff_factor.max(1.0);
         // Exponent is clamped so pathological configs can't overflow powi
         // into infinity before the cap applies.
         let backed_off = self.config.cooldown_ticks * factor.powi(self.reopens.min(64) as i32);
-        let capped = backed_off.min(
+        backed_off.min(
             self.config
                 .max_cooldown_ticks
                 .max(self.config.cooldown_ticks),
-        );
-        if self.config.jitter_frac > 0.0 {
-            // 53 high-quality mantissa bits of the SplitMix64 draw → [0, 1).
-            let unit =
-                (derive(self.config.seed, self.total_opens) >> 11) as f64 / (1u64 << 53) as f64;
-            capped * (1.0 + self.config.jitter_frac * unit)
-        } else {
-            capped
-        }
+        )
     }
 
     /// Opens the breaker at `sim_time`, advancing the backoff counters.
     fn open(&mut self, sim_time: f64) -> Option<Transition> {
         self.open_until = sim_time + self.next_cooldown();
         self.reopens = self.reopens.saturating_add(1);
-        self.total_opens += 1;
         self.shift(BreakerState::Open)
     }
 
@@ -291,8 +265,6 @@ mod tests {
             cooldown_ticks: cooldown,
             backoff_factor: 2.0,
             max_cooldown_ticks: 8.0 * cooldown,
-            jitter_frac: 0.0,
-            seed: 0,
             probe_successes: probes,
             guard_factor: f64::INFINITY,
         }
@@ -375,35 +347,6 @@ mod tests {
         b.on_failure(40.0); // fresh open: back to the base cooldown
         assert!(!b.allow(49.9).0);
         assert!(b.allow(50.0).0);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let jittered = |seed: u64| {
-            let mut cfg = config(1, 10.0, 2);
-            cfg.jitter_frac = 0.5;
-            cfg.seed = seed;
-            let mut b = CircuitBreaker::new(cfg);
-            let mut now = 0.0;
-            let mut cooldowns = Vec::new();
-            for _ in 0..4 {
-                b.on_failure(now);
-                cooldowns.push(b.open_until - now);
-                now = b.open_until;
-                b.allow(now);
-            }
-            cooldowns
-        };
-        let a = jittered(7);
-        let b = jittered(7);
-        assert_eq!(a, b, "same seed must draw the same jitter");
-        let c = jittered(8);
-        assert_ne!(a, c, "different seeds must draw different jitter");
-        // Each cooldown stays within [base, base * 1.5).
-        for (i, &cd) in a.iter().enumerate() {
-            let base = 10.0 * 2f64.powi(i as i32);
-            assert!(cd >= base && cd < base * 1.5, "cooldown {i} = {cd}");
-        }
     }
 
     #[test]

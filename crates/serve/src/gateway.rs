@@ -1,4 +1,4 @@
-//! The gateway: one front door for every learned model.
+//! The gateway: one front door for every served model.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
 use crate::cache::{CacheKey, PredictionCache};
@@ -22,15 +22,19 @@ const COMPONENT: &str = "serve.gateway";
 /// dropped first once a slow consumer lets it fill up.
 const SHADOW_LOG_CAP: usize = 256;
 
+/// Job-queue depth behind the worker pool; producers block when it is full
+/// (physical backpressure, affects timing only).
+const QUEUE_CAPACITY: usize = 64;
+
+/// Prediction-cache shard count.
+const CACHE_SHARDS: usize = 8;
+
 /// Gateway tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GatewayConfig {
     /// Worker threads for batched inference. `0` runs inference inline on
     /// the caller thread (results are identical either way).
     pub workers: usize,
-    /// Bounded job-queue depth behind the worker pool; producers block when
-    /// it is full (physical backpressure, affects timing only).
-    pub queue_capacity: usize,
     /// Micro-batch flush size: a batch is dispatched as soon as it holds
     /// this many rows. `1` disables coalescing.
     pub batch_size: usize,
@@ -41,8 +45,6 @@ pub struct GatewayConfig {
     /// Total prediction-cache entries across all shards. `0` disables the
     /// cache.
     pub cache_capacity: usize,
-    /// Prediction-cache shard count.
-    pub cache_shards: usize,
     /// Admission control: at most this many rows may be logically in flight
     /// within one [`Gateway::predict_many`] call; excess requests are shed
     /// to the heuristic fallback deterministically.
@@ -56,11 +58,9 @@ impl GatewayConfig {
     pub fn standard() -> Self {
         Self {
             workers: 0,
-            queue_capacity: 64,
             batch_size: 16,
             batch_deadline_ticks: 8.0,
             cache_capacity: 4096,
-            cache_shards: 8,
             max_in_flight: 1 << 20,
             breaker: BreakerConfig::default(),
         }
@@ -71,11 +71,9 @@ impl GatewayConfig {
     pub fn disabled() -> Self {
         Self {
             workers: 0,
-            queue_capacity: 1,
             batch_size: 1,
             batch_deadline_ticks: f64::INFINITY,
             cache_capacity: 0,
-            cache_shards: 1,
             max_in_flight: usize::MAX,
             breaker: BreakerConfig::disabled(),
         }
@@ -318,8 +316,8 @@ struct Inner {
 }
 
 /// The model-serving gateway. Cheap to clone (an `Arc` handle); clones share
-/// all state, so one gateway can front the optimizer, checkpointing and
-/// Seagull at once.
+/// all state, so the optimizer's estimator and the autonomy controller that
+/// supervises its models can hold the same gateway.
 #[derive(Clone)]
 pub struct Gateway {
     inner: Arc<Inner>,
@@ -330,9 +328,8 @@ impl Gateway {
     /// (pass [`Obs::disabled`] to attach no flight recorder).
     pub fn with_obs(config: GatewayConfig, obs: Obs) -> Self {
         let cache = (config.cache_capacity > 0)
-            .then(|| PredictionCache::new(config.cache_capacity, config.cache_shards));
-        let pool =
-            (config.workers > 0).then(|| WorkerPool::new(config.workers, config.queue_capacity));
+            .then(|| PredictionCache::new(config.cache_capacity, CACHE_SHARDS));
+        let pool = (config.workers > 0).then(|| WorkerPool::new(config.workers, QUEUE_CAPACITY));
         Self {
             inner: Arc::new(Inner {
                 config,
@@ -344,11 +341,6 @@ impl Gateway {
                 counters: Counters::default(),
             }),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.inner.config
     }
 
     /// Registers a model by name with its degraded-mode heuristic fallback
@@ -1372,11 +1364,6 @@ impl Gateway {
                 hits as f64 / probes as f64
             },
         }
-    }
-
-    /// Entries currently held by the prediction cache (0 when disabled).
-    pub fn cache_len(&self) -> usize {
-        self.inner.cache.as_ref().map_or(0, PredictionCache::len)
     }
 }
 

@@ -4,8 +4,8 @@
 //! production because every learned model sits behind shared serving
 //! machinery: versioned deployment, bounded inference latency, and automatic
 //! fallback to engine defaults when a model misbehaves. This crate is that
-//! layer for the reproduction — a [`Gateway`] that fronts every learned
-//! model and owns:
+//! layer for the reproduction — a [`Gateway`] that fronts the optimizer's
+//! learned cardinality micromodels (`learned::serving`) and owns:
 //!
 //! * a **worker pool** (std threads only) with a bounded request queue and
 //!   admission control / backpressure,

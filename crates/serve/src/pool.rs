@@ -36,9 +36,9 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns `workers` threads (min 1) behind a queue of `queue_capacity`
-    /// jobs (min 1).
-    pub fn new(workers: usize, queue_capacity: usize) -> Self {
+    /// Spawns `workers` threads (min 1) behind a queue of `capacity` jobs
+    /// (min 1).
+    pub fn new(workers: usize, capacity: usize) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
@@ -46,7 +46,7 @@ impl WorkerPool {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            capacity: queue_capacity.max(1),
+            capacity: capacity.max(1),
         });
         let workers = (0..workers.max(1))
             .map(|i| {
@@ -58,11 +58,6 @@ impl WorkerPool {
             })
             .collect();
         Self { shared, workers }
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
     }
 
     /// Enqueues a job, blocking while the queue is at capacity

@@ -161,8 +161,7 @@ pub fn lowest_window(loads: &[f64], window: usize) -> usize {
 }
 
 /// Scores one placement: `(accurate, chosen/best load ratio, chosen window
-/// true load)`. Shared by the direct and gateway-served schedulers so both
-/// apply the identical accuracy bar.
+/// true load)`, against the accuracy bar [`schedule_fleet`] documents.
 fn score_placement(
     server: &ServerLoad,
     chosen: usize,
@@ -349,135 +348,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a[0].history.len(), 7 * 24);
         assert_eq!(a[0].truth_next_day.len(), 24);
-    }
-}
-
-/// Builds the feature vector the served window model consumes:
-/// `[window_hours, history...]`.
-pub fn window_features(server: &ServerLoad, window_hours: usize) -> Vec<f64> {
-    let mut features = Vec::with_capacity(server.history.len() + 1);
-    features.push(window_hours as f64);
-    features.extend_from_slice(&server.history);
-    features
-}
-
-/// Pure served-model body: fit `method`'s forecaster over the history in
-/// `features`, forecast the next day, return the lowest-load window start.
-fn window_from_features(features: &[f64], method: BackupForecaster) -> f64 {
-    let window = (features[0] as usize).clamp(1, HOURS);
-    let server = ServerLoad {
-        pattern: LoadPattern::Daily, // irrelevant to forecasting
-        history: features[1..].to_vec(),
-        truth_next_day: Vec::new(),
-    };
-    let forecast = forecast_next_day(&server, method);
-    lowest_window(&forecast, window) as f64
-}
-
-/// Publishes the window-picking model for `method` into a serving gateway
-/// (named by [`BackupForecaster::model_id`]). The registered fallback is
-/// the previous-day heuristic — the paper's Insight 1: when the ML model is
-/// degraded, "a simple heuristic that predicts the load of a server based
-/// on that of the previous day" still gets ~96% accuracy.
-pub fn publish_window_model(
-    gateway: &adas_serve::Gateway,
-    method: BackupForecaster,
-) -> adas_serve::ModelHandle {
-    let handle = gateway.register(method.model_id(), |features: &[f64]| {
-        window_from_features(features, BackupForecaster::PreviousDay)
-    });
-    gateway
-        .publish(
-            handle,
-            std::sync::Arc::new(adas_serve::FnModel(move |features: &[f64]| {
-                window_from_features(features, method)
-            })),
-            0.0,
-        )
-        .expect("freshly registered handle");
-    handle
-}
-
-/// Gateway-served variant of [`schedule_fleet`]: every window choice is a
-/// prediction served through `gateway` (cache, breaker, heuristic
-/// fallback). Scoring is identical to the direct path. Server index is used
-/// as the simulated request time.
-pub fn schedule_fleet_served(
-    fleet: &[ServerLoad],
-    gateway: &adas_serve::Gateway,
-    handle: adas_serve::ModelHandle,
-    window_hours: usize,
-    tolerance: f64,
-) -> SeagullReport {
-    let mut hits = 0usize;
-    let mut ratio_sum = 0.0f64;
-    for (i, server) in fleet.iter().enumerate() {
-        let features = window_features(server, window_hours);
-        let prediction = gateway
-            .predict(handle, &features, i as f64)
-            .expect("handle registered at publish time");
-        let chosen = (prediction.value.max(0.0) as usize).min(HOURS - window_hours);
-        let (ok, ratio, _) = score_placement(server, chosen, window_hours, tolerance);
-        if ok {
-            hits += 1;
-        }
-        ratio_sum += ratio;
-    }
-    SeagullReport {
-        servers: fleet.len(),
-        accuracy: if fleet.is_empty() {
-            0.0
-        } else {
-            hits as f64 / fleet.len() as f64
-        },
-        mean_load_ratio: if fleet.is_empty() {
-            1.0
-        } else {
-            ratio_sum / fleet.len() as f64
-        },
-    }
-}
-
-#[cfg(test)]
-mod serving_tests {
-    use super::*;
-    use adas_serve::{Gateway, GatewayConfig};
-
-    #[test]
-    fn served_schedule_matches_direct() {
-        let fleet = generate_fleet(60, 28, 0.6, 0.3, 41);
-        let direct = schedule_fleet(&fleet, BackupForecaster::MlModel, 2, 0.25, &Obs::disabled());
-        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
-        let handle = publish_window_model(&gateway, BackupForecaster::MlModel);
-        let served = schedule_fleet_served(&fleet, &gateway, handle, 2, 0.25);
-        assert_eq!(served.servers, direct.servers);
-        assert_eq!(served.accuracy, direct.accuracy);
-        assert!((served.mean_load_ratio - direct.mean_load_ratio).abs() < 1e-12);
-    }
-
-    #[test]
-    fn outage_degrades_to_previous_day_heuristic() {
-        use adas_faultsim::ModelFaults;
-        let fleet = generate_fleet(60, 28, 0.6, 0.3, 41);
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        let gateway = Gateway::with_obs(config, Obs::disabled());
-        let handle = publish_window_model(&gateway, BackupForecaster::MlModel);
-        // Permanent timeouts: every choice comes from the fallback, which is
-        // exactly the previous-day heuristic.
-        gateway
-            .inject_faults(handle, ModelFaults::new(11, 0.0, 1.0, 1.0))
-            .unwrap();
-        let served = schedule_fleet_served(&fleet, &gateway, handle, 2, 0.25);
-        let heuristic = schedule_fleet(
-            &fleet,
-            BackupForecaster::PreviousDay,
-            2,
-            0.25,
-            &Obs::disabled(),
-        );
-        assert_eq!(served.accuracy, heuristic.accuracy);
-        assert!(gateway.stats().fallbacks as usize >= fleet.len());
     }
 }
 

@@ -13,6 +13,10 @@
 //! equals, bit for bit, a reference written out below that simulates every
 //! attempt anew, so reusing an unchanged attempt's schedule cannot change
 //! an outcome.
+//!
+//! After property 5 (the gateway's breaker under injected model faults), a
+//! served-consumer check: with its micromodels timing out on every call,
+//! `ServedCardinality` annotates plans with the engine default.
 
 use autonomous_data_services::core::feedback::{
     FeedbackLoop, LoopConfig, ModelRegistry, MonitorVerdict,
@@ -717,4 +721,70 @@ fn chaos_gateway_breaker_trips_and_replays_byte_identically() {
 
     let (trace_c, _) = gateway_breaker_scenario(8);
     assert_ne!(trace_a, trace_c, "a different seed must draw differently");
+}
+
+/// The served consumer's side of the fallback contract: when every call to
+/// a template's micromodel times out, `ServedCardinality` answers with the
+/// registered heuristic, which serves feature 0 (ln of the default root
+/// estimate). So the annotation equals the default estimator's bit for bit
+/// below the root, and the root is the default estimate round-tripped
+/// through ln/exp. Simulated time advances per call, so both timeouts and
+/// breaker-open serves answer, and each call counts as one fallback.
+#[test]
+fn chaos_served_cardinality_falls_back_to_the_default_estimate() {
+    use autonomous_data_services::engine::cardinality::{CardinalityModel, DefaultEstimator};
+    use autonomous_data_services::learned::cardinality::{LearnedCardinality, TrainConfig};
+    use autonomous_data_services::learned::serving::cardinality_model_name;
+    use autonomous_data_services::serve::{Gateway, GatewayConfig};
+    use autonomous_data_services::workload::signature::template_signature;
+
+    let w = WorkloadGenerator::new(GeneratorConfig {
+        days: 6,
+        jobs_per_day: 150,
+        n_templates: 20,
+        ..Default::default()
+    })
+    .expect("valid config")
+    .generate()
+    .expect("generates");
+    let plans: Vec<_> = w.trace.jobs().iter().map(|j| j.plan.clone()).collect();
+    let (learned, _) = LearnedCardinality::train(&w.catalog, &plans, TrainConfig::default());
+    let mut config = GatewayConfig::standard();
+    config.cache_capacity = 0; // every call must face the fault channel
+    let gateway = Gateway::with_obs(config, Obs::disabled());
+    let served = learned.publish(&gateway);
+    for sig in learned.signatures() {
+        let handle = gateway
+            .resolve(&cardinality_model_name(sig))
+            .expect("published");
+        gateway
+            .inject_faults(handle, ModelFaults::new(sig.0, 0.0, 1.0, 1.0))
+            .expect("registered");
+    }
+
+    let default = DefaultEstimator::new(&w.catalog);
+    let mut calls = 0u64;
+    for plan in plans.iter().filter(|p| served.covers(p)) {
+        served.set_sim_time(calls as f64);
+        let got = served.annotate(plan).expect("annotates");
+        calls += 1;
+        let want = default.annotate(plan).expect("annotates");
+        let root = want[0].max(1.0).ln().exp().max(1.0);
+        assert_eq!(
+            got[0].to_bits(),
+            root.to_bits(),
+            "template {:016x}: the root is the fallback's default estimate",
+            template_signature(plan).0
+        );
+        let got_rest: Vec<u64> = got[1..].iter().map(|v| v.to_bits()).collect();
+        let want_rest: Vec<u64> = want[1..].iter().map(|v| v.to_bits()).collect();
+        assert_eq!(
+            got_rest, want_rest,
+            "entries below the root are the default's"
+        );
+    }
+    assert!(calls > 0, "some template must be served");
+    let stats = gateway.stats();
+    assert_eq!(stats.requests, calls);
+    assert_eq!(stats.fallbacks, calls, "every call must fall back");
 }
