@@ -28,7 +28,6 @@ const DRILL_TICKS: u64 = 2000;
 fn run_drill(seed: u64) -> Trace {
     let obs = Obs::recording();
     let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0;
     config.breaker.guard_factor = 2.0;
     config.breaker.failure_threshold = 4;
     config.breaker.cooldown_ticks = 8.0;

@@ -18,7 +18,7 @@
 //! describes.
 
 use crate::features;
-use adas_engine::cardinality::{DefaultEstimator, TrueCardinality};
+use adas_engine::cardinality::TrueCardinality;
 use adas_engine::cost::CostModel;
 use adas_ml::dataset::Dataset;
 use adas_ml::gbm::{GbmConfig, GradientBoosting};
@@ -227,18 +227,6 @@ impl<'a> CostEnsemble<'a> {
     pub fn micromodel_count(&self) -> usize {
         self.micro.len()
     }
-
-    /// Whether the global fallback model exists.
-    pub fn has_global(&self) -> bool {
-        self.global.is_some()
-    }
-
-    /// The engine's analytic default cost for comparison.
-    pub fn default_cost(&self, plan: &LogicalPlan) -> f64 {
-        self.cost_model
-            .total_cost(plan, &DefaultEstimator::new(self.catalog))
-            .unwrap_or(1.0)
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +253,7 @@ mod tests {
         let (catalog, plans) = history();
         let (ensemble, report) = CostEnsemble::train(&catalog, &plans, CostTrainConfig::default());
         assert!(ensemble.micromodel_count() > 0);
-        assert!(ensemble.has_global());
+        assert!(ensemble.global.is_some());
         assert!(
             report.ensemble_mape < report.default_mape,
             "ensemble {} vs default {}",
@@ -296,13 +284,6 @@ mod tests {
         let (catalog, plans) = history();
         let (_, report) = CostEnsemble::train(&catalog, &plans, CostTrainConfig::default());
         assert!(report.micro_only_mape <= report.default_mape);
-    }
-
-    #[test]
-    fn default_cost_exposed_for_comparison() {
-        let (catalog, plans) = history();
-        let (ensemble, _) = CostEnsemble::train(&catalog, &plans, CostTrainConfig::default());
-        assert!(ensemble.default_cost(&plans[0]) > 0.0);
     }
 }
 

@@ -20,7 +20,7 @@
 //!   guarded by a **validation model** against regressions.
 //! * [`serving`] — the gateway-served cardinality estimator: the fitted
 //!   micromodels are published into a `serve::Gateway` so the optimizer's
-//!   learned cardinalities flow through versioned, cached, breaker-guarded
+//!   learned cardinalities flow through versioned, breaker-guarded
 //!   serving.
 
 #![warn(missing_docs)]

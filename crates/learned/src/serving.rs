@@ -1,12 +1,12 @@
 //! Gateway-served cardinality estimates.
 //!
 //! The paper's optimizer never calls models in-process: predictions come
-//! from a serving tier with versioning, caching and guardrails (Sec 4.2's
-//! "ask the service, else use the default" contract). The in-process
+//! from a serving tier with versioning and guardrails (Sec 4.2's "ask the
+//! service, else use the default" contract). The in-process
 //! [`LearnedCardinality`] stays the *training* artifact; publishing it
 //! puts its fitted micromodels into a [`Gateway`] and returns a
 //! [`ServedCardinality`], whose estimates go through the serving layer —
-//! cache, circuit breaker, fallback and all.
+//! circuit breaker, fallback and all.
 //!
 //! Each per-template micromodel is served as `card/<sig>`. Its fallback
 //! closure serves the engine default in the model's own output space:
@@ -77,20 +77,16 @@ pub struct ServedCardinality<'a> {
     sim_time: Cell<f64>,
     /// Last served prediction per template, kept so the observed outcome
     /// can be fed back *without* re-predicting (a re-predict would advance
-    /// the canary ticket and cache state, breaking replay determinism).
+    /// the canary ticket and draw from the fault channel again, breaking
+    /// replay determinism).
     last: RefCell<LastServed>,
 }
 
 impl ServedCardinality<'_> {
     /// Sets the simulated time stamped onto subsequent gateway requests
-    /// (drives breaker cooldowns and batching deadlines).
+    /// (drives breaker cooldowns).
     pub fn set_sim_time(&self, sim_time: f64) {
         self.sim_time.set(sim_time);
-    }
-
-    /// The gateway serving this estimator.
-    pub fn gateway(&self) -> &Gateway {
-        &self.gateway
     }
 
     /// Number of templates served by a micromodel.
@@ -178,19 +174,6 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "served must equal direct");
         }
         assert!(gateway.stats().requests > 0, "predictions went via gateway");
-    }
-
-    #[test]
-    fn served_cardinality_cache_hits_on_recurrence() {
-        let (catalog, plans) = history();
-        let (direct, _) = LearnedCardinality::train(&catalog, &plans, TrainConfig::default());
-        let gateway = Gateway::with_obs(GatewayConfig::standard(), Obs::disabled());
-        let served = direct.publish(&gateway);
-        let covered: Vec<&LogicalPlan> = plans.iter().filter(|p| served.covers(p)).collect();
-        assert!(!covered.is_empty());
-        served.estimate(covered[0]).unwrap();
-        served.estimate(covered[0]).unwrap();
-        assert!(gateway.stats().cache_hits >= 1);
     }
 
     #[test]

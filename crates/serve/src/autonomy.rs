@@ -473,7 +473,7 @@ impl AutonomyController {
         // and the breaker's job; counting it against the model would let
         // injected staleness thrash an otherwise healthy deployment.
         let candidate_version = candidate.map(|(v, _)| v);
-        let model_path = matches!(prediction.source, Source::Model | Source::Cache);
+        let model_path = prediction.source == Source::Model;
         let served_by_candidate = model_path && Some(prediction.version) == candidate_version;
         if model_path && prediction.version == primary_version {
             let state = self.state_mut(handle);
@@ -542,7 +542,7 @@ impl AutonomyController {
             } else if phase == DeployPhase::Shadow {
                 // Pair the mirrored answer for this request by feature
                 // digest, computed here because the serving path skips the
-                // digest when the cache is off.
+                // digest when the recorder is off.
                 let request_digest = digest_f64(features.iter().copied());
                 if let Some(pos) = state
                     .pending_shadow
@@ -930,9 +930,7 @@ mod tests {
 
     fn controller() -> (AutonomyController, ModelHandle, Obs) {
         let obs = Obs::recording();
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        let gateway = Gateway::with_obs(config, obs.clone());
+        let gateway = Gateway::with_obs(GatewayConfig::standard(), obs.clone());
         let handle = gateway.register("m", |f: &[f64]| f[0]);
         let ctl = AutonomyController::new(gateway, obs.clone());
         (ctl, handle, obs)
@@ -1092,7 +1090,6 @@ mod tests {
     fn guard_trip_streak_rolls_back_automatically() {
         let obs = Obs::recording();
         let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
         config.breaker.guard_factor = 1.5;
         let gateway = Gateway::with_obs(config, obs.clone());
         let handle = gateway.register("m", |f: &[f64]| f[0]);

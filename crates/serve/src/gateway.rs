@@ -1,15 +1,12 @@
 //! The gateway: one front door for every served model.
 
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
-use crate::cache::{CacheKey, PredictionCache};
 use crate::canary::{DeployPhase, ShadowSample};
 use crate::model::{ModelHandle, ServableModel};
-use crate::pool::{BatchPromise, WorkerPool};
 use crate::{Result, ServeError};
 use adas_core::feedback::ModelRegistry;
 use adas_faultsim::{ModelFaults, Served};
 use adas_obs::{digest_f64, DeploymentKind, Obs, Provenance};
-use adas_simkern::EventQueue;
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
@@ -22,68 +19,26 @@ const COMPONENT: &str = "serve.gateway";
 /// dropped first once a slow consumer lets it fill up.
 const SHADOW_LOG_CAP: usize = 256;
 
-/// Job-queue depth behind the worker pool; producers block when it is full
-/// (physical backpressure, affects timing only).
-const QUEUE_CAPACITY: usize = 64;
-
-/// Prediction-cache shard count.
-const CACHE_SHARDS: usize = 8;
-
 /// Gateway tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GatewayConfig {
-    /// Worker threads for batched inference. `0` runs inference inline on
-    /// the caller thread (results are identical either way).
-    pub workers: usize,
-    /// Micro-batch flush size: a batch is dispatched as soon as it holds
-    /// this many rows. `1` disables coalescing.
-    pub batch_size: usize,
-    /// Micro-batch flush deadline in simulated ticks: when a newly arriving
-    /// request observes an open batch older than this, the batch is flushed
-    /// first. `f64::INFINITY` disables deadline flushes.
-    pub batch_deadline_ticks: f64,
-    /// Total prediction-cache entries across all shards. `0` disables the
-    /// cache.
-    pub cache_capacity: usize,
-    /// Admission control: at most this many rows may be logically in flight
-    /// within one [`Gateway::predict_many`] call; excess requests are shed
-    /// to the heuristic fallback deterministically.
-    pub max_in_flight: usize,
     /// Per-model circuit-breaker tuning.
     pub breaker: BreakerConfig,
 }
 
 impl GatewayConfig {
-    /// Production-shaped defaults: batching, cache and breaker on.
+    /// Production-shaped defaults: breaker and poison guard on.
     pub fn standard() -> Self {
         Self {
-            workers: 0,
-            batch_size: 16,
-            batch_deadline_ticks: 8.0,
-            cache_capacity: 4096,
-            max_in_flight: 1 << 20,
             breaker: BreakerConfig::default(),
         }
     }
 
-    /// Pass-through mode: no cache, no batching, no breaker. Used to bound
-    /// the gateway's overhead over direct model calls.
+    /// Pass-through mode: no breaker, no guard. Used to bound the gateway's
+    /// overhead over direct model calls.
     pub fn disabled() -> Self {
         Self {
-            workers: 0,
-            batch_size: 1,
-            batch_deadline_ticks: f64::INFINITY,
-            cache_capacity: 0,
-            max_in_flight: usize::MAX,
             breaker: BreakerConfig::disabled(),
-        }
-    }
-
-    /// Standard config with `workers` threads.
-    pub fn concurrent(workers: usize) -> Self {
-        Self {
-            workers,
-            ..Self::standard()
         }
     }
 }
@@ -103,8 +58,6 @@ pub enum FallbackCause {
     Timeout,
     /// The poison guard rejected a fresh prediction.
     Guarded,
-    /// Admission control shed the request.
-    Shed,
     /// No model version has been published yet.
     NoModel,
 }
@@ -116,7 +69,6 @@ impl FallbackCause {
             FallbackCause::BreakerOpen => "breaker_open",
             FallbackCause::Timeout => "timeout",
             FallbackCause::Guarded => "guarded",
-            FallbackCause::Shed => "shed",
             FallbackCause::NoModel => "no_model",
         }
     }
@@ -125,8 +77,6 @@ impl FallbackCause {
 /// Where a prediction's value came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Source {
-    /// Sharded prediction cache.
-    Cache,
     /// A fresh model inference.
     Model,
     /// The fault channel served a stale (previous-input) prediction.
@@ -152,32 +102,9 @@ pub struct Prediction {
     pub version: u64,
     /// Where the value came from.
     pub source: Source,
-    /// Digest of the feature vector (0 when neither cache nor obs needed
-    /// it).
+    /// Digest of the feature vector, computed once per request while the
+    /// gateway's recorder is on; 0 when it is off.
     pub features_digest: u64,
-}
-
-/// One request for [`Gateway::predict_many`].
-#[derive(Debug, Clone)]
-pub struct Request {
-    /// Which model to ask.
-    pub handle: ModelHandle,
-    /// Feature vector.
-    pub features: Vec<f64>,
-    /// Simulated arrival time (drives deadline flushes and breaker
-    /// cooldowns).
-    pub sim_time: f64,
-}
-
-impl Request {
-    /// Convenience constructor.
-    pub fn new(handle: ModelHandle, features: Vec<f64>, sim_time: f64) -> Self {
-        Self {
-            handle,
-            features,
-            sim_time,
-        }
-    }
 }
 
 /// Aggregate gateway counters (process-wide, monotonic).
@@ -185,19 +112,16 @@ impl Request {
 pub struct GatewayStats {
     /// Requests admitted (all outcomes).
     pub requests: u64,
-    /// Answered from the prediction cache.
+    /// Always 0: the gateway has no prediction cache. This field,
+    /// `cache_misses` and `shed` stay for existing readers of the counters.
     pub cache_hits: u64,
-    /// Cache probes that missed.
+    /// Always 0: the gateway has no prediction cache.
     pub cache_misses: u64,
-    /// Rows sent through model inference.
+    /// Requests sent through model inference.
     pub model_calls: u64,
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Rows across all dispatched batches.
-    pub batched_rows: u64,
     /// Requests answered by the heuristic fallback.
     pub fallbacks: u64,
-    /// Requests shed by admission control (subset of `fallbacks`).
+    /// Always 0: the gateway sheds no request.
     pub shed: u64,
     /// Requests served a stale prediction by the fault channel.
     pub stale: u64,
@@ -205,20 +129,13 @@ pub struct GatewayStats {
     pub canary_routed: u64,
     /// Requests mirrored through a shadow candidate.
     pub shadow_serves: u64,
-    /// `cache_hits / (cache_hits + cache_misses)`, 0 when no probes.
-    pub cache_hit_rate: f64,
 }
 
 #[derive(Debug, Default)]
 struct Counters {
     requests: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     model_calls: AtomicU64,
-    batches: AtomicU64,
-    batched_rows: AtomicU64,
     fallbacks: AtomicU64,
-    shed: AtomicU64,
     stale: AtomicU64,
     canary_routed: AtomicU64,
     shadow_serves: AtomicU64,
@@ -292,7 +209,6 @@ type Fallback = Box<dyn Fn(&[f64]) -> f64 + Send + Sync>;
 
 struct ModelEntry {
     name: String,
-    id: usize,
     registry: Mutex<ModelRegistry<Arc<dyn ServableModel>>>,
     snapshot: RwLock<Option<Arc<ServingSnapshot>>>,
     candidate: RwLock<Option<CandidateState>>,
@@ -309,8 +225,6 @@ struct Inner {
     config: GatewayConfig,
     entries: RwLock<Vec<Arc<ModelEntry>>>,
     names: Mutex<HashMap<String, ModelHandle>>,
-    cache: Option<PredictionCache>,
-    pool: Option<WorkerPool>,
     obs: Obs,
     counters: Counters,
 }
@@ -327,16 +241,11 @@ impl Gateway {
     /// Creates a gateway that records every serving decision into `obs`
     /// (pass [`Obs::disabled`] to attach no flight recorder).
     pub fn with_obs(config: GatewayConfig, obs: Obs) -> Self {
-        let cache = (config.cache_capacity > 0)
-            .then(|| PredictionCache::new(config.cache_capacity, CACHE_SHARDS));
-        let pool = (config.workers > 0).then(|| WorkerPool::new(config.workers, QUEUE_CAPACITY));
         Self {
             inner: Arc::new(Inner {
                 config,
                 entries: RwLock::new(Vec::new()),
                 names: Mutex::new(HashMap::new()),
-                cache,
-                pool,
                 obs,
                 counters: Counters::default(),
             }),
@@ -360,7 +269,6 @@ impl Gateway {
         let id = entries.len();
         entries.push(Arc::new(ModelEntry {
             name: name.to_string(),
-            id,
             registry: Mutex::new(ModelRegistry::with_obs(self.inner.obs.clone())),
             snapshot: RwLock::new(None),
             candidate: RwLock::new(None),
@@ -768,7 +676,9 @@ impl Gateway {
         Ok(())
     }
 
-    /// Serves one request synchronously on the caller thread.
+    /// Serves one request on the caller thread: admission, canary or shadow
+    /// routing, the breaker, model inference, then the fault channel, poison
+    /// guard and breaker accounting, all in request order.
     pub fn predict(
         &self,
         handle: ModelHandle,
@@ -869,14 +779,22 @@ impl Gateway {
 
     fn serve_one(&self, entry: &ModelEntry, features: &[f64], sim_time: f64) -> Prediction {
         self.admit(entry);
+        let digest = if self.inner.obs.is_enabled() {
+            digest_f64(features.iter().copied())
+        } else {
+            0
+        };
         let Some(primary) = entry.snapshot.read().clone() else {
-            return self.serve_fallback(entry, 0, 0, features, FallbackCause::NoModel, sim_time);
+            return self.serve_fallback(
+                entry,
+                0,
+                digest,
+                features,
+                FallbackCause::NoModel,
+                sim_time,
+            );
         };
         let snapshot = self.route(entry, primary, features, sim_time);
-        let mut digest = 0u64;
-        if let Some(hit) = self.probe_cache(entry, &snapshot, features, &mut digest) {
-            return hit;
-        }
         if !self.breaker_admits(entry, sim_time) {
             return self.serve_fallback(
                 entry,
@@ -892,201 +810,6 @@ impl Gateway {
         self.settle(entry, &snapshot, features, digest, clean, sim_time)
     }
 
-    /// Serves a slice of requests with micro-batching. Phase A walks the
-    /// requests in order on the caller thread (cache probes, breaker
-    /// routing, admission, batch assembly); pure batched inference runs on
-    /// the worker pool; phase B settles results — fault draws, breaker
-    /// updates, cache fills, obs records — again in request order on the
-    /// caller thread. Results are byte-identical at any worker count.
-    pub fn predict_many(&self, requests: &[Request]) -> Result<Vec<Prediction>> {
-        enum Slot {
-            Ready(Prediction),
-            Pending {
-                entry: Arc<ModelEntry>,
-                snapshot: Arc<ServingSnapshot>,
-                digest: u64,
-                group: usize,
-                row: usize,
-            },
-        }
-
-        let config = &self.inner.config;
-        let mut groups: Vec<BatchGroup> = Vec::new();
-        // Open (undispatched) groups in insertion order: (model id, version, group index).
-        let mut open: Vec<(u64, u64, usize)> = Vec::new();
-        // Deadline timers, keyed by the tick each group opened at. Groups
-        // flushed early (by the size trigger) are invalidated lazily:
-        // `dispatch` is a no-op on an already-dispatched group.
-        let mut deadlines: EventQueue<usize> = EventQueue::new();
-        // Duplicate suppression: identical pending rows share one batch slot.
-        let mut inflight: HashMap<(u64, u64, u64), (usize, usize)> = HashMap::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(requests.len());
-        let mut pending = 0usize;
-
-        for request in requests {
-            let entry = self.entry(request.handle)?;
-            let now = request.sim_time;
-            // Deadline flushes happen before this request is admitted — a
-            // deterministic function of the request sequence alone. The
-            // queue pops groups oldest-first while `now - oldest >=
-            // deadline` holds; the predicate is monotone in the open tick,
-            // and flush order within one instant is unobservable (counters
-            // are sums and results settle in request order).
-            if config.batch_deadline_ticks.is_finite() {
-                while let Some((_, g)) = deadlines
-                    .peek_time()
-                    .filter(|&oldest| now - oldest >= config.batch_deadline_ticks)
-                    .and_then(|_| deadlines.pop())
-                {
-                    self.dispatch(&mut groups[g]);
-                    open.retain(|&(_, _, gg)| gg != g);
-                }
-            }
-            self.admit(&entry);
-            let Some(primary) = entry.snapshot.read().clone() else {
-                slots.push(Slot::Ready(self.serve_fallback(
-                    &entry,
-                    0,
-                    0,
-                    &request.features,
-                    FallbackCause::NoModel,
-                    now,
-                )));
-                continue;
-            };
-            let snapshot = self.route(&entry, primary, &request.features, now);
-            let mut digest = digest_f64(request.features.iter().copied());
-            if let Some(hit) = self.probe_cache(&entry, &snapshot, &request.features, &mut digest) {
-                slots.push(Slot::Ready(hit));
-                continue;
-            }
-            if !self.breaker_admits(&entry, now) {
-                slots.push(Slot::Ready(self.serve_fallback(
-                    &entry,
-                    snapshot.version,
-                    digest,
-                    &request.features,
-                    FallbackCause::BreakerOpen,
-                    now,
-                )));
-                continue;
-            }
-            if pending >= config.max_in_flight {
-                self.inner.counters.shed.fetch_add(1, Relaxed);
-                slots.push(Slot::Ready(self.serve_fallback(
-                    &entry,
-                    snapshot.version,
-                    digest,
-                    &request.features,
-                    FallbackCause::Shed,
-                    now,
-                )));
-                continue;
-            }
-            let dedup_key = (entry.id as u64, snapshot.version, digest);
-            if let Some(&(group, row)) = inflight.get(&dedup_key) {
-                slots.push(Slot::Pending {
-                    entry,
-                    snapshot,
-                    digest,
-                    group,
-                    row,
-                });
-                pending += 1;
-                continue;
-            }
-            let group = match open
-                .iter()
-                .find(|(m, v, _)| *m == entry.id as u64 && *v == snapshot.version)
-            {
-                Some(&(_, _, g)) => g,
-                None => {
-                    groups.push(BatchGroup {
-                        snapshot: snapshot.clone(),
-                        rows: Vec::new(),
-                        promise: None,
-                    });
-                    let g = groups.len() - 1;
-                    open.push((entry.id as u64, snapshot.version, g));
-                    if config.batch_deadline_ticks.is_finite() && now.is_finite() {
-                        deadlines.push(now, g);
-                    }
-                    g
-                }
-            };
-            let row = groups[group].rows.len();
-            groups[group].rows.push(request.features.clone());
-            inflight.insert(dedup_key, (group, row));
-            slots.push(Slot::Pending {
-                entry,
-                snapshot,
-                digest,
-                group,
-                row,
-            });
-            pending += 1;
-            if groups[group].rows.len() >= config.batch_size.max(1) {
-                self.dispatch(&mut groups[group]);
-                open.retain(|&(_, _, g)| g != group);
-            }
-        }
-        for (_, _, g) in open {
-            self.dispatch(&mut groups[g]);
-        }
-
-        let mut out = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Slot::Ready(prediction) => out.push(prediction),
-                Slot::Pending {
-                    entry,
-                    snapshot,
-                    digest,
-                    group,
-                    row,
-                } => {
-                    let clean = groups[group]
-                        .promise
-                        .as_ref()
-                        .expect("group was dispatched")
-                        .get(row);
-                    out.push(self.settle(
-                        &entry,
-                        &snapshot,
-                        &requests[i].features,
-                        digest,
-                        clean,
-                        requests[i].sim_time,
-                    ));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn dispatch(&self, group: &mut BatchGroup) {
-        if group.rows.is_empty() || group.promise.is_some() {
-            return;
-        }
-        let rows = std::mem::take(&mut group.rows);
-        self.inner.counters.batches.fetch_add(1, Relaxed);
-        self.inner
-            .counters
-            .batched_rows
-            .fetch_add(rows.len() as u64, Relaxed);
-        self.inner
-            .counters
-            .model_calls
-            .fetch_add(rows.len() as u64, Relaxed);
-        let promise = Arc::new(BatchPromise::new());
-        group.promise = Some(Arc::clone(&promise));
-        let model = Arc::clone(&group.snapshot.model);
-        match &self.inner.pool {
-            Some(pool) => pool.submit(Box::new(move || promise.fill(model.predict_batch(&rows)))),
-            None => promise.fill(model.predict_batch(&rows)),
-        }
-    }
-
     fn admit(&self, entry: &ModelEntry) {
         self.inner.counters.requests.fetch_add(1, Relaxed);
         self.inner
@@ -1095,7 +818,7 @@ impl Gateway {
     }
 
     /// Per-model SLO bookkeeping: every answer either meets the objective
-    /// (fresh model/cache serves) or consumes error budget (stale values,
+    /// (fresh model serves) or consumes error budget (stale values,
     /// fallbacks of any cause). Watchtower's SLO engine and the exported
     /// metrics registry aggregate these.
     fn record_slo(&self, entry: &ModelEntry, good: bool) {
@@ -1103,52 +826,6 @@ impl Gateway {
         self.inner
             .obs
             .counter_add(COMPONENT, name, &[("model", entry.name.as_str())], 1);
-    }
-
-    fn probe_cache(
-        &self,
-        entry: &ModelEntry,
-        snapshot: &ServingSnapshot,
-        features: &[f64],
-        digest: &mut u64,
-    ) -> Option<Prediction> {
-        let cache = self.inner.cache.as_ref()?;
-        if *digest == 0 {
-            *digest = digest_f64(features.iter().copied());
-        }
-        let key = CacheKey {
-            model: entry.id as u64,
-            version: snapshot.version,
-            digest: *digest,
-        };
-        match cache.get(&key) {
-            Some(value) => {
-                self.inner.counters.cache_hits.fetch_add(1, Relaxed);
-                self.inner.obs.counter_add(
-                    COMPONENT,
-                    "cache_hits",
-                    &[("model", entry.name.as_str())],
-                    1,
-                );
-                self.record_slo(entry, true);
-                Some(Prediction {
-                    value,
-                    version: snapshot.version,
-                    source: Source::Cache,
-                    features_digest: *digest,
-                })
-            }
-            None => {
-                self.inner.counters.cache_misses.fetch_add(1, Relaxed);
-                self.inner.obs.counter_add(
-                    COMPONENT,
-                    "cache_misses",
-                    &[("model", entry.name.as_str())],
-                    1,
-                );
-                None
-            }
-        }
     }
 
     fn breaker_admits(&self, entry: &ModelEntry, sim_time: f64) -> bool {
@@ -1162,9 +839,8 @@ impl Gateway {
         allowed
     }
 
-    /// Applies fault channels, the poison guard, breaker accounting and the
-    /// cache fill to a freshly computed `clean` prediction — all on the
-    /// caller thread, in request order.
+    /// Applies fault channels, the poison guard and breaker accounting to a
+    /// freshly computed `clean` prediction.
     fn settle(
         &self,
         entry: &ModelEntry,
@@ -1246,16 +922,6 @@ impl Gateway {
                         self.record_transition(entry, t, sim_time);
                     }
                 }
-                if let Some(cache) = &self.inner.cache {
-                    cache.insert(
-                        CacheKey {
-                            model: entry.id as u64,
-                            version: snapshot.version,
-                            digest,
-                        },
-                        value,
-                    );
-                }
                 self.record_slo(entry, true);
                 Prediction {
                     value,
@@ -1308,11 +974,7 @@ impl Gateway {
         let value = (entry.fallback)(features);
         self.inner.counters.fallbacks.fetch_add(1, Relaxed);
         self.record_slo(entry, false);
-        let mut digest = digest;
         if self.inner.obs.is_enabled() {
-            if digest == 0 {
-                digest = digest_f64(features.iter().copied());
-            }
             let mut batch = self.inner.obs.batch();
             batch.counter_add(
                 COMPONENT,
@@ -1343,34 +1005,18 @@ impl Gateway {
     /// Aggregate counters.
     pub fn stats(&self) -> GatewayStats {
         let c = &self.inner.counters;
-        let hits = c.cache_hits.load(Relaxed);
-        let misses = c.cache_misses.load(Relaxed);
-        let probes = hits + misses;
         GatewayStats {
             requests: c.requests.load(Relaxed),
-            cache_hits: hits,
-            cache_misses: misses,
+            cache_hits: 0,
+            cache_misses: 0,
             model_calls: c.model_calls.load(Relaxed),
-            batches: c.batches.load(Relaxed),
-            batched_rows: c.batched_rows.load(Relaxed),
             fallbacks: c.fallbacks.load(Relaxed),
-            shed: c.shed.load(Relaxed),
+            shed: 0,
             stale: c.stale.load(Relaxed),
             canary_routed: c.canary_routed.load(Relaxed),
             shadow_serves: c.shadow_serves.load(Relaxed),
-            cache_hit_rate: if probes == 0 {
-                0.0
-            } else {
-                hits as f64 / probes as f64
-            },
         }
     }
-}
-
-struct BatchGroup {
-    snapshot: Arc<ServingSnapshot>,
-    rows: Vec<Vec<f64>>,
-    promise: Option<Arc<BatchPromise>>,
 }
 
 #[cfg(test)]
@@ -1416,19 +1062,38 @@ mod tests {
     }
 
     #[test]
-    fn model_path_and_cache_hit() {
+    fn model_path_serves_fresh_inference() {
         let (gateway, handle) = identity_gateway(GatewayConfig::standard());
         let first = gateway.predict(handle, &[2.0], 0.0).unwrap();
         assert_eq!(first.value, 3.0);
         assert_eq!(first.source, Source::Model);
-        let second = gateway.predict(handle, &[2.0], 1.0).unwrap();
-        assert_eq!(second.source, Source::Cache);
-        assert_eq!(second.value.to_bits(), first.value.to_bits());
-        assert_eq!(gateway.stats().cache_hits, 1);
     }
 
     #[test]
-    fn hot_swap_bumps_version_and_misses_cache() {
+    fn features_digest_is_set_exactly_when_recording() {
+        let features = [2.0, 0.5];
+        let digest = digest_f64(features.iter().copied());
+        assert_ne!(digest, 0);
+        for (obs, expected) in [(Obs::recording(), digest), (Obs::disabled(), 0)] {
+            let gateway = Gateway::with_obs(GatewayConfig::standard(), obs);
+            let handle = gateway.register("m", |f: &[f64]| f[0] + 1.0);
+            let fallback = gateway.predict(handle, &features, 0.0).unwrap();
+            assert_eq!(fallback.source, Source::Fallback(FallbackCause::NoModel));
+            assert_eq!(fallback.features_digest, expected);
+            gateway
+                .publish(handle, Arc::new(FnModel(|f: &[f64]| f[0] + 1.0)), 0.05)
+                .unwrap();
+            for sim_time in [1.0, 2.0] {
+                let p = gateway.predict(handle, &features, sim_time).unwrap();
+                assert_eq!(p.source, Source::Model, "a repeat is inferred again");
+                assert_eq!(p.features_digest, expected);
+            }
+            assert_eq!(gateway.stats().model_calls, 2);
+        }
+    }
+
+    #[test]
+    fn hot_swap_bumps_version() {
         let (gateway, handle) = identity_gateway(GatewayConfig::standard());
         assert_eq!(gateway.current_version(handle).unwrap(), Some(1));
         gateway.predict(handle, &[2.0], 0.0).unwrap();
@@ -1436,7 +1101,6 @@ mod tests {
             .publish(handle, Arc::new(FnModel(|f: &[f64]| f[0] + 100.0)), 0.01)
             .unwrap();
         assert_eq!(v2, 2);
-        // Same features, new version ⇒ cache key differs ⇒ fresh inference.
         let p = gateway.predict(handle, &[2.0], 1.0).unwrap();
         assert_eq!(p.value, 102.0);
         assert_eq!(p.source, Source::Model);
@@ -1458,7 +1122,6 @@ mod tests {
     #[test]
     fn breaker_opens_on_timeouts_and_recovers() {
         let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0; // cache off: every request reaches the model
         config.breaker.failure_threshold = 2;
         config.breaker.cooldown_ticks = 10.0;
         config.breaker.probe_successes = 1;
@@ -1486,7 +1149,6 @@ mod tests {
     #[test]
     fn poison_guard_trips_to_fallback() {
         let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
         config.breaker.guard_factor = 1.5;
         let gateway = Gateway::with_obs(config, Obs::disabled());
         // Fallback heuristic ≈ model output, so an unpoisoned model passes.
@@ -1506,143 +1168,6 @@ mod tests {
         let p = gateway.predict(handle, &[4.0], 1.0).unwrap();
         assert_eq!(p.source, Source::Fallback(FallbackCause::Guarded));
         assert_eq!(p.value, 5.0, "served the heuristic, not the poisoned value");
-    }
-
-    #[test]
-    fn predict_many_matches_predict_one() {
-        let mut config = GatewayConfig::standard();
-        config.batch_size = 3;
-        let (gateway, handle) = identity_gateway(config);
-        let requests: Vec<Request> = (0..10)
-            .map(|i| Request::new(handle, vec![i as f64], i as f64))
-            .collect();
-        let batched = gateway.predict_many(&requests).unwrap();
-        let (solo_gateway, solo_handle) = identity_gateway(GatewayConfig::standard());
-        for (request, got) in requests.iter().zip(&batched) {
-            let solo = solo_gateway
-                .predict(solo_handle, &request.features, request.sim_time)
-                .unwrap();
-            assert_eq!(solo.value.to_bits(), got.value.to_bits());
-        }
-    }
-
-    #[test]
-    fn predict_many_dedups_identical_rows() {
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0; // dedup still applies without the cache
-        config.batch_size = 8;
-        let (gateway, handle) = identity_gateway(config);
-        let requests: Vec<Request> = (0..6)
-            .map(|_| Request::new(handle, vec![5.0], 0.0))
-            .collect();
-        let out = gateway.predict_many(&requests).unwrap();
-        assert!(out.iter().all(|p| p.value == 6.0));
-        assert_eq!(gateway.stats().batched_rows, 1, "six requests, one row");
-    }
-
-    #[test]
-    fn admission_control_sheds_to_fallback() {
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        config.max_in_flight = 2;
-        let (gateway, handle) = identity_gateway(config);
-        let requests: Vec<Request> = (0..5)
-            .map(|i| Request::new(handle, vec![i as f64], 0.0))
-            .collect();
-        let out = gateway.predict_many(&requests).unwrap();
-        let shed = out
-            .iter()
-            .filter(|p| p.source == Source::Fallback(FallbackCause::Shed))
-            .count();
-        assert_eq!(shed, 3);
-        assert_eq!(gateway.stats().shed, 3);
-    }
-
-    #[test]
-    fn worker_pool_results_match_inline() {
-        let mut inline_config = GatewayConfig::standard();
-        inline_config.batch_size = 4;
-        let mut pooled_config = inline_config;
-        pooled_config.workers = 4;
-        let (inline, ih) = identity_gateway(inline_config);
-        let (pooled, ph) = identity_gateway(pooled_config);
-        let requests: Vec<(f64, f64)> = (0..64).map(|i| (i as f64 % 7.0, i as f64)).collect();
-        let inline_out = inline
-            .predict_many(
-                &requests
-                    .iter()
-                    .map(|&(x, t)| Request::new(ih, vec![x], t))
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
-        let pooled_out = pooled
-            .predict_many(
-                &requests
-                    .iter()
-                    .map(|&(x, t)| Request::new(ph, vec![x], t))
-                    .collect::<Vec<_>>(),
-            )
-            .unwrap();
-        for (a, b) in inline_out.iter().zip(&pooled_out) {
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-            assert_eq!(a.source, b.source);
-        }
-    }
-
-    #[test]
-    fn deadline_flush_dispatches_old_batches() {
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        config.batch_size = 100; // size flush never fires
-        config.batch_deadline_ticks = 5.0;
-        let (gateway, handle) = identity_gateway(config);
-        let requests = vec![
-            Request::new(handle, vec![1.0], 0.0),
-            Request::new(handle, vec![2.0], 1.0),
-            Request::new(handle, vec![3.0], 6.0), // 6.0 - 0.0 ≥ 5.0 ⇒ flush first two
-        ];
-        gateway.predict_many(&requests).unwrap();
-        assert_eq!(gateway.stats().batches, 2);
-    }
-
-    #[test]
-    fn deadline_flush_sequence_is_pinned() {
-        // Size flushes (batch of 3) interleaved with deadline flushes
-        // (4 ticks), including two arrivals at one instant. The expected
-        // batches, rows, calls and prediction bits are those of the
-        // O(open groups) deadline scan the timer wheel replaced.
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        config.batch_size = 3;
-        config.batch_deadline_ticks = 4.0;
-        let (gateway, handle) = identity_gateway(config);
-        let times = [0.0, 1.0, 2.5, 5.0, 5.0, 9.5, 12.0, 12.0, 20.0];
-        let requests: Vec<Request> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| Request::new(handle, vec![i as f64], t))
-            .collect();
-        let out = gateway.predict_many(&requests).unwrap();
-        let bits: Vec<u64> = out.iter().map(|p| p.value.to_bits()).collect();
-        assert_eq!(
-            bits,
-            [
-                0x3ff0000000000000, // 1.0
-                0x4000000000000000, // 2.0
-                0x4008000000000000, // 3.0
-                0x4010000000000000, // 4.0
-                0x4014000000000000, // 5.0
-                0x4018000000000000, // 6.0
-                0x401c000000000000, // 7.0
-                0x4020000000000000, // 8.0
-                0x4022000000000000, // 9.0
-            ]
-        );
-        assert!(out.iter().all(|p| p.source == Source::Model));
-        let stats = gateway.stats();
-        assert_eq!(stats.batches, 4, "size, deadline, size, drain");
-        assert_eq!(stats.batched_rows, 9);
-        assert_eq!(stats.model_calls, 9);
     }
 
     #[test]
@@ -1681,9 +1206,7 @@ mod tests {
 
     #[test]
     fn canary_routes_deterministic_slice() {
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        let (gateway, handle) = identity_gateway(config);
+        let (gateway, handle) = identity_gateway(GatewayConfig::standard());
         gateway
             .stage_candidate(
                 handle,
@@ -1717,9 +1240,7 @@ mod tests {
 
     #[test]
     fn shadow_mirrors_without_serving() {
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        let (gateway, handle) = identity_gateway(config);
+        let (gateway, handle) = identity_gateway(GatewayConfig::standard());
         gateway
             .stage_candidate(
                 handle,
@@ -1850,9 +1371,7 @@ mod tests {
 
     #[test]
     fn version_scoped_poison_spares_other_versions() {
-        let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
-        let (gateway, handle) = identity_gateway(config);
+        let (gateway, handle) = identity_gateway(GatewayConfig::standard());
         gateway
             .inject_faults(handle, ModelFaults::new(7, 0.0, 0.0, 4.0))
             .unwrap();

@@ -1,4 +1,4 @@
-//! Concurrent model-serving gateway for the autonomy loop.
+//! Model-serving gateway for the autonomy loop.
 //!
 //! The paper's model hierarchy (Zhu et al., SIGMOD 2023, §4) only works in
 //! production because every learned model sits behind shared serving
@@ -7,15 +7,9 @@
 //! layer for the reproduction — a [`Gateway`] that fronts the optimizer's
 //! learned cardinality micromodels (`learned::serving`) and owns:
 //!
-//! * a **worker pool** (std threads only) with a bounded request queue and
-//!   admission control / backpressure,
-//! * **micro-batching**: requests for the same `(model, version)` are
-//!   coalesced into batched inference calls with a deterministic flush
-//!   policy (batch size or simulated-time deadline), so same-seed runs stay
-//!   byte-identical regardless of thread scheduling,
-//! * a **sharded prediction cache** keyed by
-//!   `(model id, version, feature digest)` with LRU eviction and hit/miss
-//!   counters in `obs`,
+//! * **one request path**: [`Gateway::predict`] admits a request, routes it
+//!   to the serving version or a staged canary or shadow candidate, asks
+//!   the model and settles the answer, all on the caller thread,
 //! * **per-model circuit breakers** driven by `faultsim`'s model
 //!   timeout/staleness/poisoning channels: after N consecutive failures the
 //!   breaker opens and the gateway serves the registered heuristic fallback
@@ -27,36 +21,31 @@
 //!
 //! # Determinism
 //!
-//! Worker threads compute *pure* batched predictions only. Every piece of
-//! mutable state — fault-channel RNG draws, breaker transitions, cache
-//! fills, obs records — is touched on the **caller** thread in request
-//! order. Same seed, same requests ⇒ byte-identical trace, at any worker
-//! count.
+//! Every piece of mutable state — fault-channel RNG draws, breaker
+//! transitions, canary tickets, obs records — is touched on the caller
+//! thread in request order. Same seed, same requests ⇒ byte-identical
+//! trace.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod autonomy;
 mod breaker;
-mod cache;
 mod canary;
 mod gateway;
 mod model;
-mod pool;
 
 pub use autonomy::{
     AutonomyAction, AutonomyConfig, AutonomyController, CanaryConfig, HealthSignal, Retrainer,
     SloPolicy,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Transition};
-pub use cache::{CacheKey, PredictionCache};
 pub use canary::{DeployPhase, ShadowSample};
 pub use gateway::{
-    FallbackCause, Gateway, GatewayConfig, GatewayStats, PoisonScope, Prediction, Request,
-    ServingSnapshot, Source,
+    FallbackCause, Gateway, GatewayConfig, GatewayStats, PoisonScope, Prediction, ServingSnapshot,
+    Source,
 };
 pub use model::{FnModel, ModelHandle, RegressorModel, ServableModel};
-pub use pool::{BatchPromise, WorkerPool};
 
 use std::fmt;
 

@@ -6,18 +6,10 @@ use adas_ml::Regressor;
 /// scalar prediction.
 ///
 /// Implementations must be pure (no interior mutability observable through
-/// `predict`) — the gateway relies on this to keep batched inference on
-/// worker threads deterministic.
+/// `predict`), so that same-seed replays stay byte-identical.
 pub trait ServableModel: Send + Sync {
     /// Predict a single feature row.
     fn predict(&self, features: &[f64]) -> f64;
-
-    /// Predict a batch of rows. The default loops over [`Self::predict`];
-    /// models with a cheaper vectorised path may override it, as long as the
-    /// per-row results are bitwise identical to the scalar path.
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.iter().map(|row| self.predict(row)).collect()
-    }
 }
 
 /// Serve any [`Regressor`] from the `ml` crate.
@@ -27,10 +19,6 @@ pub struct RegressorModel<R>(pub R);
 impl<R: Regressor + Send + Sync> ServableModel for RegressorModel<R> {
     fn predict(&self, features: &[f64]) -> f64 {
         self.0.predict(features)
-    }
-
-    fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        self.0.predict_batch(rows)
     }
 }
 
@@ -52,8 +40,7 @@ impl<F: Fn(&[f64]) -> f64 + Send + Sync> ServableModel for FnModel<F> {
 pub struct ModelHandle(pub(crate) usize);
 
 impl ModelHandle {
-    /// Stable integer id of this model within its gateway (also the `model`
-    /// component of the prediction-cache key).
+    /// Stable integer id of this model within its gateway.
     pub fn index(self) -> usize {
         self.0
     }
@@ -72,15 +59,5 @@ mod tests {
         let direct = lr.predict(&[4.0]);
         let served = RegressorModel(lr).predict(&[4.0]);
         assert_eq!(direct.to_bits(), served.to_bits());
-    }
-
-    #[test]
-    fn batch_default_matches_scalar() {
-        let model = FnModel(|f: &[f64]| f.iter().sum::<f64>() * 2.0);
-        let rows = vec![vec![1.0, 2.0], vec![0.5, 0.25]];
-        let batched = model.predict_batch(&rows);
-        for (row, got) in rows.iter().zip(&batched) {
-            assert_eq!(model.predict(row).to_bits(), got.to_bits());
-        }
     }
 }

@@ -6,9 +6,6 @@
 //! `fleet_sim` example. Layers whose events never feed back (the cluster
 //! executor, the chaos runner) are plain loops instead. The pieces:
 //!
-//! * [`EventQueue`] — a binary-heap event queue keyed `(time, seq)`, so
-//!   ties resolve in push order and replays are deterministic. The
-//!   serving gateway's deadline flush uses it directly.
 //! * [`Simulation`] / [`Component`] / [`Ctx`] — a simulation owns its one
 //!   component by value and hands it every event through `on_event`; the
 //!   component reads the clock, schedules its own future events with
@@ -37,12 +34,11 @@
 //!    are insensitive to how many draws other streams make.
 
 pub mod clock;
-pub mod queue;
+mod queue;
 pub mod rng;
 pub mod sim;
 pub mod window;
 
 pub use clock::OrderedTick;
-pub use queue::EventQueue;
 pub use sim::{Component, Ctx, Simulation};
 pub use window::{Cooldown, CountWindow, Window};

@@ -65,20 +65,9 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, event });
     }
 
-    /// Fire time of the next event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Pops the next event in `(time, seq)` order, with its fire time.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|e| (e.time, e.event))
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -93,10 +82,8 @@ mod tests {
         q.push(1.0, "early-a");
         q.push(1.0, "early-b");
         q.push(0.5, "first");
-        assert_eq!(q.peek_time(), Some(0.5));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["first", "early-a", "early-b", "late"]);
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

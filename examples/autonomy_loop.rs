@@ -24,7 +24,6 @@ use std::sync::Arc;
 fn main() {
     let obs = Obs::recording();
     let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0;
     config.breaker.guard_factor = 2.0;
     let gateway = Gateway::with_obs(config, obs.clone());
     let handle = gateway.register("demo/cardinality", |f: &[f64]| f[0]);

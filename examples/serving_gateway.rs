@@ -1,10 +1,10 @@
 //! Serving-layer tour: the optimizer behind the model-serving gateway.
 //!
 //! Trains cardinality micromodels on a recurring workload, publishes them
-//! into a [`Gateway`] (versioned, cached, circuit-breaker-guarded), and
-//! optimizes plans three ways:
+//! into a [`Gateway`] (versioned, circuit-breaker-guarded), and optimizes
+//! plans three ways:
 //!
-//! 1. healthy serving — recurring templates hit the prediction cache;
+//! 1. healthy serving — every costing of a covered template asks its model;
 //! 2. a simulated model outage — timeouts trip the per-model breaker and
 //!    the optimizer keeps running on the engine-default fallback;
 //! 3. recovery — half-open probes close the breaker and serving resumes.
@@ -52,8 +52,7 @@ fn main() {
     );
 
     // --- 1. Healthy serving. Two optimization passes over the same job
-    //     set: re-optimizing a recurring job (identical features ⇒ same
-    //     cache key) is answered from the prediction cache.
+    //     set: re-optimizing a recurring job asks its model again.
     let optimizer = Optimizer::default();
     for pass in 0..2 {
         for (i, plan) in plans.iter().take(200).enumerate() {
@@ -65,8 +64,8 @@ fn main() {
     }
     let stats = gateway.stats();
     println!(
-        "healthy: {} requests, cache hit rate {:.2}, {} model calls",
-        stats.requests, stats.cache_hit_rate, stats.model_calls
+        "healthy: {} requests, {} model calls",
+        stats.requests, stats.model_calls
     );
 
     // --- 2. Outage: the busiest template's model starts timing out.

@@ -31,7 +31,6 @@ fn main() {
     // --- Produce: the poison → rollback chaos drill (seed 7). ---
     let obs = Obs::recording();
     let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0;
     config.breaker.guard_factor = 2.0;
     config.breaker.failure_threshold = 4;
     config.breaker.cooldown_ticks = 8.0;

@@ -34,7 +34,7 @@
 //! | Service | Seagull, Moneyball, Doppler, Spark auto-tuning | [`service`] |
 //! | Cross-cutting | model hierarchy, feedback loop, guardrails, AlgorithmStore, joint optimization | [`core`] |
 //! | Substrates | telemetry store & seasonal analysis | [`telemetry`]; ML models: [`ml`] |
-//! | Cross-cutting | model-serving gateway (batching, cache, breakers) | [`serve`] |
+//! | Cross-cutting | model-serving gateway (breakers, canary and shadow routing, hot-swap) | [`serve`] |
 //! | Validation | deterministic fault injection & chaos testing | [`faultsim`] |
 //! | Observability | flight recorder (spans, metrics, decision provenance) | [`obs`] |
 //! | Observability | SLO burn rates, incident reconstruction, critical-path profiling | [`watchtower`] |

@@ -71,7 +71,6 @@ struct DrillOutcome {
 fn run_drill(seed: u64) -> DrillOutcome {
     let obs = Obs::recording();
     let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0;
     config.breaker.guard_factor = 2.0;
     config.breaker.failure_threshold = 4;
     config.breaker.cooldown_ticks = 8.0;
@@ -229,8 +228,7 @@ fn drill_seeds_diverge() {
 #[test]
 fn flapping_candidate_never_promotes() {
     let obs = Obs::recording();
-    let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0;
+    let config = GatewayConfig::standard();
     let gateway = Gateway::with_obs(config, obs.clone());
     let handle = gateway.register("card/flappy", |f: &[f64]| f[0]);
     let mut ctl = AutonomyController::new(gateway.clone(), obs.clone());

@@ -73,7 +73,6 @@ proptest! {
     ) {
         let obs = Obs::recording();
         let mut config = GatewayConfig::standard();
-        config.cache_capacity = 0;
         config.breaker.guard_factor = 1.5;
         let gateway = Gateway::with_obs(config, obs.clone());
         let handle = gateway.register("m", |f: &[f64]| f[0]);
@@ -152,8 +151,7 @@ proptest! {
         shadow_first_bit in 0u8..2,
     ) {
         let obs = Obs::recording();
-        let mut gconfig = GatewayConfig::standard();
-        gconfig.cache_capacity = 0;
+        let gconfig = GatewayConfig::standard();
         let gateway = Gateway::with_obs(gconfig, obs.clone());
         let handle = gateway.register("m", |f: &[f64]| f[0]);
         let mut ctl = AutonomyController::new(gateway.clone(), obs);

@@ -641,8 +641,7 @@ fn gateway_breaker_scenario(seed: u64) -> (String, autonomous_data_services::ser
     use std::sync::Arc;
 
     let obs = Obs::recording();
-    let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0; // every request must face the fault channel
+    let config = GatewayConfig::standard();
     let gateway = Gateway::with_obs(config, obs.clone());
     let handle = gateway.register("chaos/cardinality", |f: &[f64]| f[0] + 1.0);
     gateway
@@ -749,8 +748,7 @@ fn chaos_served_cardinality_falls_back_to_the_default_estimate() {
     .expect("generates");
     let plans: Vec<_> = w.trace.jobs().iter().map(|j| j.plan.clone()).collect();
     let (learned, _) = LearnedCardinality::train(&w.catalog, &plans, TrainConfig::default());
-    let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0; // every call must face the fault channel
+    let config = GatewayConfig::standard();
     let gateway = Gateway::with_obs(config, Obs::disabled());
     let served = learned.publish(&gateway);
     for sig in learned.signatures() {

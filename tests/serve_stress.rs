@@ -92,7 +92,7 @@ fn hot_swap_never_tears_or_rewinds() {
     let p = gateway.predict(handle, &[0.5], 0.0).expect("registered");
     assert_eq!(p.version, VERSIONS);
     assert_eq!(p.value, VERSIONS as f64);
-    assert!(matches!(p.source, Source::Model | Source::Cache));
+    assert_eq!(p.source, Source::Model);
 }
 
 /// The registry behind each entry keeps the full version history while the

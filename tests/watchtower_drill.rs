@@ -67,7 +67,6 @@ fn scalar_retrainer() -> Retrainer {
 fn run_poison_drill(seed: u64) -> Trace {
     let obs = Obs::recording();
     let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0;
     config.breaker.guard_factor = 2.0;
     config.breaker.failure_threshold = 4;
     config.breaker.cooldown_ticks = 8.0;
@@ -167,7 +166,6 @@ fn watchtower_report_is_byte_identical_per_seed() {
 fn slo_burn_signal_drives_autonomous_rollback() {
     let obs = Obs::recording();
     let mut config = GatewayConfig::standard();
-    config.cache_capacity = 0;
     config.breaker.guard_factor = 2.0;
     let gateway = Gateway::with_obs(config, obs.clone());
     let handle = gateway.register("card/slo", |f: &[f64]| f[0]);
